@@ -18,15 +18,21 @@ EXTENDED = "extended"
 EXTENDED_DPS = 36
 
 _mode = STD
+_std_dps = mpmath.mp.dps     # dps in effect when extended mode was entered
 
 
 def set_precision(mode: str) -> None:
-    global _mode
+    """Switch modes; leaving extended mode restores the dps it replaced."""
+    global _mode, _std_dps
     if mode not in (STD, EXTENDED):
         raise ValueError(f"unknown precision mode {mode!r}")
-    _mode = mode
     if mode == EXTENDED:
+        if _mode == STD:
+            _std_dps = mpmath.mp.dps
         mpmath.mp.dps = EXTENDED_DPS
+    elif _mode == EXTENDED:
+        mpmath.mp.dps = _std_dps
+    _mode = mode
 
 
 def get_precision() -> str:

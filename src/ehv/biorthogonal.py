@@ -27,7 +27,7 @@ from ._backend import cpow
 from .core import Moduli, theta, theta_factorial_multi, theta_multi
 from .errors import InadmissibleContour, SingularStep
 from .integrands import Family, IntegrandSpec, ParamSet, make_integrand, rhs_closed_form
-from .quadrature import QuadratureConfig, default_config, integrate_mesh_fn
+from .quadrature import QuadratureConfig, integrate_mesh_fn
 from .report import VerificationReport
 from .series import VSpec, sum_V
 from .vec import theta_vec
@@ -384,8 +384,6 @@ def biorth_value(n: int, m: int, rp: RahmanParams,
             f"inadmissible contour: worst pole {chk.worst_pole:.6g} "
             f"(margin {chk.worst_margin:.3e})"
         )
-    if cfg is None:
-        cfg = default_config(1, rel_tol=1e-10)
     res = integrate_mesh_fn(_biorth_mesh(rp, n, m, k, l), 1, cfg)
     if n == m and k == l:
         expected = (norm_h2(n, k, rp) if (k or l) else norm_h(n, rp)) \
@@ -483,8 +481,6 @@ def twelveV_integral_rep_sides(alpha, beta, m: int, n: int, rp: RahmanParams,
         vals = vals / _theta_factorial_vec(A / z1d, q, p, n)
         return vals
 
-    if cfg is None:
-        cfg = default_config(1, rel_tol=1e-10)
     res = integrate_mesh_fn(mesh, 1, cfg)
     rhs = pref * res.value / rp.beta_value()
     return lhs, rhs, res
@@ -520,8 +516,6 @@ def shifted_beta_sides(i: int, j: int, rp: RahmanParams,
         vals = vals / _theta_factorial_vec(A / z1d, q, p, j)
         return vals
 
-    if cfg is None:
-        cfg = default_config(1, rel_tol=1e-10)
     res = integrate_mesh_fn(mesh, 1, cfg)
     shifted_spec = IntegrandSpec(
         Family.E, 1, ParamSet(t=(shifted0,) + t[1:]), rp.moduli)

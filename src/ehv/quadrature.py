@@ -10,26 +10,26 @@ decaying geometrically in N.  Convergence control is node doubling: the
 estimate's error is the magnitude of the last doubling change, with no
 extrapolation.
 
-Determinism: node values are reduced chunk-by-chunk along the outermost
-axis with a fixed chunk size, and the chunk partials are combined in a
-fixed binary tree keyed by chunk index.  Worker count affects only which
-thread computes a chunk, never the arithmetic, so results are bit-identical
-for any worker count.
+Determinism: node values are summed in chunks of _CHUNK along the outermost
+axis, and the chunk partials are combined in a fixed binary tree keyed by
+chunk index (series.tree_sum).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceLimit
 from .integrands import IntegrandSpec, make_integrand, require_valid
+from .series import tree_sum
 
 _DEFAULT_MAX_NODES = 10_000_000
+_CHUNK = 16
 
 
 def _max_nodes() -> int:
@@ -41,19 +41,10 @@ def _max_nodes() -> int:
 
 
 @dataclass(frozen=True)
-class ReductionPlan:
-    """Fixed tree shape: outermost-axis chunk size and worker count."""
-
-    chunk: int = 16
-    workers: int = 1
-
-
-@dataclass(frozen=True)
 class QuadratureConfig:
     nodes_per_dim: int = 128
     max_doublings: int = 4
     rel_tol: float = 1e-10
-    reduction: ReductionPlan = field(default_factory=ReductionPlan)
 
     def __post_init__(self):
         if self.nodes_per_dim < 8:
@@ -62,12 +53,9 @@ class QuadratureConfig:
             raise ValueError("rel_tol must be positive")
 
 
-def default_config(n: int, rel_tol: float = 1e-10,
-                   max_doublings: int = 4) -> QuadratureConfig:
+def default_config(n: int) -> QuadratureConfig:
     """Node counts tuned per rank: 128 / 96 / 64 per dim for n = 1 / 2 / 3+."""
-    nodes = {1: 128, 2: 96}.get(n, 64)
-    return QuadratureConfig(nodes_per_dim=nodes, max_doublings=max_doublings,
-                            rel_tol=rel_tol)
+    return QuadratureConfig(nodes_per_dim={1: 128, 2: 96}.get(n, 64))
 
 
 @dataclass
@@ -79,74 +67,10 @@ class QuadratureResult:
     converged: bool
 
 
-class Constraint:
-    NONE = "none"
-    AN_PRODUCT_ONE = "an_product_one"   # callee computes z_{n+1} itself
-
-
-def _tree_combine(partials):
-    vals = list(partials)
-    if not vals:
-        return 0.0 + 0.0j
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
-def _reduce_array(arr: np.ndarray, plan: ReductionPlan):
+def _reduce_array(arr: np.ndarray):
     """Chunked deterministic sum over the full array."""
-    n0 = arr.shape[0]
-    bounds = [(i, min(i + plan.chunk, n0)) for i in range(0, n0, plan.chunk)]
-
-    def chunk_sum(b):
-        return complex(np.sum(arr[b[0]:b[1]]))
-
-    if plan.workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            partials = list(pool.map(chunk_sum, bounds))
-    else:
-        partials = [chunk_sum(b) for b in bounds]
-    return _tree_combine(partials)
-
-
-def _reduce_scalar_grid(f, n, N, plan: ReductionPlan):
-    """Pointwise evaluation fallback for black-box callables."""
-    z1d = np.exp(2j * np.pi * np.arange(N) / N)
-
-    def row_values(k0):
-        # one outermost index k0; iterate the remaining n-1 axes in C order
-        vals = np.empty(N ** (n - 1), dtype=complex) if n > 1 else None
-        if n == 1:
-            return np.array([f(z1d[k0])], dtype=complex)
-        idx = [0] * (n - 1)
-        pos = 0
-        while True:
-            zs = (z1d[k0],) + tuple(z1d[i] for i in idx)
-            vals[pos] = f(zs)
-            pos += 1
-            d = n - 2
-            while d >= 0 and idx[d] == N - 1:
-                idx[d] = 0
-                d -= 1
-            if d < 0:
-                break
-            idx[d] += 1
-        return vals
-
-    bounds = [(i, min(i + plan.chunk, N)) for i in range(0, N, plan.chunk)]
-
-    def chunk_sum(b):
-        return complex(sum(np.sum(row_values(k)) for k in range(b[0], b[1])))
-
-    if plan.workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            partials = list(pool.map(chunk_sum, bounds))
-    else:
-        partials = [chunk_sum(b) for b in bounds]
-    return _tree_combine(partials)
+    return tree_sum(complex(np.sum(arr[i:i + _CHUNK]))
+                    for i in range(0, arr.shape[0], _CHUNK))
 
 
 def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):
@@ -158,7 +82,6 @@ def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):
     """
     if cfg is None:
         cfg = default_config(n)
-    plan = cfg.reduction
     budget = _max_nodes()
     N = cfg.nodes_per_dim
     if N ** n > budget:
@@ -166,7 +89,7 @@ def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):
             f"initial grid {N}^{n} exceeds EHV_MAX_NODES={budget}"
         )
     arr = np.asarray(mesh_fn(N))
-    value = _reduce_array(arr, plan) / (N ** n)
+    value = _reduce_array(arr) / (N ** n)
     est = math.inf
     converged = False
     for _ in range(cfg.max_doublings):
@@ -174,7 +97,7 @@ def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):
             break
         N2 = 2 * N
         arr = np.asarray(mesh_fn(N2))
-        value2 = _reduce_array(arr, plan) / (N2 ** n)
+        value2 = _reduce_array(arr) / (N2 ** n)
         est = abs(value2 - value)
         value = value2
         N = N2
@@ -192,70 +115,31 @@ def circle_integral(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:
 
     f may be a plain callable or carry a vectorized mesh_eval(N).
     """
-    if cfg is None:
-        cfg = default_config(1)
     if hasattr(f, "mesh_eval"):
         return integrate_mesh_fn(f.mesh_eval, 1, cfg)
+    return torus_integral(lambda zs: f(zs[0]), 1, cfg)
+
+
+def torus_integral(f, n: int, cfg: QuadratureConfig | None = None) -> QuadratureResult:
+    """Tensor-product rule over T^n with doubling control.
+
+    f may carry a vectorized mesh_eval(N); otherwise it is called pointwise
+    as f((z_1, ..., z_n)) on every grid node, in C order.
+    """
+    if hasattr(f, "mesh_eval"):
+        return integrate_mesh_fn(f.mesh_eval, n, cfg)
 
     def mesh(N):
         z1d = np.exp(2j * np.pi * np.arange(N) / N)
-        return np.array([f(z) for z in z1d], dtype=complex)
+        vals = np.fromiter((f(zs) for zs in itertools.product(z1d, repeat=n)),
+                           dtype=complex, count=N ** n)
+        return vals.reshape((N,) * n)
 
-    return integrate_mesh_fn(mesh, 1, cfg)
-
-
-def torus_integral(f, n: int, cfg: QuadratureConfig | None = None,
-                   constraint: str = Constraint.NONE) -> QuadratureResult:
-    """Tensor-product rule over T^n with doubling control.
-
-    With constraint AN_PRODUCT_ONE the callee still receives the n free
-    variables and is responsible for the dependent one; the rule itself is
-    unchanged.
-    """
-    if cfg is None:
-        cfg = default_config(n)
-    if hasattr(f, "mesh_eval"):
-        return integrate_mesh_fn(f.mesh_eval, n, cfg)
-    if n == 1:
-        def mesh1(N):
-            z1d = np.exp(2j * np.pi * np.arange(N) / N)
-            return np.array([f((z,)) for z in z1d], dtype=complex)
-
-        return integrate_mesh_fn(mesh1, 1, cfg)
-
-    # scalar fallback: evaluate pointwise but keep the identical reduction
-    if cfg is None:
-        cfg = default_config(n)
-    plan = cfg.reduction
-    budget = _max_nodes()
-    N = cfg.nodes_per_dim
-    if N ** n > budget:
-        raise ResourceLimit(
-            f"initial grid {N}^{n} exceeds EHV_MAX_NODES={budget}"
-        )
-    value = _reduce_scalar_grid(f, n, N, plan) / (N ** n)
-    est = math.inf
-    converged = False
-    for _ in range(cfg.max_doublings):
-        if (2 * N) ** n > budget:
-            break
-        N *= 2
-        value2 = _reduce_scalar_grid(f, n, N, plan) / (N ** n)
-        est = abs(value2 - value)
-        value = value2
-        if est <= cfg.rel_tol * abs(value):
-            converged = True
-            break
-    if math.isfinite(est) and est <= cfg.rel_tol * abs(value):
-        converged = True
-    return QuadratureResult(value=value, est_error=est, nodes_used=N ** n,
-                            dim=n, converged=converged)
+    return integrate_mesh_fn(mesh, n, cfg)
 
 
 def integrate_spec(spec: IntegrandSpec, cfg: QuadratureConfig | None = None):
     """Domain-validate and integrate a family integrand over T^n."""
     require_valid(spec)
     integrand = make_integrand(spec)
-    if cfg is None:
-        cfg = default_config(spec.n)
     return integrate_mesh_fn(integrand.mesh_eval, spec.n, cfg)

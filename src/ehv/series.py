@@ -359,8 +359,9 @@ def bailey_involution(t, m: Moduli):
     return u
 
 
-def contiguous_residuals(t, m: Moduli):
-    """Raw residuals (LHS - RHS) of the three contiguous relations."""
+def _contiguous_parts(t, m: Moduli):
+    """Raw residuals (LHS - RHS) of the three contiguous relations and, per
+    relation, the largest participating term, from one set of evaluations."""
     t = tuple(t)
     if len(t) != 8:
         raise ValueError("expected 8 parameters t_0 .. t_7")
@@ -401,50 +402,26 @@ def contiguous_residuals(t, m: Moduli):
     coef_b = (theta_multi([t6, t0 / t6, q * t0 / t6], p)
               / theta_multi([q * t6 / t7, t6 / t7], p)
               * theta_multi([q * t0 / (t7 * v) for v in mid], p))
-    r3 = (coef_a * (e_dn_up - e_base) + coef_b * (e_up_dn - e_base)
-          + theta(q * t0 / (t6 * t7), p) * prod_t * e_base)
-    return (r1, r2, r3)
+    last = theta(q * t0 / (t6 * t7), p) * prod_t * e_base
+    r3 = coef_a * (e_dn_up - e_base) + coef_b * (e_up_dn - e_base) + last
 
-
-def contiguous_relative_residuals(t, m: Moduli):
-    """Residuals normalized per relation by the largest participating term."""
-    t = tuple(t)
-    p, q = m.p, m.q
-    t0, t1, t2, t3, t4, t5, t6, t7 = t
-    mid = (t1, t2, t3, t4, t5)
-    e_base = twelveV(t0, mid + (t6, t7), m)
-    e_dn_up = twelveV(t0, mid + (t6 / q, q * t7), m)
-    e_up_dn = twelveV(t0, mid + (q * t6, t7 / q), m)
-    shifted_mid = tuple(q * v for v in mid)
-    e_big_a = twelveV(q * q * t0, shifted_mid + (t6, q * t7), m)
-    e_big_b = twelveV(q * q * t0, shifted_mid + (q * t6, t7), m)
-    prod_t = theta_multi(mid, p)
-    prod_qt0 = theta_multi([q * t0 / v for v in mid], p)
-
-    coef1 = (theta_multi([q * t0, q * q * t0, q * t7 / t6, t6 * t7 / (q * t0)], p)
-             / theta_multi([q * t0 / t6, q * q * t0 / t6, t0 / t7, t7 / (q * t0)], p)
-             * prod_t / prod_qt0)
-    term_a = (theta(t7, p)
-              / theta_multi([t6 / (q * t0), t6 / (q * q * t0), t6 / t7], p)
-              * theta_multi([v * t6 / (q * t0) for v in mid], p) * e_big_a)
-    term_b = (theta(t6, p)
-              / theta_multi([t7 / (q * t0), t7 / (q * q * t0), t7 / t6], p)
-              * theta_multi([v * t7 / (q * t0) for v in mid], p) * e_big_b)
-    rhs2 = prod_qt0 / theta_multi([q * t0, q * q * t0], p) * e_base
-    coef_a = (theta_multi([t7, t0 / t7, q * t0 / t7], p)
-              / theta_multi([q * t7 / t6, t7 / t6], p)
-              * theta_multi([q * t0 / (t6 * v) for v in mid], p))
-    coef_b = (theta_multi([t6, t0 / t6, q * t0 / t6], p)
-              / theta_multi([q * t6 / t7, t6 / t7], p)
-              * theta_multi([q * t0 / (t7 * v) for v in mid], p))
-
-    r1, r2, r3 = contiguous_residuals(t, m)
     s1 = max(abs(e_base), abs(e_dn_up), abs(coef1 * e_big_a))
     s2 = max(abs(term_a), abs(term_b), abs(rhs2))
     s3 = max(abs(coef_a) * (abs(e_dn_up) + abs(e_base)),
              abs(coef_b) * (abs(e_up_dn) + abs(e_base)),
-             abs(theta(q * t0 / (t6 * t7), p) * prod_t * e_base))
-    return (abs(r1) / s1, abs(r2) / s2, abs(r3) / s3)
+             abs(last))
+    return (r1, r2, r3), (s1, s2, s3)
+
+
+def contiguous_residuals(t, m: Moduli):
+    """Raw residuals (LHS - RHS) of the three contiguous relations."""
+    return _contiguous_parts(t, m)[0]
+
+
+def contiguous_relative_residuals(t, m: Moduli):
+    """Residuals normalized per relation by the largest participating term."""
+    rs, ss = _contiguous_parts(t, m)
+    return tuple(abs(r) / s for r, s in zip(rs, ss))
 
 
 def _milne_parts(tpars, b, c, d, Ns, m: Moduli):

@@ -4,33 +4,23 @@ These mirror the scalar evaluators in core/gamma for arrays of points.
 Inputs are assumed pre-validated (domain-checked integrands keep all pole
 lattices away from the evaluated circles), so there are no per-factor pole
 guards here; a final finiteness check catches anything that slips through.
+Products are cut by core.DEFAULT_POLICY, the float64 rule of the scalar
+evaluators.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .core import DEFAULT_POLICY
 from .errors import NonConvergent, PoleHit
-
-_EPS = 1e-16
 
 # Partial products stay below exp(scale / ((1-|q|)(1-|p|))); beyond this
 # scale we accumulate logs instead to dodge overflow.
 _DIRECT_SCALE = 40.0
 
 
-def _cutoff(scale: float, base: float, eps: float) -> int:
-    if scale == 0.0 or base == 0.0:
-        return 1
-    target = eps * (1.0 - base) / scale
-    if target >= 1.0:
-        return 1
-    return max(int(math.ceil(math.log(target) / math.log(base))), 1)
-
-
-def qpoch_vec(z: np.ndarray, b, eps: float = _EPS) -> np.ndarray:
+def qpoch_vec(z: np.ndarray, b) -> np.ndarray:
     """(z; b)_oo elementwise."""
     babs = abs(b)
     if babs >= 1.0:
@@ -38,7 +28,7 @@ def qpoch_vec(z: np.ndarray, b, eps: float = _EPS) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if babs == 0.0:
         return 1.0 - z
-    kmax = _cutoff(float(np.max(np.abs(z))), babs, eps)
+    kmax = DEFAULT_POLICY.cutoff(float(np.max(np.abs(z))), babs)
     out = np.ones_like(z)
     w = z.copy()
     for _ in range(kmax):
@@ -47,7 +37,7 @@ def qpoch_vec(z: np.ndarray, b, eps: float = _EPS) -> np.ndarray:
     return out
 
 
-def theta_vec(z: np.ndarray, p, eps: float = _EPS) -> np.ndarray:
+def theta_vec(z: np.ndarray, p) -> np.ndarray:
     """theta(z; p) = (z;p)_oo (p/z;p)_oo elementwise."""
     pabs = abs(p)
     if pabs >= 1.0:
@@ -57,7 +47,7 @@ def theta_vec(z: np.ndarray, p, eps: float = _EPS) -> np.ndarray:
         return 1.0 - z
     zi = p / z
     scale = float(max(np.max(np.abs(z)), np.max(np.abs(zi))))
-    kmax = _cutoff(scale, pabs, eps)
+    kmax = DEFAULT_POLICY.cutoff(scale, pabs)
     if scale < _DIRECT_SCALE:
         out = np.ones_like(z)
         w1 = z.copy()
@@ -77,8 +67,7 @@ def theta_vec(z: np.ndarray, p, eps: float = _EPS) -> np.ndarray:
     return np.exp(acc)
 
 
-def gamma_vec(z: np.ndarray, q, p, eps: float = _EPS,
-              inverse: bool = False) -> np.ndarray:
+def gamma_vec(z: np.ndarray, q, p, *, inverse: bool = False) -> np.ndarray:
     """Elliptic gamma elementwise via the row-cut double product.
 
     inverse=True returns 1/Gamma computed as den/num, so reciprocal tables
@@ -93,19 +82,19 @@ def gamma_vec(z: np.ndarray, q, p, eps: float = _EPS,
         raise PoleHit("gamma_vec argument contains z = 0")
     zi = 1.0 / z
     if pa == 0.0 or qa == 0.0:
-        poch = qpoch_vec(z, q if pa == 0.0 else p, eps)
+        poch = qpoch_vec(z, q if pa == 0.0 else p)
         return poch if inverse else 1.0 / poch
     za = float(np.max(np.abs(z)))
     zia = float(np.max(np.abs(zi)))
     scale = max(za, qa * pa * zia)
     use_logs = scale >= _DIRECT_SCALE
-    kmax = _cutoff(scale, pa, eps)
+    kmax = DEFAULT_POLICY.cutoff(scale, pa)
     num = np.ones_like(z)
     den = np.ones_like(z)
     acc = np.zeros_like(z) if use_logs else None
     pk = 1.0 + 0.0j
     for _ in range(kmax):
-        jmax = _cutoff(scale * abs(pk), qa, eps)
+        jmax = DEFAULT_POLICY.cutoff(scale * abs(pk), qa)
         w_den = z * pk
         w_num = zi * (q * p * pk)
         for _ in range(jmax):

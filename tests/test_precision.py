@@ -64,3 +64,12 @@ def test_factorial_splitting_tight(extended):
     lhs = theta_factorial(z, p, q, 5)
     rhs = theta_factorial(z, p, q, 2) * theta_factorial(z * q ** 2, p, q, 3)
     assert abs(lhs - rhs) / abs(lhs) < mpmath.mpf(10) ** (-30)
+
+
+def test_std_restores_dps_of_entry():
+    with mpmath.workdps(20):
+        _backend.set_precision(_backend.EXTENDED)
+        _backend.set_precision(_backend.EXTENDED)
+        assert mpmath.mp.dps == _backend.EXTENDED_DPS
+        _backend.set_precision(_backend.STD)
+        assert mpmath.mp.dps == 20

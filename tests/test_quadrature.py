@@ -3,11 +3,20 @@
 import numpy as np
 import pytest
 
+from ehv.core import Moduli
 from ehv.errors import ResourceLimit
-from ehv.integrands import Family, IntegrandSpec, ParamSet, make_integrand, rhs_closed_form
+from ehv.integrands import (
+    Factor,
+    FactorIntegrand,
+    Family,
+    IntegrandSpec,
+    Kind,
+    ParamSet,
+    make_integrand,
+    rhs_closed_form,
+)
 from ehv.quadrature import (
     QuadratureConfig,
-    ReductionPlan,
     circle_integral,
     default_config,
     integrate_mesh_fn,
@@ -96,23 +105,26 @@ class TestConvergence:
 
 
 class TestDeterminism:
-    def test_bit_identical_across_workers(self, e_spec):
-        ig = make_integrand(e_spec)
-        results = []
-        for workers in (1, 2, 8):
-            cfg = QuadratureConfig(
-                nodes_per_dim=128, max_doublings=1, rel_tol=1e-10,
-                reduction=ReductionPlan(chunk=16, workers=workers))
-            results.append(integrate_mesh_fn(ig.mesh_eval, 1, cfg))
-        assert results[0].value == results[1].value == results[2].value
-        assert results[0].est_error == results[2].est_error
-
     def test_scalar_path_matches_mesh_path(self, e_spec):
         ig = make_integrand(e_spec)
         cfg = QuadratureConfig(nodes_per_dim=64, max_doublings=1,
                                rel_tol=1e-10)
         a = circle_integral(lambda z: ig((z,)), cfg)
         b = integrate_mesh_fn(ig.mesh_eval, 1, cfg)
+        assert a.value == pytest.approx(b.value, rel=1e-13)
+
+    def test_scalar_path_matches_mesh_path_rank2(self):
+        ig = FactorIntegrand(2, Moduli(0.31, 0.23), [
+            Factor(Kind.THETA, 0.4 + 0.1j, (1, 0)),
+            Factor(Kind.THETA, 0.5, (0, -1)),
+            Factor(Kind.THETA, 0.3 - 0.2j, (1, -1)),
+            Factor(Kind.MONO, 1.0, (-1, 1)),
+        ])
+        cfg = QuadratureConfig(nodes_per_dim=16, max_doublings=1,
+                               rel_tol=1e-12)
+        a = torus_integral(lambda zs: ig(zs), 2, cfg)
+        b = integrate_mesh_fn(ig.mesh_eval, 2, cfg)
+        assert a.nodes_used == b.nodes_used == 32 ** 2
         assert a.value == pytest.approx(b.value, rel=1e-13)
 
 
