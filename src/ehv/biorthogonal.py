@@ -26,7 +26,8 @@ import numpy as np
 from ._backend import cpow
 from .core import Moduli, theta, theta_factorial_multi, theta_multi
 from .errors import InadmissibleContour, SingularStep
-from .integrands import Family, IntegrandSpec, ParamSet, make_integrand, rhs_closed_form
+from .integrands import (Family, IntegrandSpec, ParamSet, make_integrand,
+                         rhs_closed_form, validate_domain)
 from .quadrature import QuadratureConfig, integrate_mesh_fn
 from .report import VerificationReport
 from .series import VSpec, sum_V
@@ -44,13 +45,9 @@ class RahmanParams:
 
     def __post_init__(self):
         object.__setattr__(self, "t", tuple(self.t))
-        if len(self.t) != 5:
-            raise ValueError("need exactly 5 parameters t_0..t_4")
-        for i, v in enumerate(self.t):
-            if abs(v) >= 1.0:
-                raise ValueError(f"|t_{i}| must be < 1")
-        if abs(self.moduli.p * self.moduli.q) >= abs(self.A):
-            raise ValueError("|pq| < |A| violated")
+        vd = validate_domain(self.weight_spec())
+        if not vd.ok:
+            raise ValueError(f"weight domain violated: {vd.failures()}")
 
     @property
     def A(self):
@@ -320,20 +317,32 @@ class ContourCheck:
     worst_margin: float
 
 
-def contour_check(m: int, n: int, k: int, l: int, rp: RahmanParams) -> ContourCheck:
-    """Is the unit circle itself a valid separating contour?
-
-    Extremal interior-pole candidates: t_0..t_3, t_4 q^-m p^-k, and
-    A^-1 q^(1-n) p^(1-l); admissible iff all have modulus <= 1 - 1e-6.
-    """
-    q, p = rp.moduli.q, rp.moduli.p
-    candidates = list(rp.t[:4])
-    candidates.append(rp.t[4] * cpow(q, -m) * cpow(p, -k))
-    candidates.append(cpow(q, 1 - n) * cpow(p, 1 - l) / rp.A)
+def _unit_circle_check(candidates) -> ContourCheck:
+    """Admissible iff every interior-pole candidate has modulus <= 1 - 1e-6."""
     worst = max(candidates, key=abs)
     margin = 1.0 - abs(worst)
     return ContourCheck(admissible=margin >= _MARGIN, worst_pole=worst,
                         worst_margin=margin)
+
+
+def _require_admissible(chk: ContourCheck, what: str) -> None:
+    if not chk.admissible:
+        raise InadmissibleContour(
+            f"inadmissible contour for {what}: worst pole {chk.worst_pole:.6g} "
+            f"(margin {chk.worst_margin:.3e})"
+        )
+
+
+def contour_check(m: int, n: int, k: int, l: int, rp: RahmanParams) -> ContourCheck:
+    """Is the unit circle itself a valid separating contour?
+
+    Extremal interior-pole candidates: t_0..t_3, t_4 q^-m p^-k, and
+    A^-1 q^(1-n) p^(1-l).
+    """
+    q, p = rp.moduli.q, rp.moduli.p
+    return _unit_circle_check(list(rp.t[:4]) + [
+        rp.t[4] * cpow(q, -m) * cpow(p, -k),
+        cpow(q, 1 - n) * cpow(p, 1 - l) / rp.A])
 
 
 def norm_h(n: int, rp: RahmanParams, base: str = "q"):
@@ -378,12 +387,8 @@ def biorth_value(n: int, m: int, rp: RahmanParams,
     Raises InadmissibleContour when the unit circle fails the separation
     test; contours are never deformed.
     """
-    chk = contour_check(m, n, k, l, rp)
-    if not chk.admissible:
-        raise InadmissibleContour(
-            f"inadmissible contour: worst pole {chk.worst_pole:.6g} "
-            f"(margin {chk.worst_margin:.3e})"
-        )
+    _require_admissible(contour_check(m, n, k, l, rp),
+                        f"indices (n={n},m={m},k={k},l={l})")
     res = integrate_mesh_fn(_biorth_mesh(rp, n, m, k, l), 1, cfg)
     if n == m and k == l:
         expected = (norm_h2(n, k, rp) if (k or l) else norm_h(n, rp)) \
@@ -441,13 +446,9 @@ def twelveV_integral_rep_sides(alpha, beta, m: int, n: int, rp: RahmanParams,
     q, p = rp.moduli.q, rp.moduli.p
     t = rp.t
     A = rp.A
-    worst = max([abs(v) for v in t]
-                + [abs(cpow(q, 1 - m) * cpow(p, 1 - n) / A)])
-    if worst > 1.0 - _MARGIN:
-        raise InadmissibleContour(
-            f"inadmissible contour for depths ({m},{n}): "
-            f"worst pole modulus {worst:.6f}"
-        )
+    _require_admissible(
+        _unit_circle_check(list(t) + [cpow(q, 1 - m) * cpow(p, 1 - n) / A]),
+        f"depths ({m},{n})")
     t0 = t[0]
     v_q = sum_V(VSpec(
         t0=A * t0 / q,
@@ -494,13 +495,10 @@ def shifted_beta_sides(i: int, j: int, rp: RahmanParams,
     A = rp.A
     t0 = t[0]
     shifted0 = t0 * cpow(q, i) * cpow(p, j)
-    worst = max([abs(v) for v in t]
-                + [abs(shifted0), abs(cpow(q, 1 - i) * cpow(p, 1 - j) / A)])
-    if worst > 1.0 - _MARGIN:
-        raise InadmissibleContour(
-            f"inadmissible contour for shifts ({i},{j}): "
-            f"worst pole modulus {worst:.6f}"
-        )
+    _require_admissible(
+        _unit_circle_check(list(t) + [shifted0,
+                                      cpow(q, 1 - i) * cpow(p, 1 - j) / A]),
+        f"shifts ({i},{j})")
     weight = make_integrand(rp.weight_spec())
 
     def mesh(N):

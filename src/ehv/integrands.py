@@ -169,8 +169,15 @@ def _prod(seq):
 
 @dataclass(frozen=True)
 class InequalityCheck:
+    """The pole modulus lhs stays strictly below rhs."""
+
     name: str
-    margin: float
+    lhs: float
+    rhs: float
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
 
     @property
     def ok(self) -> bool:
@@ -185,6 +192,15 @@ class ValidationResult:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
+    @property
+    def radius(self) -> float:
+        """Largest interior-pole modulus seen along any one torus variable.
+
+        The trapezoid rule's geometric convergence rate is this radius, so
+        samplers reject draws whose radius does not fit the node budget.
+        """
+        return max(c.lhs / c.rhs for c in self.checks)
+
     def failures(self):
         return [c.name for c in self.checks if not c.ok]
 
@@ -193,47 +209,47 @@ class ValidationResult:
 
 
 def validate_domain(spec: IntegrandSpec) -> ValidationResult:
-    """Per-family inequality checklist with margins; strict throughout."""
+    """Per-family inequality table; strict throughout."""
     ps, m = spec.params, spec.moduli
     pq = abs(m.p * m.q)
     checks = []
 
     def lt1(vals, label):
         for i, v in enumerate(vals):
-            checks.append(InequalityCheck(f"|{label}_{i}| < 1", 1.0 - abs(v)))
+            checks.append(InequalityCheck(f"|{label}_{i}| < 1", abs(v), 1.0))
 
     fam = spec.family
     if fam in (Family.E, Family.CN_I):
         lt1(ps.t, "t")
-        checks.append(InequalityCheck("|pq| < |A|", abs(spec.product_A) - pq))
+        checks.append(InequalityCheck("|pq| < |A|", pq, abs(spec.product_A)))
     elif fam is Family.CN_II:
         lt1(ps.t, "t")
-        checks.append(InequalityCheck("|t| < 1", 1.0 - abs(ps.extras["t"])))
-        checks.append(InequalityCheck("|pq| < |B|", abs(spec.product_B) - pq))
+        checks.append(InequalityCheck("|t| < 1", abs(ps.extras["t"]), 1.0))
+        checks.append(InequalityCheck("|pq| < |B|", pq, abs(spec.product_B)))
     elif fam is Family.CN_III:
         lt1(ps.x, "x")
         lt1(ps.t, "t")
         tmod = abs(ps.extras["t"])
         for i, xv in enumerate(ps.x):
-            checks.append(InequalityCheck(f"|t| < |x_{i}|", abs(xv) - tmod))
-        checks.append(InequalityCheck("|pq| < |A|", abs(spec.product_A) - pq))
+            checks.append(InequalityCheck(f"|t| < |x_{i}|", tmod, abs(xv)))
+        checks.append(InequalityCheck("|pq| < |A|", pq, abs(spec.product_A)))
     elif fam is Family.AN_I:
         lt1(ps.t, "t")
         lt1(ps.f, "f")
         checks.append(InequalityCheck(
-            "|pq| < |AB|", abs(spec.product_A * spec.product_B) - pq))
+            "|pq| < |AB|", pq, abs(spec.product_A * spec.product_B)))
     elif fam is Family.AN_II:
         lt1(ps.t, "t")
-        checks.append(InequalityCheck("|t| < 1", 1.0 - abs(ps.extras["t"])))
-        checks.append(InequalityCheck("|s| < 1", 1.0 - abs(ps.extras["s"])))
-        checks.append(InequalityCheck("|pq| < |B|", abs(spec.product_B) - pq))
+        checks.append(InequalityCheck("|t| < 1", abs(ps.extras["t"]), 1.0))
+        checks.append(InequalityCheck("|s| < 1", abs(ps.extras["s"]), 1.0))
+        checks.append(InequalityCheck("|pq| < |B|", pq, abs(spec.product_B)))
     elif fam is Family.AN_III:
         lt1(ps.t, "t")
-        checks.append(InequalityCheck("|t| < 1", 1.0 - abs(ps.extras["t"])))
-        checks.append(InequalityCheck("|pq| < |A|", abs(spec.product_A) - pq))
+        checks.append(InequalityCheck("|t| < 1", abs(ps.extras["t"]), 1.0))
+        checks.append(InequalityCheck("|pq| < |A|", pq, abs(spec.product_A)))
     elif fam in (Family.GENERIC_VWP, Family.MINUS_A):
         lt1(ps.t, "t")
-        checks.append(InequalityCheck("|pq| < |A|", abs(spec.product_A) - pq))
+        checks.append(InequalityCheck("|pq| < |A|", pq, abs(spec.product_A)))
     return ValidationResult(tuple(checks))
 
 
@@ -243,39 +259,6 @@ def require_valid(spec: IntegrandSpec) -> None:
         raise DomainViolation(
             f"{spec.family.value} domain violated: {result.failures()}"
         )
-
-
-def interior_pole_radius(spec: IntegrandSpec) -> float:
-    """Largest interior-pole modulus seen along any one torus variable.
-
-    The trapezoid rule's geometric convergence rate is this radius, so
-    samplers reject draws whose radius does not fit the node budget.
-    """
-    ps, m = spec.params, spec.moduli
-    pq = abs(m.p * m.q)
-    fam = spec.family
-    if fam is Family.E or fam is Family.CN_I:
-        return max([abs(v) for v in ps.t] + [pq / abs(spec.product_A)])
-    if fam is Family.CN_II:
-        return max([abs(v) for v in ps.t]
-                   + [abs(ps.extras["t"]), pq / abs(spec.product_B)])
-    if fam is Family.CN_III:
-        tmod = abs(ps.extras["t"])
-        return max([abs(v) for v in ps.t] + [abs(v) for v in ps.x]
-                   + [tmod / abs(v) for v in ps.x]
-                   + [pq / abs(spec.product_A)])
-    if fam is Family.AN_I:
-        return max([abs(v) for v in ps.t] + [abs(v) for v in ps.f]
-                   + [pq / abs(spec.product_A * spec.product_B)])
-    if fam is Family.AN_II:
-        return max([abs(v) for v in ps.t]
-                   + [abs(ps.extras["t"]), abs(ps.extras["s"]),
-                      pq / abs(spec.product_B)])
-    if fam is Family.AN_III:
-        tmod = abs(ps.extras["t"])
-        return max([abs(v) for v in ps.t]
-                   + [tmod, pq / abs(spec.product_A)])
-    return max([abs(v) for v in ps.t] + [pq / abs(spec.product_A)])
 
 
 # -- atomic factor engine -----------------------------------------------------
@@ -530,45 +513,6 @@ def make_integrand(spec: IntegrandSpec) -> FactorIntegrand:
     )
 
 
-# -- per-family scalar entry points ---------------------------------------------
-
-
-def delta_E(z, spec: IntegrandSpec):
-    if spec.family is not Family.E:
-        raise UnsupportedFamily("delta_E needs an E-family spec")
-    return make_integrand(spec)((z,))
-
-
-def delta_Cn_I(zs, spec):
-    return _delta_checked(zs, spec, Family.CN_I)
-
-
-def delta_Cn_II(zs, spec):
-    return _delta_checked(zs, spec, Family.CN_II)
-
-
-def delta_Cn_III(zs, spec):
-    return _delta_checked(zs, spec, Family.CN_III)
-
-
-def delta_An_I(zs, spec):
-    return _delta_checked(zs, spec, Family.AN_I)
-
-
-def delta_An_II(zs, spec):
-    return _delta_checked(zs, spec, Family.AN_II)
-
-
-def delta_An_III(zs, spec):
-    return _delta_checked(zs, spec, Family.AN_III)
-
-
-def _delta_checked(zs, spec, fam):
-    if spec.family is not fam:
-        raise UnsupportedFamily(f"expected a {fam.value} spec")
-    return make_integrand(spec)(tuple(zs))
-
-
 # -- closed-form right-hand sides ----------------------------------------------
 
 
@@ -807,12 +751,6 @@ class GenericVWP:
         return val
 
 
-def generic_vwp_integrand(z, order: int, t, rho, gamma, moduli: Moduli):
-    """Value of the general well-poised integrand at z (see GenericVWP)."""
-    return GenericVWP(order=order, t=tuple(t), rho=rho, gamma=gamma,
-                      moduli=moduli)(z)
-
-
 @dataclass(frozen=True)
 class MinusA:
     """The sign-flipped variant: same shape, -A in the reflection slots,
@@ -849,15 +787,15 @@ def make_an1_spec(t, f, m: Moduli) -> IntegrandSpec:
 def an_trans_domain_check(tglob, f, s, m: Moduli) -> ValidationResult:
     pq = abs(m.p * m.q)
     n = len(f) - 2
-    checks = [InequalityCheck("|t| < 1", 1.0 - abs(tglob))]
+    checks = [InequalityCheck("|t| < 1", abs(tglob), 1.0)]
     for i, v in enumerate(f):
-        checks.append(InequalityCheck(f"|f_{i}| < 1", 1.0 - abs(v)))
+        checks.append(InequalityCheck(f"|f_{i}| < 1", abs(v), 1.0))
     for i, v in enumerate(s):
-        checks.append(InequalityCheck(f"|s_{i}| < 1", 1.0 - abs(v)))
+        checks.append(InequalityCheck(f"|s_{i}| < 1", abs(v), 1.0))
     B = abs(_prod(f)) * abs(tglob) ** (n + 1)
     S = abs(_prod(s)) * abs(tglob) ** (n + 1)
-    checks.append(InequalityCheck("|pq| < |t^(n+1) B|", B - pq))
-    checks.append(InequalityCheck("|pq| < |t^(n+1) S|", S - pq))
+    checks.append(InequalityCheck("|pq| < |t^(n+1) B|", pq, B))
+    checks.append(InequalityCheck("|pq| < |t^(n+1) S|", pq, S))
     return ValidationResult(tuple(checks))
 
 

@@ -32,12 +32,26 @@ _DEFAULT_MAX_NODES = 10_000_000
 _CHUNK = 16
 
 
+# A doubling change at or below this fraction of the node average of |f| is
+# float64 rounding in the node sum (a few ulps of the summed magnitudes):
+# further doubling cannot shrink it, and an integral whose value is 0 never
+# meets the relative stop rule.
+_ROUNDING_FLOOR = 1e-14
+
+
 def _max_nodes() -> int:
+    """EHV_MAX_NODES as a positive integer; unset or empty means the default."""
     raw = os.environ.get("EHV_MAX_NODES", "")
-    try:
-        return int(raw) if raw else _DEFAULT_MAX_NODES
-    except ValueError:
+    if not raw:
         return _DEFAULT_MAX_NODES
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ResourceLimit(
+            f"EHV_MAX_NODES must be a positive integer, got {raw!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -68,17 +82,24 @@ class QuadratureResult:
 
 
 def _reduce_array(arr: np.ndarray):
-    """Chunked deterministic sum over the full array."""
-    return tree_sum(complex(np.sum(arr[i:i + _CHUNK]))
-                    for i in range(0, arr.shape[0], _CHUNK))
+    """Chunked deterministic sums of the values and of their moduli."""
+    sums, abs_sums = [], []
+    for i in range(0, arr.shape[0], _CHUNK):
+        chunk = arr[i:i + _CHUNK]
+        sums.append(complex(np.sum(chunk)))
+        abs_sums.append(float(np.sum(np.abs(chunk))))
+    return tree_sum(sums), tree_sum(abs_sums)
 
 
 def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):
     """Doubling driver over a mesh builder: mesh_fn(N) -> value array (N,)*n.
 
     Returns the node average at the finest grid with the last doubling
-    change as error estimate; stops early once the node budget would be
-    exceeded (the initial grid over budget raises ResourceLimit).
+    change as error estimate.  Converged means that change is within
+    rel_tol of the value, or at the rounding floor of the node sum (the
+    only way an integral whose value is 0 can converge).  Stops early once
+    the node budget would be exceeded (the initial grid over budget raises
+    ResourceLimit).
     """
     if cfg is None:
         cfg = default_config(n)
@@ -88,24 +109,21 @@ def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):
         raise ResourceLimit(
             f"initial grid {N}^{n} exceeds EHV_MAX_NODES={budget}"
         )
-    arr = np.asarray(mesh_fn(N))
-    value = _reduce_array(arr) / (N ** n)
+    value = _reduce_array(np.asarray(mesh_fn(N)))[0] / (N ** n)
     est = math.inf
     converged = False
     for _ in range(cfg.max_doublings):
         if (2 * N) ** n > budget:
             break
-        N2 = 2 * N
-        arr = np.asarray(mesh_fn(N2))
-        value2 = _reduce_array(arr) / (N2 ** n)
+        N = 2 * N
+        total, abs_total = _reduce_array(np.asarray(mesh_fn(N)))
+        value2 = total / (N ** n)
         est = abs(value2 - value)
         value = value2
-        N = N2
-        if est <= cfg.rel_tol * abs(value):
+        if (est <= cfg.rel_tol * abs(value)
+                or est <= _ROUNDING_FLOOR * abs_total / (N ** n)):
             converged = True
             break
-    if math.isfinite(est) and est <= cfg.rel_tol * abs(value):
-        converged = True
     return QuadratureResult(value=value, est_error=est, nodes_used=N ** n,
                             dim=n, converged=converged)
 

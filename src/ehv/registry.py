@@ -38,7 +38,6 @@ from .integrands import (
     Family,
     IntegrandSpec,
     ParamSet,
-    interior_pole_radius,
     make_integrand,
     rhs_closed_form,
     validate_domain,
@@ -236,8 +235,12 @@ def _draw_spec(smp: Sampler, family: Family, n: int,
     # the n=1 runs get at most 512 nodes, n>=2 runs at most 384 per dim;
     # keep the geometric convergence rate inside those budgets
     radius_cap = 0.88 if n == 1 else 0.925
-    return smp.accept(build, lambda s: (validate_domain(s).ok
-                                        and interior_pole_radius(s) <= radius_cap))
+
+    def ok(spec):
+        vd = validate_domain(spec)
+        return vd.ok and vd.radius <= radius_cap
+
+    return smp.accept(build, ok)
 
 
 def _spec_from_options(opts: CheckOptions, family: Family, n: int):

@@ -272,6 +272,14 @@ class TestBiorthogonality:
         for n in (0, 1, 2):
             assert norm_h2(n, 0, rp) == pytest.approx(norm_h(n, rp), rel=1e-13)
 
+    def test_off_diagonal_cell_converges(self):
+        # an exactly-zero cell stops at the rounding floor of the node sum
+        from ehv.registry import default_rahman_params
+
+        val, expected, res = biorth_value(0, 1, default_rahman_params(0), CFG)
+        assert expected == 0
+        assert res.converged and res.nodes_used == 1024
+
     def test_inadmissible_gate(self):
         rp = RahmanParams(t=(0.6, 0.6, 0.6, 0.6, 0.5), moduli=Moduli(0.3, 0.2))
         with pytest.raises(InadmissibleContour):

@@ -1,6 +1,7 @@
 """CLI surface: eval/verify/sweep grammar, exit codes, report determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -91,6 +92,12 @@ class TestVerify:
                   "--params", str(f))
         assert out.returncode == 2
         assert "inadmissible contour" in json.loads(out.stderr)["error"]
+
+    def test_malformed_node_budget_exit_2(self):
+        out = run("verify", "theorem1",
+                  env={**os.environ, "EHV_MAX_NODES": "1e6"})
+        assert out.returncode == 2
+        assert "positive integer" in json.loads(out.stderr)["error"]
 
     def test_failing_tolerance_exit_1(self):
         out = run("verify", "kratt", "--seed", "5", "--tol", "1e-18")

@@ -14,13 +14,6 @@ from ehv.integrands import (
     IntegrandSpec,
     MinusA,
     ParamSet,
-    delta_An_I,
-    delta_Cn_I,
-    delta_Cn_II,
-    delta_Cn_III,
-    delta_E,
-    generic_vwp_integrand,
-    interior_pole_radius,
     make_integrand,
     rhs_closed_form,
     validate_domain,
@@ -80,22 +73,23 @@ class TestDeltaE:
     def test_inversion_symmetry(self, rng, arg, moduli):
         spec = self.make(rng, arg, moduli)
         z = 0.9 * on_circle(rng)
-        a, b = delta_E(z, spec), delta_E(1.0 / z, spec)
+        ig = make_integrand(spec)
+        a, b = ig((z,)), ig((1.0 / z,))
         assert abs(a - b) <= 1e-12 * abs(a)
 
     def test_base_swap_symmetry(self, rng, arg, moduli):
         spec = self.make(rng, arg, moduli)
         sw = IntegrandSpec(Family.E, 1, spec.params, moduli.swapped())
         z = on_circle(rng)
-        a, b = delta_E(z, spec), delta_E(z, sw)
+        a, b = make_integrand(spec)((z,)), make_integrand(sw)((z,))
         assert abs(a - b) <= 1e-12 * abs(a)
 
     def test_matches_generic_vwp_at_order_13(self, rng, arg, moduli):
         spec = self.make(rng, arg, moduli)
         z = on_circle(rng)
-        got = generic_vwp_integrand(z, 13, spec.params.t,
-                                    moduli.p * moduli.q, 0.0, moduli)
-        want = delta_E(z, spec)
+        got = GenericVWP(order=13, t=spec.params.t, rho=moduli.p * moduli.q,
+                         gamma=0.0, moduli=moduli)(z)
+        want = make_integrand(spec)((z,))
         assert abs(got - want) <= 1e-11 * abs(want)
 
     def test_mesh_agrees_with_scalar(self, rng, arg, moduli):
@@ -112,11 +106,12 @@ class TestCnFamilies:
         spec = IntegrandSpec(Family.CN_I, 2,
                              ParamSet(t=tuple(arg(rng, 0.72, 0.85)
                                               for _ in range(7))), moduli)
+        ig = make_integrand(spec)
         for _ in range(20):
             z = (on_circle(rng), on_circle(rng))
-            v = delta_Cn_I(z, spec)
-            assert abs(delta_Cn_I((z[1], z[0]), spec) - v) <= 1e-12 * abs(v)
-            assert abs(delta_Cn_I((1 / z[0], z[1]), spec) - v) <= 1e-12 * abs(v)
+            v = ig(z)
+            assert abs(ig((z[1], z[0])) - v) <= 1e-12 * abs(v)
+            assert abs(ig((1 / z[0], z[1])) - v) <= 1e-12 * abs(v)
 
     def test_cn2_unit_coupling_factorizes(self, rng, arg, moduli):
         t5 = tuple(arg(rng, 0.5, 0.8) for _ in range(5))
@@ -124,8 +119,9 @@ class TestCnFamilies:
                              ParamSet(t=t5, extras={"t": 1.0 + 0.0j}), moduli)
         especs = IntegrandSpec(Family.E, 1, ParamSet(t=t5), moduli)
         z = (0.97 * on_circle(rng), on_circle(rng))
-        got = delta_Cn_II(z, spec)
-        want = delta_E(z[0], especs) * delta_E(z[1], especs)
+        got = make_integrand(spec)(z)
+        ie = make_integrand(especs)
+        want = ie((z[0],)) * ie((z[1],))
         assert abs(got - want) <= 1e-11 * abs(want)
 
     def test_cn3_rank1_equals_delta_e(self, rng, arg, moduli):
@@ -137,8 +133,8 @@ class TestCnFamilies:
         espec = IntegrandSpec(Family.E, 1,
                               ParamSet(t=(x1,) + t3 + (tc / x1,)), moduli)
         z = on_circle(rng)
-        got = delta_Cn_III((z,), spec)
-        want = delta_E(z, espec)
+        got = make_integrand(spec)((z,))
+        want = make_integrand(espec)((z,))
         assert abs(got - want) <= 1e-11 * abs(want)
 
     def test_cn3_base_swap_asymmetric(self, rng, arg, moduli):
@@ -148,8 +144,8 @@ class TestCnFamilies:
             moduli)
         sw = IntegrandSpec(Family.CN_III, 2, spec.params, moduli.swapped())
         z = (cmath.exp(0.6j), cmath.exp(-1.2j))
-        v1 = delta_Cn_III(z, spec)
-        v2 = delta_Cn_III(z, sw)
+        v1 = make_integrand(spec)(z)
+        v2 = make_integrand(sw)(z)
         assert abs(v1 - v2) > 1e-3 * abs(v1)
 
     def test_cn2_rank1_rhs_equals_e_rhs(self, rng, arg, moduli):
@@ -170,8 +166,8 @@ class TestAnFamilies:
         spec = IntegrandSpec(Family.AN_I, 1, ParamSet(t=t2, f=f3), moduli)
         espec = IntegrandSpec(Family.E, 1, ParamSet(t=t2 + f3), moduli)
         z = on_circle(rng)
-        got = delta_An_I((z,), spec)
-        want = delta_E(z, espec)
+        got = make_integrand(spec)((z,))
+        want = make_integrand(espec)((z,))
         assert abs(got - want) <= 1e-11 * abs(want)
 
     def test_permutation_with_constrained_variable(self, rng, arg, moduli):
@@ -180,11 +176,12 @@ class TestAnFamilies:
         spec = IntegrandSpec(Family.AN_I, 2, ParamSet(t=t3, f=f4), moduli)
         z1, z2 = on_circle(rng), on_circle(rng)
         z3 = 1.0 / (z1 * z2)
-        v = delta_An_I((z1, z2), spec)
+        ig = make_integrand(spec)
+        v = ig((z1, z2))
         # swapping the free variables and absorbing the constrained one
-        assert abs(delta_An_I((z2, z1), spec) - v) <= 1e-12 * abs(v)
-        assert abs(delta_An_I((z3, z2), spec) - v) <= 1e-12 * abs(v)
-        assert abs(delta_An_I((z1, z3), spec) - v) <= 1e-12 * abs(v)
+        assert abs(ig((z2, z1)) - v) <= 1e-12 * abs(v)
+        assert abs(ig((z3, z2)) - v) <= 1e-12 * abs(v)
+        assert abs(ig((z1, z3)) - v) <= 1e-12 * abs(v)
 
     def test_an1_against_independent_transcription(self, rng, arg, moduli):
         # direct formula re-code, no shared factor engine
@@ -205,7 +202,7 @@ class TestAnFamilies:
                     den.append(zs[i] / zs[j])
         want = (elliptic_gamma_multi(num, moduli)
                 / elliptic_gamma_multi(den, moduli))
-        got = delta_An_I((z1, z2), spec)
+        got = make_integrand(spec)((z1, z2))
         assert abs(got - want) <= 1e-11 * abs(want)
 
 
@@ -308,7 +305,7 @@ class TestGenericVWP:
         assert v == v and v != 0      # finite, nonzero
         # and the sign flip genuinely changes the value vs the plain family
         espec = IntegrandSpec(Family.E, 1, ParamSet(t=t), moduli)
-        assert abs(v - delta_E(z, espec)) > 1e-6 * abs(v)
+        assert abs(v - make_integrand(espec)((z,))) > 1e-6 * abs(v)
 
     def test_no_closed_form(self, moduli):
         spec = IntegrandSpec(
@@ -335,8 +332,153 @@ class TestSerialization:
     def test_pole_radius_reported(self, moduli):
         spec = IntegrandSpec(Family.E, 1, ParamSet(t=(0.6, 0.6, 0.7, 0.8, 0.6)),
                              moduli)
-        r = interior_pole_radius(spec)
+        r = validate_domain(spec).radius
         assert r == pytest.approx(0.8)     # the largest |t_m|
         bad = IntegrandSpec(Family.E, 1, ParamSet(t=(0.5, 0.6, 0.7, 0.8, 0.4)),
                             moduli)
-        assert interior_pole_radius(bad) > 1.0   # invalid domain: pole outside
+        assert validate_domain(bad).radius > 1.0   # invalid domain: pole outside
+
+
+# -- the per-family inequality chains the pole table replaced, kept as oracle --
+
+
+def _oracle_margins(spec):
+    """(name, margin) of every inequality, written out family by family."""
+    ps, m = spec.params, spec.moduli
+    pq = abs(m.p * m.q)
+    out = []
+
+    def lt1(vals, label):
+        out.extend((f"|{label}_{i}| < 1", 1.0 - abs(v)) for i, v in enumerate(vals))
+
+    fam = spec.family
+    if fam in (Family.E, Family.CN_I):
+        lt1(ps.t, "t")
+        out.append(("|pq| < |A|", abs(spec.product_A) - pq))
+    elif fam is Family.CN_II:
+        lt1(ps.t, "t")
+        out.append(("|t| < 1", 1.0 - abs(ps.extras["t"])))
+        out.append(("|pq| < |B|", abs(spec.product_B) - pq))
+    elif fam is Family.CN_III:
+        lt1(ps.x, "x")
+        lt1(ps.t, "t")
+        tmod = abs(ps.extras["t"])
+        out.extend((f"|t| < |x_{i}|", abs(xv) - tmod) for i, xv in enumerate(ps.x))
+        out.append(("|pq| < |A|", abs(spec.product_A) - pq))
+    elif fam is Family.AN_I:
+        lt1(ps.t, "t")
+        lt1(ps.f, "f")
+        out.append(("|pq| < |AB|", abs(spec.product_A * spec.product_B) - pq))
+    elif fam is Family.AN_II:
+        lt1(ps.t, "t")
+        out.append(("|t| < 1", 1.0 - abs(ps.extras["t"])))
+        out.append(("|s| < 1", 1.0 - abs(ps.extras["s"])))
+        out.append(("|pq| < |B|", abs(spec.product_B) - pq))
+    elif fam is Family.AN_III:
+        lt1(ps.t, "t")
+        out.append(("|t| < 1", 1.0 - abs(ps.extras["t"])))
+        out.append(("|pq| < |A|", abs(spec.product_A) - pq))
+    else:
+        lt1(ps.t, "t")
+        out.append(("|pq| < |A|", abs(spec.product_A) - pq))
+    return out
+
+
+def _oracle_radius(spec):
+    """Largest interior-pole modulus, written out family by family."""
+    ps, m = spec.params, spec.moduli
+    pq = abs(m.p * m.q)
+    fam = spec.family
+    if fam is Family.E or fam is Family.CN_I:
+        return max([abs(v) for v in ps.t] + [pq / abs(spec.product_A)])
+    if fam is Family.CN_II:
+        return max([abs(v) for v in ps.t]
+                   + [abs(ps.extras["t"]), pq / abs(spec.product_B)])
+    if fam is Family.CN_III:
+        tmod = abs(ps.extras["t"])
+        return max([abs(v) for v in ps.t] + [abs(v) for v in ps.x]
+                   + [tmod / abs(v) for v in ps.x]
+                   + [pq / abs(spec.product_A)])
+    if fam is Family.AN_I:
+        return max([abs(v) for v in ps.t] + [abs(v) for v in ps.f]
+                   + [pq / abs(spec.product_A * spec.product_B)])
+    if fam is Family.AN_II:
+        return max([abs(v) for v in ps.t]
+                   + [abs(ps.extras["t"]), abs(ps.extras["s"]),
+                      pq / abs(spec.product_B)])
+    if fam is Family.AN_III:
+        tmod = abs(ps.extras["t"])
+        return max([abs(v) for v in ps.t]
+                   + [tmod, pq / abs(spec.product_A)])
+    return max([abs(v) for v in ps.t] + [pq / abs(spec.product_A)])
+
+
+class TestPoleTable:
+    SAMPLED = [(Family.E, 1)] + [
+        (fam, n) for fam in (Family.CN_I, Family.CN_II, Family.CN_III,
+                             Family.AN_I, Family.AN_II, Family.AN_III)
+        for n in (1, 2, 3)]
+
+    @staticmethod
+    def _candidates(family, n, seed, count=60):
+        """Every spec the family's sampler builds, accepted or rejected, each
+        also with all parameters scaled out past |t| = 1 and in past |pq|."""
+        from ehv.registry import Sampler, _draw_spec
+
+        class Recorder(Sampler):
+            def accept(self, draw, ok, max_tries=5000):
+                self.drawn = [draw() for _ in range(count)]
+                return self.drawn[0]
+
+        def scaled(spec, c):
+            ps = spec.params
+            return IntegrandSpec(spec.family, spec.n, ParamSet(
+                t=[c * v for v in ps.t], x=[c * v for v in ps.x],
+                f=[c * v for v in ps.f],
+                extras={k: c * v for k, v in ps.extras.items()}), spec.moduli)
+
+        rec = Recorder(seed)
+        _draw_spec(rec, family, n)
+        return [scaled(spec, c) for spec in rec.drawn for c in (1.0, 1.15, 0.5)]
+
+    @pytest.mark.parametrize("family,n", SAMPLED)
+    def test_table_equals_family_chains(self, family, n):
+        verdicts = set()
+        for seed in (0, 1009):
+            for spec in self._candidates(family, n, seed):
+                vd = validate_domain(spec)
+                margins = _oracle_margins(spec)
+                assert vd.radius == _oracle_radius(spec)
+                assert [(c.name, c.margin) for c in vd.checks] == margins
+                assert vd.ok == all(mg > 0 for _, mg in margins)
+                verdicts.add(vd.ok)
+        assert False in verdicts   # rejected draws are covered too
+
+    def test_rank1_vwp_families(self, moduli):
+        for fam, order in ((Family.GENERIC_VWP, 13), (Family.MINUS_A, 11)):
+            for t in ((0.5, 0.6, 0.55, 0.45, 0.52), (0.2,) * 5):
+                spec = IntegrandSpec(fam, 1, ParamSet(t=t, extras={"m": order}),
+                                     moduli)
+                vd = validate_domain(spec)
+                assert vd.radius == _oracle_radius(spec)
+                assert [(c.name, c.margin) for c in vd.checks] \
+                    == _oracle_margins(spec)
+
+    def test_an_transform_margins(self, moduli):
+        from ehv.integrands import an_trans_domain_check
+        from ehv.registry import Sampler
+
+        smp = Sampler(0)
+        pq = abs(moduli.p * moduli.q)
+        for _ in range(50):
+            tg, f, s = (smp.arg(0.3, 0.7), smp.args(3, 0.4, 0.9),
+                        smp.args(3, 0.4, 0.9))
+            want = [("|t| < 1", 1.0 - abs(tg))]
+            want += [(f"|f_{i}| < 1", 1.0 - abs(v)) for i, v in enumerate(f)]
+            want += [(f"|s_{i}| < 1", 1.0 - abs(v)) for i, v in enumerate(s)]
+            want.append(("|pq| < |t^(n+1) B|",
+                         abs(prod(f)) * abs(tg) ** 2 - pq))
+            want.append(("|pq| < |t^(n+1) S|",
+                         abs(prod(s)) * abs(tg) ** 2 - pq))
+            got = an_trans_domain_check(tg, f, s, moduli)
+            assert [(c.name, c.margin) for c in got.checks] == want

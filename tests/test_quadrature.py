@@ -32,6 +32,13 @@ class TestExactness:
                                                max_doublings=1, rel_tol=1e-12))
         assert res.value == 1.0 and res.converged
 
+    def test_zero_valued_integral_converges(self):
+        # the value is 0, so only the rounding floor can stop the doubling
+        res = circle_integral(lambda z: z)
+        assert res.converged
+        assert res.nodes_used == 2 * default_config(1).nodes_per_dim
+        assert abs(res.value) < 1e-15
+
     def test_pure_powers_vanish(self):
         cfg = QuadratureConfig(nodes_per_dim=32, max_doublings=0, rel_tol=1e-12)
         for k in (1, -1, 5, -9):
@@ -146,6 +153,13 @@ class TestBudget:
                                                  max_doublings=4,
                                                  rel_tol=1e-30))
         assert res.nodes_used == 256      # one doubling fits, two do not
+
+    @pytest.mark.parametrize("raw", ["1e6", "abc", "0", "-5"])
+    def test_malformed_budget_rejected(self, e_spec, monkeypatch, raw):
+        monkeypatch.setenv("EHV_MAX_NODES", raw)
+        ig = make_integrand(e_spec)
+        with pytest.raises(ResourceLimit, match="positive integer"):
+            integrate_mesh_fn(ig.mesh_eval, 1, default_config(1))
 
     def test_default_configs(self):
         assert default_config(1).nodes_per_dim == 128
