@@ -43,8 +43,6 @@ def coerce(x):
     """Coerce a number to the active mode's scalar type."""
     if _mode == EXTENDED:
         return mpmath.mpc(x)
-    if isinstance(x, (mpmath.mpf, mpmath.mpc)):
-        return complex(x)
     return complex(x)
 
 

@@ -411,14 +411,9 @@ def biorth_integral(n: int, m: int, rp: RahmanParams,
     scale_n = min(abs(norm_h(j, rp)) for j in range(0, max(n, m) + 1))
     scale = abs(scale_n * rp.beta_value())
     name = f"biorth[n={n},m={m}" + (f",k={k},l={l}]" if (k or l) else "]")
-    if expected == 0:
-        return VerificationReport.from_sides(
-            name, value / scale, 0.0, tol,
-            nodes=res.nodes_used,
-            params={"t": list(rp.t), "q": rp.moduli.q, "p": rp.moduli.p,
-                    "n": n, "m": m, "k": k, "l": l})
+    lhs, rhs = (value / scale, 0.0) if expected == 0 else (value, expected)
     return VerificationReport.from_sides(
-        name, value, expected, tol, nodes=res.nodes_used,
+        name, lhs, rhs, tol, nodes=res.nodes_used,
         params={"t": list(rp.t), "q": rp.moduli.q, "p": rp.moduli.p,
                 "n": n, "m": m, "k": k, "l": l})
 

@@ -15,16 +15,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import _backend
 from .core import Moduli, qpochhammer, theta, theta1, theta_factorial
 from .errors import EHVError
 from .gamma import QuasiPeriods, double_sine, elliptic_gamma, modified_gamma_G
-from .integrands import Family, IntegrandSpec, make_integrand, validate_domain
+from .integrands import Family, IntegrandSpec, ParamSet, make_integrand
 from .params import decode_complex, load_params, spec_from_params
-from .registry import DEFAULT_TOL, REGISTRY, CheckOptions, run_check
-from .report import VerificationReport
+from .registry import (
+    REGISTRY,
+    CheckOptions,
+    Sampler,
+    _draw_spec,
+    _family_report,
+    rejection_count,
+    run_check,
+    timed_rows,
+)
 from .series import VSpec, sum_V
 
 
@@ -99,7 +106,8 @@ def _eval_function(args) -> complex:
     if name.startswith("delta_"):
         if not args.params:
             raise EHVError(f"{name} needs --params FILE with a family spec")
-        raw = json.load(open(args.params))
+        with open(args.params, encoding="utf-8") as fh:
+            raw = json.load(fh)
         spec = spec_from_params(raw)
         zs = raw.get("z")
         if zs is None:
@@ -141,8 +149,6 @@ def cmd_verify(args) -> int:
         _fail(2, f"invalid parameters: {exc}", identity=args.name)
     for rep in reports:
         print(rep.to_json_line() if args.json else rep.to_text_line())
-    from .registry import rejection_count
-
     if rejection_count():
         print(f"sampling rejections: {rejection_count()}", file=sys.stderr)
     return 0 if all(r.passed for r in reports) else 1
@@ -177,11 +183,7 @@ _SWEEPABLE = {"theorem1": Family.E, "cn1": Family.CN_I, "cn2": Family.CN_II,
               "an3_odd": Family.AN_III, "an3_even": Family.AN_III}
 
 
-def _sweep_point(identity, family, base_spec, pname, value, tol, nodes):
-    from .integrands import ParamSet as PS
-    from .quadrature import integrate_spec
-    from .integrands import rhs_closed_form
-
+def _swept_spec(family, base_spec, pname, value) -> IntegrandSpec:
     ps = base_spec.params
     seqs = {k: list(getattr(ps, k)) for k in ("t", "w", "f", "s", "x")}
     extras = dict(ps.extras)
@@ -199,26 +201,8 @@ def _sweep_point(identity, family, base_spec, pname, value, tol, nodes):
         seq[idx] = value * seq[idx] / abs(seq[idx])   # sweep the modulus
     else:
         raise EHVError(f"unknown sweep parameter {pname!r}")
-    spec = IntegrandSpec(family, base_spec.n,
-                         PS(**seqs, extras=extras), moduli)
-    start = time.perf_counter()
-    vd = validate_domain(spec)
-    name = f"{identity}[{pname}={value:.6g}]"
-    if not vd.ok:
-        return VerificationReport.failure(
-            name, f"DomainViolation {vd.failures()}", tol,
-            params={pname: value})
-    from .quadrature import QuadratureConfig
-
-    cfg = QuadratureConfig(nodes_per_dim=nodes or (256 if spec.n == 1 else 96),
-                           max_doublings=1 if spec.n == 1 else 2,
-                           rel_tol=1e-8)
-    res = integrate_spec(spec, cfg)
-    rep = VerificationReport.from_sides(
-        name, res.value, rhs_closed_form(spec), tol, nodes=res.nodes_used,
-        params={pname: value, "spec": spec.family.value})
-    rep.runtime_ms = (time.perf_counter() - start) * 1e3
-    return rep
+    return IntegrandSpec(family, base_spec.n, ParamSet(**seqs, extras=extras),
+                         moduli)
 
 
 def cmd_sweep(args) -> int:
@@ -230,17 +214,16 @@ def cmd_sweep(args) -> int:
         pname, values = _parse_grid(args.grid)
         family = _SWEEPABLE[args.name]
         n = args.n or (2 if args.name in ("an2_even", "an3_even") else 1)
-        from .registry import Sampler, _draw_spec
-
         if args.params:
-            base = spec_from_params(json.load(open(args.params)))
+            with open(args.params, encoding="utf-8") as fh:
+                base = spec_from_params(json.load(fh))
         else:
             base = _draw_spec(Sampler(args.seed), family, n)
-        tol = args.tol or DEFAULT_TOL.get(args.name) or 1e-6
-        reports = [
-            _sweep_point(args.name, family, base, pname, v, tol, args.nodes)
-            for v in values
-        ]
+        tol = args.tol or REGISTRY[args.name][1] or 1e-6
+        reports = list(timed_rows(
+            _family_report(f"{args.name}[{pname}={v:.6g}]",
+                           _swept_spec(family, base, pname, v), tol, args.nodes)
+            for v in values))
     except EHVError as exc:
         _fail(2, str(exc), identity=args.name)
     except (ValueError, KeyError, OSError) as exc:

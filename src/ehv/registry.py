@@ -1,21 +1,24 @@
 """Named verification checks behind `ehv verify`.
 
-Every entry draws seeded admissible parameters (rejection sampling against
-the domain/contour gates, rejection count tracked), runs its identity at
-the stated default tolerance, and yields VerificationReport rows in a
-deterministic order.  Supplying a parameter file replaces the seeded draw
-for the checks that accept one.
+Every entry is a generator ``fn(opts, tol)`` registered once, with its
+default tolerance, by ``@_check(name, tol=...)``.  It draws seeded
+admissible parameters (rejection sampling against the domain/contour gates,
+rejection count tracked), runs its identity at ``tol`` and yields
+VerificationReport rows in a deterministic order.  Supplying a parameter
+file replaces the seeded draw for the checks that accept one.
+``run_check`` resolves the tolerance and times the rows.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
+import functools
 import itertools
 import random
 import time
 from dataclasses import dataclass
 
+from ._backend import coerce
 from .core import Moduli, qpochhammer
 from .errors import EHVError, PoleHit
 from .gamma import elliptic_gamma
@@ -38,6 +41,7 @@ from .integrands import (
     Family,
     IntegrandSpec,
     ParamSet,
+    an_trans_domain_check,
     make_integrand,
     rhs_closed_form,
     validate_domain,
@@ -50,6 +54,7 @@ from .biorthogonal import (
     shifted_beta_identity,
     twelveV_integral_rep_sides,
 )
+from .params import spec_from_params, spec_to_params
 from .quadrature import QuadratureConfig, integrate_spec
 from .report import VerificationReport
 from .series import (
@@ -66,35 +71,6 @@ from .series import (
 
 DEFAULT_MODULI = Moduli(0.31, 0.23)
 
-DEFAULT_TOL = {
-    "theorem1": 1e-9,
-    "cn1": None,          # rank dependent, see _rank_tol
-    "cn2": None,
-    "cn3": None,
-    "an1": None,
-    "an2_odd": 1e-6,
-    "an2_even": 1e-6,
-    "an3_odd": 1e-6,
-    "an3_even": 1e-6,
-    "ft_sum": 1e-12,
-    "bailey": 1e-11,
-    "contiguous": 1e-11,
-    "milne": 1e-10,
-    "gustafson_rakha": 1e-9,
-    "kratt": 1e-10,
-    "ident": 1e-12,
-    "id1": 1e-12,
-    "id2": 1e-12,
-    "id3": 1e-12,
-    "an_diffeq": 1e-12,
-    "an_transform": 1e-8,
-    "biorth": 1e-8,
-    "biorth2": 1e-8,
-    "intrep": 1e-8,
-    "shifted_beta": 1e-8,
-    "degeneration_p0": 1e-6,
-}
-
 
 @dataclass
 class CheckOptions:
@@ -105,6 +81,19 @@ class CheckOptions:
     m: int | None = None
     side: str | None = None
     params: dict | None = None
+
+
+# name -> (check generator fn(opts, tol), default tolerance); a default of
+# None leaves the tolerance to the rank, see _rank_tol
+REGISTRY: dict = {}
+
+
+def _check(name: str, tol: float | None = None):
+    def register(fn):
+        REGISTRY[name] = (fn, tol)
+        return fn
+
+    return register
 
 
 _REJECTION_COUNT = 0
@@ -128,8 +117,6 @@ class Sampler:
         self.rejections = 0
 
     def arg(self, lo: float, hi: float):
-        from ._backend import coerce
-
         r = self.rng.uniform(lo, hi)
         return coerce(r * cmath.exp(2j * cmath.pi * self.rng.random()))
 
@@ -147,9 +134,15 @@ class Sampler:
         raise EHVError("rejection sampling exhausted; no admissible draw")
 
 
-def _timer():
-    start = time.perf_counter()
-    return lambda: (time.perf_counter() - start) * 1e3
+def timed_rows(rows):
+    """Pass rows through, setting each row's runtime_ms to the wall time
+    since the previous one, so that the rows add up to the time taken."""
+    last = time.perf_counter()
+    for rep in rows:
+        now = time.perf_counter()
+        rep.runtime_ms = (now - last) * 1e3
+        last = now
+        yield rep
 
 
 def _rank_tol(n: int) -> float:
@@ -165,21 +158,15 @@ def _rank_cfg(n: int, nodes: int | None) -> QuadratureConfig:
 
 
 def _family_report(name, spec, tol, nodes) -> VerificationReport:
-    from .params import spec_to_params
-
-    elapse = _timer()
     vd = validate_domain(spec)
     if not vd.ok:
         return VerificationReport.failure(
             name, f"DomainViolation {vd.failures()}", tol,
             params=spec_to_params(spec))
     res = integrate_spec(spec, _rank_cfg(spec.n, nodes))
-    rhs = rhs_closed_form(spec)
-    rep = VerificationReport.from_sides(
-        name, res.value, rhs, tol, nodes=res.nodes_used,
+    return VerificationReport.from_sides(
+        name, res.value, rhs_closed_form(spec), tol, nodes=res.nodes_used,
         params=spec_to_params(spec))
-    rep.runtime_ms = elapse()
-    return rep
 
 
 # -- seeded spec draws per family ------------------------------------------------
@@ -245,8 +232,6 @@ def _draw_spec(smp: Sampler, family: Family, n: int,
 
 def _spec_from_options(opts: CheckOptions, family: Family, n: int):
     if opts.params is not None:
-        from .params import spec_from_params
-
         raw = dict(opts.params)
         raw.setdefault("family", family.value)
         raw.setdefault("n", n)
@@ -257,46 +242,51 @@ def _spec_from_options(opts: CheckOptions, family: Family, n: int):
 # -- quadrature-family checks ----------------------------------------------------
 
 
-def check_theorem1(opts: CheckOptions):
-    tol = opts.tol or DEFAULT_TOL["theorem1"]
+@_check("theorem1", tol=1e-9)
+def check_theorem1(opts, tol):
     spec = _spec_from_options(opts, Family.E, 1)
     if spec is not None:
-        return [_family_report("theorem1", spec, tol, opts.nodes)]
+        yield _family_report("theorem1", spec, tol, opts.nodes)
+        return
     smp = Sampler(opts.seed)
-    reports = []
     for i in range(20):
         spec = _draw_spec(smp, Family.E, 1)
-        reports.append(_family_report(f"theorem1[{i}]", spec, tol, opts.nodes))
-    return reports
+        yield _family_report(f"theorem1[{i}]", spec, tol, opts.nodes)
 
 
-def _check_family(opts, name, family, tol_fn, draws=2):
-    reports = []
-    for n_run in ([opts.n] if opts.n else [1, 2]):
-        tol = opts.tol or tol_fn(n_run)
+def _check_family(opts, tol, name, family, rank=None):
+    """Two seeded draws at each rank: opts.n, else ``rank``, else 1 and 2."""
+    rank = opts.n or rank
+    for n_run in ([rank] if rank else [1, 2]):
+        rank_tol = tol or _rank_tol(n_run)
         spec = _spec_from_options(opts, family, n_run)
         if spec is not None:
-            reports.append(_family_report(f"{name}[n={n_run}]", spec, tol,
-                                          opts.nodes))
+            yield _family_report(f"{name}[n={n_run}]", spec, rank_tol,
+                                 opts.nodes)
             continue
         smp = Sampler(opts.seed + n_run)
-        for i in range(draws):
+        for i in range(2):
             spec = _draw_spec(smp, family, n_run)
-            reports.append(_family_report(f"{name}[n={n_run},{i}]", spec, tol,
-                                          opts.nodes))
-    return reports
+            yield _family_report(f"{name}[n={n_run},{i}]", spec, rank_tol,
+                                 opts.nodes)
 
 
-def check_cn1(opts):
-    return _check_family(opts, "cn1", Family.CN_I, _rank_tol)
+def _family_check(name, family, tol=None, rank=None):
+    _check(name, tol)(functools.partial(_check_family, name=name,
+                                        family=family, rank=rank))
 
 
-def check_cn2(opts):
-    return _check_family(opts, "cn2", Family.CN_II, _rank_tol)
+_family_check("cn1", Family.CN_I)
+_family_check("cn2", Family.CN_II)
+_family_check("an2_odd", Family.AN_II, 1e-6, rank=1)
+_family_check("an2_even", Family.AN_II, 1e-6, rank=2)
+_family_check("an3_odd", Family.AN_III, 1e-6, rank=1)
+_family_check("an3_even", Family.AN_III, 1e-6, rank=2)
 
 
-def check_cn3(opts):
-    reports = _check_family(opts, "cn3", Family.CN_III, _rank_tol)
+@_check("cn3")
+def check_cn3(opts, tol):
+    yield from _check_family(opts, tol, "cn3", Family.CN_III)
     # q <-> p asymmetry of the integrand at a generic point, encoded so that
     # pass means the relative difference exceeds the 1e-3 threshold.
     smp = Sampler(opts.seed + 99)
@@ -308,50 +298,24 @@ def check_cn3(opts):
     v2 = make_integrand(swapped)(zs)
     rel = abs(v1 - v2) / abs(v1)
     clamped = min(rel, 1e-3)
-    reports.append(VerificationReport.from_sides(
+    yield VerificationReport.from_sides(
         "cn3 asymmetry (clamped at 1e-3)", clamped, 1e-3, 1e-12,
-        params={"zs": list(zs)}))
-    return reports
+        params={"zs": list(zs)})
 
 
-def check_an1(opts):
-    reports = _check_family(opts, "an1 (conjecture support)", Family.AN_I,
-                            _rank_tol)
+@_check("an1")
+def check_an1(opts, tol):
+    yield from _check_family(opts, tol, "an1 (conjecture support)",
+                             Family.AN_I)
     # n=1 closed form must coincide with the 5-parameter beta evaluation
     smp = Sampler(opts.seed + 7)
     spec = _draw_spec(smp, Family.AN_I, 1)
     pooled = IntegrandSpec(Family.E, 1,
                            ParamSet(t=spec.params.t + spec.params.f),
                            spec.moduli)
-    reports.append(VerificationReport.from_sides(
+    yield VerificationReport.from_sides(
         "an1[n=1] closed form vs beta evaluation",
-        rhs_closed_form(spec), rhs_closed_form(pooled),
-        opts.tol or 1e-12))
-    return reports
-
-
-def check_an2_odd(opts):
-    opts2 = CheckOptions(**{**opts.__dict__, "n": opts.n or 1})
-    return _check_family(opts2, "an2_odd", Family.AN_II,
-                         lambda n: opts.tol or DEFAULT_TOL["an2_odd"])
-
-
-def check_an2_even(opts):
-    opts2 = CheckOptions(**{**opts.__dict__, "n": opts.n or 2})
-    return _check_family(opts2, "an2_even", Family.AN_II,
-                         lambda n: opts.tol or DEFAULT_TOL["an2_even"])
-
-
-def check_an3_odd(opts):
-    opts2 = CheckOptions(**{**opts.__dict__, "n": opts.n or 1})
-    return _check_family(opts2, "an3_odd", Family.AN_III,
-                         lambda n: opts.tol or DEFAULT_TOL["an3_odd"])
-
-
-def check_an3_even(opts):
-    opts2 = CheckOptions(**{**opts.__dict__, "n": opts.n or 2})
-    return _check_family(opts2, "an3_even", Family.AN_III,
-                         lambda n: opts.tol or DEFAULT_TOL["an3_even"])
+        rhs_closed_form(spec), rhs_closed_form(pooled), tol or 1e-12)
 
 
 # -- series checks ----------------------------------------------------------------
@@ -362,9 +326,11 @@ def draw_ft_instance(smp: Sampler, m: Moduli, nmax: int = 8, cond_cap: float = 3
 
     Rejects draws whose evaluation cancels more than cond_cap of the term
     scale; at higher cancellation no double-precision evaluation could
-    certify the identity at 1e-12.
+    certify the identity at 1e-12.  Returns ((N, t0, t1, t4, t5), (lhs, rhs)),
+    the sides being those the acceptance test evaluated.
     """
     q = m.q
+    sides = None
 
     def build():
         N = smp.rng.randint(0, nmax)
@@ -372,39 +338,30 @@ def draw_ft_instance(smp: Sampler, m: Moduli, nmax: int = 8, cond_cap: float = 3
         return (N, t0, t1, t4, t5)
 
     def ok(c):
+        nonlocal sides
         N, t0, t1, t4, t5 = c
         t6 = q ** -N
         t7 = q * t0 * t0 / (t1 * t4 * t5 * t6)
         try:
             info = sum_V_info(VSpec(t0=t0, t=(t1, t4, t5, t6, t7), x=1.0,
                                     moduli=m, N=N))
-            frenkel_turaev_rhs(t0, t1, t4, t5, N, m)
+            sides = (info.value, frenkel_turaev_rhs(t0, t1, t4, t5, N, m))
         except (PoleHit, EHVError):
             return False
         return abs(info.value) > 0 and info.last_term / abs(info.value) <= cond_cap
 
-    return smp.accept(build, ok)
+    draw = smp.accept(build, ok)
+    return draw, sides
 
 
-def check_ft_sum(opts):
-    tol = opts.tol or DEFAULT_TOL["ft_sum"]
-    m = DEFAULT_MODULI
+@_check("ft_sum", tol=1e-12)
+def check_ft_sum(opts, tol):
     smp = Sampler(opts.seed)
-    reports = []
     for i in range(50):
-        N, t0, t1, t4, t5 = draw_ft_instance(smp, m)
-        elapse = _timer()
-        t6 = m.q ** -N
-        t7 = m.q * t0 * t0 / (t1 * t4 * t5 * t6)
-        lhs = sum_V_info(VSpec(t0=t0, t=(t1, t4, t5, t6, t7), x=1.0,
-                               moduli=m, N=N)).value
-        rhs = frenkel_turaev_rhs(t0, t1, t4, t5, N, m)
-        rep = VerificationReport.from_sides(
+        (N, t0, t1, t4, t5), (lhs, rhs) = draw_ft_instance(smp, DEFAULT_MODULI)
+        yield VerificationReport.from_sides(
             f"ft_sum[{i},N={N}]", lhs, rhs, tol,
             params={"t": [t0, t1, t4, t5], "N": N})
-        rep.runtime_ms = elapse()
-        reports.append(rep)
-    return reports
 
 
 def _draw_v12(smp: Sampler, m: Moduli, N: int, cond_cap: float = 100.0,
@@ -439,45 +396,33 @@ def _draw_v12(smp: Sampler, m: Moduli, N: int, cond_cap: float = 100.0,
     return smp.accept(build, ok)
 
 
-def check_bailey(opts):
-    tol = opts.tol or DEFAULT_TOL["bailey"]
+@_check("bailey", tol=1e-11)
+def check_bailey(opts, tol):
     m = DEFAULT_MODULI
     smp = Sampler(opts.seed)
     N = min(5, opts.n or 3)
     t = _draw_v12(smp, m, N, cond_cap=30.0, check_transform=True)
-    reports = []
     for i, perm in enumerate(itertools.permutations(range(4))):
-        elapse = _timer()
-        rep = bailey_transform_check(t, N, m, perm=perm, tol=tol,
+        yield bailey_transform_check(t, N, m, perm=perm, tol=tol,
                                      name=f"bailey[perm={i}]")
-        rep.runtime_ms = elapse()
-        reports.append(rep)
-    return reports
 
 
-def check_contiguous(opts):
-    tol = opts.tol or DEFAULT_TOL["contiguous"]
+@_check("contiguous", tol=1e-11)
+def check_contiguous(opts, tol):
     m = DEFAULT_MODULI
-    reports = []
     for n in (1, 2, 3, 4):
         smp = Sampler(opts.seed + n)
         t = _draw_v12(smp, m, n, cond_cap=30.0)
-        elapse = _timer()
-        rr = contiguous_relative_residuals(t, m)
-        ms = elapse()
-        for j, r in enumerate(rr, start=1):
-            rep = VerificationReport.from_sides(
+        for j, r in enumerate(contiguous_relative_residuals(t, m), start=1):
+            yield VerificationReport.from_sides(
                 f"contiguous[rel{j},n={n}]", r, 0.0, tol,
                 params={"t": list(t), "n": n})
-            rep.runtime_ms = ms / 3
-            reports.append(rep)
-    return reports
 
 
-def check_milne(opts):
-    tol = opts.tol or DEFAULT_TOL["milne"]
+@_check("milne", tol=1e-10)
+def check_milne(opts, tol):
     m = DEFAULT_MODULI
-    reports = []
+    sides = None
     for n in (1, 2, 3):
         smp = Sampler(opts.seed + 11 * n)
 
@@ -488,29 +433,24 @@ def check_milne(opts):
             return (tpars, b, c, d, Ns)
 
         def ok(cand):
-            tpars, b, c, d, Ns = cand
+            nonlocal sides
             try:
-                lhs, rhs = milne_sum_sides(tpars, b, c, d, Ns, m)
-                cond = milne_condition(tpars, b, c, d, Ns, m)
+                sides = milne_sum_sides(*cand, m)
+                cond = milne_condition(*cand, m)
             except EHVError:
                 return False
-            return abs(rhs) > 1e-8 and cond <= 1e3
+            return abs(sides[1]) > 1e-8 and cond <= 1e3
 
         tpars, b, c, d, Ns = smp.accept(build, ok)
-        elapse = _timer()
-        lhs, rhs = milne_sum_sides(tpars, b, c, d, Ns, m)
-        rep = VerificationReport.from_sides(
-            f"milne[n={n},N={list(Ns)}]", lhs, rhs, tol,
+        yield VerificationReport.from_sides(
+            f"milne[n={n},N={list(Ns)}]", *sides, tol,
             params={"t": list(tpars), "b": b, "c": c, "d": d, "N": list(Ns)})
-        rep.runtime_ms = elapse()
-        reports.append(rep)
-    return reports
 
 
-def check_gustafson_rakha(opts):
-    tol = opts.tol or DEFAULT_TOL["gustafson_rakha"]
+@_check("gustafson_rakha", tol=1e-9)
+def check_gustafson_rakha(opts, tol):
     m = DEFAULT_MODULI
-    reports = []
+    sides = None
     for n in (2, 3):
         for N in (1, 2, 3):
             smp = Sampler(opts.seed + 17 * n + N)
@@ -524,31 +464,25 @@ def check_gustafson_rakha(opts):
                 return (tuple(ts), smp.args(3, 0.4, 0.9), smp.arg(0.3, 0.8))
 
             def ok(cand):
+                nonlocal sides
                 try:
-                    lhs, rhs = gustafson_rakha_sum_sides(
-                        cand[0], cand[1], cand[2], N, m)
-                    cond = gustafson_rakha_condition(
-                        cand[0], cand[1], cand[2], N, m)
+                    sides = gustafson_rakha_sum_sides(*cand, N, m)
+                    cond = gustafson_rakha_condition(*cand, N, m)
                 except EHVError:
                     return False
+                lhs, rhs = sides
                 return abs(rhs) > 1e-10 and abs(lhs) > 0 and cond <= 300.0
 
             ts, textra, tg = smp.accept(build, ok)
-            elapse = _timer()
-            lhs, rhs = gustafson_rakha_sum_sides(ts, textra, tg, N, m)
-            rep = VerificationReport.from_sides(
-                f"gustafson_rakha[n={n},N={N}]", lhs, rhs, tol,
+            yield VerificationReport.from_sides(
+                f"gustafson_rakha[n={n},N={N}]", *sides, tol,
                 params={"t": list(ts), "t_extra": list(textra),
                         "tglob": tg, "N": N})
-            rep.runtime_ms = elapse()
-            reports.append(rep)
-    return reports
 
 
-def check_kratt(opts):
-    tol = opts.tol or DEFAULT_TOL["kratt"]
+@_check("kratt", tol=1e-10)
+def check_kratt(opts, tol):
     m = DEFAULT_MODULI
-    reports = []
     for n in (1, 2, 3, 4, 5):
         smp = Sampler(opts.seed + n)
 
@@ -562,45 +496,39 @@ def check_kratt(opts):
                 return False
 
         (a, b, c), X = smp.accept(build, ok)
-        elapse = _timer()
         lhs, rhs = krattenthaler_det_sides(a, b, c, X, m)
-        rep = VerificationReport.from_sides(
+        yield VerificationReport.from_sides(
             f"kratt[n={n}]", lhs, rhs, tol,
             params={"a": a, "b": b, "c": c, "X": list(X)})
-        rep.runtime_ms = elapse()
-        reports.append(rep)
-    return reports
 
 
-def _identity_check(opts, name, runner, draws=1000):
-    tol = opts.tol or DEFAULT_TOL[name]
+def _identity_check(opts, tol, name, runner, draws=1000):
     smp = Sampler(opts.seed)
-    elapse = _timer()
     worst = 0.0
     for _ in range(draws):
         worst = max(worst, runner(smp))
-    rep = VerificationReport.from_sides(
+    return VerificationReport.from_sides(
         f"{name} x{draws} (max relative residual)", worst, 0.0, tol,
         params={"seed": opts.seed, "draws": draws})
-    rep.runtime_ms = elapse()
-    return [rep]
 
 
 def _rand_p(smp):
     return smp.arg(0.05, 0.5)
 
 
-def check_ident(opts):
+@_check("ident", tol=1e-12)
+def check_ident(opts, tol):
     def run(smp):
         p = _rand_p(smp)
         x, y, z, w = smp.args(4, 0.2, 2.0)
         return abs(riemann_identity_residual(x, y, z, w, p)) \
             / riemann_identity_scale(x, y, z, w, p)
 
-    return _identity_check(opts, "ident", run)
+    yield _identity_check(opts, tol, "ident", run)
 
 
-def check_id1(opts):
+@_check("id1", tol=1e-12)
+def check_id1(opts, tol):
     def run(smp):
         p = _rand_p(smp)
         n = smp.rng.randint(1, 3)
@@ -613,10 +541,11 @@ def check_id1(opts):
         B = smp.arg(0.2, 2.0)
         return abs(id1_residual(t, z, B, p)) / id1_scale(t, z, B, p)
 
-    return _identity_check(opts, "id1", run)
+    yield _identity_check(opts, tol, "id1", run)
 
 
-def check_id2(opts):
+@_check("id2", tol=1e-12)
+def check_id2(opts, tol):
     def run(smp):
         p = _rand_p(smp)
         n = smp.rng.randint(1, 3)
@@ -626,10 +555,11 @@ def check_id2(opts):
         return abs(partial_fraction_residual(a, b, t, p)) \
             / partial_fraction_scale(a, b, t, p)
 
-    return _identity_check(opts, "id2", run)
+    yield _identity_check(opts, tol, "id2", run)
 
 
-def check_id3(opts):
+@_check("id3", tol=1e-12)
+def check_id3(opts, tol):
     def run(smp):
         p = _rand_p(smp)
         n = smp.rng.randint(1, 3)
@@ -637,7 +567,7 @@ def check_id3(opts):
         f = smp.args(n + 2, 0.4, 1.6)
         return abs(id3_residual(t, f, p)) / id3_scale(t, f, p)
 
-    return _identity_check(opts, "id3", run)
+    yield _identity_check(opts, tol, "id3", run)
 
 
 def _draw_an_tf(smp, n, m, lo=0.72, hi=0.92, shifted_ok=True):
@@ -655,61 +585,46 @@ def _draw_an_tf(smp, n, m, lo=0.72, hi=0.92, shifted_ok=True):
     return smp.accept(build, ok)
 
 
-def check_an_diffeq(opts):
-    tol = opts.tol or DEFAULT_TOL["an_diffeq"]
+@_check("an_diffeq", tol=1e-12)
+def check_an_diffeq(opts, tol):
     m = DEFAULT_MODULI
-    reports = []
     sides = [opts.side] if opts.side else ["closed_form", "integral"]
     if "closed_form" in sides:
         for n in (1, 2, 3):
             smp = Sampler(opts.seed + n)
             t, f = _draw_an_tf(smp, n, m)
-            elapse = _timer()
             r = an_difference_residual(t, f, m, DiffSide.CLOSED_FORM)
-            rep = VerificationReport.from_sides(
+            yield VerificationReport.from_sides(
                 f"an_diffeq[closed,n={n}]", r, 0.0, tol,
                 params={"t": list(t), "f": list(f)})
-            rep.runtime_ms = elapse()
-            reports.append(rep)
     if "integral" in sides:
         smp = Sampler(opts.seed + 31)
         t, f = _draw_an_tf(smp, 1, m)
-        elapse = _timer()
         cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 256,
                                max_doublings=2, rel_tol=1e-10)
         r = an_difference_residual(t, f, m, DiffSide.INTEGRAL, cfg)
-        rep = VerificationReport.from_sides(
-            "an_diffeq[integral,n=1]", r, 0.0, max(opts.tol or 1e-8, 1e-8),
+        yield VerificationReport.from_sides(
+            "an_diffeq[integral,n=1]", r, 0.0, max(tol, 1e-8),
             params={"t": list(t), "f": list(f)})
-        rep.runtime_ms = elapse()
-        reports.append(rep)
-    return reports
 
 
-def check_an_transform(opts):
-    tol = opts.tol or DEFAULT_TOL["an_transform"]
+@_check("an_transform", tol=1e-8)
+def check_an_transform(opts, tol):
     m = DEFAULT_MODULI
     smp = Sampler(opts.seed)
 
     def build():
         return (smp.arg(0.55, 0.7), smp.args(3, 0.6, 0.8), smp.args(3, 0.6, 0.8))
 
-    def ok(cand):
-        from .integrands import an_trans_domain_check
-
-        return an_trans_domain_check(cand[0], cand[1], cand[2], m).ok
-
-    tg, f, s = smp.accept(build, ok)
-    elapse = _timer()
+    tg, f, s = smp.accept(build,
+                          lambda cand: an_trans_domain_check(*cand, m).ok)
     cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 256, max_doublings=2,
                            rel_tol=1e-10)
     lhs, rhs, res_l, res_r = an_transformation_sides(tg, f, s, m, cfg)
-    rep = VerificationReport.from_sides(
+    yield VerificationReport.from_sides(
         "an_transform[n=1]", lhs, rhs, tol,
         nodes=res_l.nodes_used + res_r.nodes_used,
         params={"t": tg, "f": list(f), "s": list(s)})
-    rep.runtime_ms = elapse()
-    return [rep]
 
 
 # -- biorthogonality and weight-shift checks --------------------------------------
@@ -738,8 +653,8 @@ def default_rahman_params(seed: int = 0) -> RahmanParams:
                                   and _norms_healthy(rp, 3)))
 
 
-def check_biorth(opts):
-    tol = opts.tol or DEFAULT_TOL["biorth"]
+@_check("biorth", tol=1e-8)
+def check_biorth(opts, tol):
     if opts.params is not None:
         d = opts.params
         rp = RahmanParams(t=tuple(d["t"]),
@@ -750,13 +665,8 @@ def check_biorth(opts):
                            rel_tol=1e-11)
     pairs = ([(opts.n, opts.m)] if opts.n is not None and opts.m is not None
              else [(n, m) for n in range(4) for m in range(4)])
-    reports = []
     for n, m in pairs:
-        elapse = _timer()
-        rep = biorth_integral(n, m, rp, cfg, tol=tol)
-        rep.runtime_ms = elapse()
-        reports.append(rep)
-    return reports
+        yield biorth_integral(n, m, rp, cfg, tol=tol)
 
 
 def biorth2_param_sets(seed: int = 0):
@@ -785,23 +695,19 @@ def biorth2_param_sets(seed: int = 0):
     return smp.accept(build, ok)
 
 
-def check_biorth2(opts):
-    tol = opts.tol or DEFAULT_TOL["biorth2"]
+@_check("biorth2", tol=1e-8)
+def check_biorth2(opts, tol):
     set_a, set_b = biorth2_param_sets(opts.seed)
     cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 1024, max_doublings=2,
                            rel_tol=1e-11)
-    reports = []
     for label, rp, cells in (
             ("qshift", set_a, [(0, 0), (1, 0)]),
             ("pshift", set_b, [(0, 0), (0, 1)])):
         for (m_, k_) in cells:
             for (n_, l_) in cells:
-                elapse = _timer()
                 rep = biorth_integral(n_, m_, rp, cfg, k=k_, l=l_, tol=tol)
                 rep.name = f"biorth2/{label} " + rep.name
-                rep.runtime_ms = elapse()
-                reports.append(rep)
-    return reports
+                yield rep
 
 
 def intrep_param_sets(seed: int = 0):
@@ -811,8 +717,8 @@ def intrep_param_sets(seed: int = 0):
             RahmanParams(t=t, moduli=Moduli(0.1, 0.8)))
 
 
-def check_intrep(opts):
-    tol = opts.tol or DEFAULT_TOL["intrep"]
+@_check("intrep", tol=1e-8)
+def check_intrep(opts, tol):
     rp_q, rp_p = intrep_param_sets(opts.seed)
     smp = Sampler(opts.seed + 5)
     alpha, beta = smp.arg(0.5, 0.7), smp.arg(0.5, 0.7)
@@ -820,37 +726,27 @@ def check_intrep(opts):
                            rel_tol=1e-11)
     cases = [(rp_q, 0, 0), (rp_q, 1, 0), (rp_q, 2, 0),
              (rp_p, 0, 1), (rp_p, 0, 2)]
-    reports = []
     for rp, m_, n_ in cases:
-        elapse = _timer()
         lhs, rhs, res = twelveV_integral_rep_sides(alpha, beta, m_, n_, rp, cfg)
-        rep = VerificationReport.from_sides(
+        yield VerificationReport.from_sides(
             f"intrep[m={m_},n={n_}]", lhs, rhs, tol, nodes=res.nodes_used,
             params={"t": list(rp.t), "alpha": alpha, "beta": beta,
                     "m": m_, "n": n_})
-        rep.runtime_ms = elapse()
-        reports.append(rep)
-    return reports
 
 
-def check_shifted_beta(opts):
-    tol = opts.tol or DEFAULT_TOL["shifted_beta"]
+@_check("shifted_beta", tol=1e-8)
+def check_shifted_beta(opts, tol):
     rp_q, rp_p = intrep_param_sets(opts.seed)
     cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 512, max_doublings=2,
                            rel_tol=1e-11)
     cases = [(rp_q, 0, 0), (rp_q, 1, 0), (rp_q, 2, 0),
              (rp_p, 0, 1), (rp_p, 0, 2)]
-    reports = []
     for rp, i_, j_ in cases:
-        elapse = _timer()
-        rep = shifted_beta_identity(i_, j_, rp, cfg, tol=tol)
-        rep.runtime_ms = elapse()
-        reports.append(rep)
-    return reports
+        yield shifted_beta_identity(i_, j_, rp, cfg, tol=tol)
 
 
-def check_degeneration_p0(opts):
-    tol = opts.tol or DEFAULT_TOL["degeneration_p0"]
+@_check("degeneration_p0", tol=1e-6)
+def check_degeneration_p0(opts, tol):
     smp = Sampler(opts.seed)
     q = 0.31
     m_small = Moduli(q, 1e-10)
@@ -858,7 +754,6 @@ def check_degeneration_p0(opts):
         lambda: IntegrandSpec(Family.E, 1, ParamSet(t=smp.args(5, 0.4, 0.8)),
                               m_small),
         lambda s: validate_domain(s).ok)
-    elapse = _timer()
     cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 256, max_doublings=1,
                            rel_tol=1e-11)
     res = integrate_spec(spec, cfg)
@@ -869,51 +764,23 @@ def check_degeneration_p0(opts):
         rhs *= qpochhammer(A / t[i], q)
         for j in range(i + 1, 5):
             rhs /= qpochhammer(t[i] * t[j], q)
-    rep1 = VerificationReport.from_sides(
+    yield VerificationReport.from_sides(
         "degeneration_p0[quadrature vs q-factor form]", res.value, rhs, tol,
         nodes=res.nodes_used, params={"t": list(t), "q": q})
-    rep1.runtime_ms = elapse()
 
     z = smp.arg(0.3, 1.5)
     g0 = elliptic_gamma(z, Moduli(q, 0.0))
-    rep2 = VerificationReport.from_sides(
+    yield VerificationReport.from_sides(
         "degeneration_p0[gamma(z;q,0) (z;q)oo = 1]",
         g0 * qpochhammer(z, q), 1.0, 1e-13, params={"z": z, "q": q})
-    return [rep1, rep2]
 
 
-REGISTRY = {
-    "theorem1": check_theorem1,
-    "cn1": check_cn1,
-    "cn2": check_cn2,
-    "cn3": check_cn3,
-    "an1": check_an1,
-    "an2_odd": check_an2_odd,
-    "an2_even": check_an2_even,
-    "an3_odd": check_an3_odd,
-    "an3_even": check_an3_even,
-    "ft_sum": check_ft_sum,
-    "bailey": check_bailey,
-    "contiguous": check_contiguous,
-    "milne": check_milne,
-    "gustafson_rakha": check_gustafson_rakha,
-    "kratt": check_kratt,
-    "ident": check_ident,
-    "id1": check_id1,
-    "id2": check_id2,
-    "id3": check_id3,
-    "an_diffeq": check_an_diffeq,
-    "an_transform": check_an_transform,
-    "biorth": check_biorth,
-    "biorth2": check_biorth2,
-    "intrep": check_intrep,
-    "shifted_beta": check_shifted_beta,
-    "degeneration_p0": check_degeneration_p0,
-}
-
-
-def run_check(name: str, opts: CheckOptions):
+def run_check(name: str, opts: CheckOptions) -> list[VerificationReport]:
+    """The rows of check ``name`` at ``opts.tol`` or the check's default; each
+    row's runtime_ms is the wall time since the previous row (sampling
+    included)."""
     if name not in REGISTRY:
         raise EHVError(f"unknown identity {name!r}; known: {sorted(REGISTRY)}")
+    fn, default_tol = REGISTRY[name]
     _reset_rejections()
-    return REGISTRY[name](opts)
+    return list(timed_rows(fn(opts, opts.tol or default_tol)))

@@ -2,8 +2,10 @@
 
 The JSON layout is frozen: fixed key order, complex numbers as {"re", "im"}
 objects, floats in shortest round-trip form.  Identical inputs therefore
-produce byte-identical report lines except for the wall-clock runtime_ms
-field, which is the one inherently nondeterministic entry.
+produce byte-identical report lines except for runtime_ms, the one
+inherently nondeterministic entry: the row's share of its call's wall time
+(the time since the previous row, sampling included), so that the rows of
+one call add up to that call's wall time.
 """
 
 from __future__ import annotations

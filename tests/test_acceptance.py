@@ -36,20 +36,9 @@ from ehv.registry import (
     Sampler,
     _draw_spec,
     biorth2_param_sets,
-    check_an_diffeq,
-    check_an_transform,
-    check_bailey,
-    check_contiguous,
-    check_ft_sum,
-    check_gustafson_rakha,
-    check_id1,
-    check_id2,
-    check_id3,
-    check_ident,
-    check_kratt,
-    check_milne,
     default_rahman_params,
     intrep_param_sets,
+    run_check,
 )
 
 
@@ -150,7 +139,7 @@ def test_criterion_05_an_types_two_three(family, n, label):
 
 
 def test_criterion_06_terminating_sum_closed_form():
-    reports = check_ft_sum(CheckOptions(seed=606, tol=1e-12))
+    reports = run_check("ft_sum", CheckOptions(seed=606, tol=1e-12))
     worst = max(r.rel_err for r in reports)
     ok = all(r.passed for r in reports) and len(reports) == 50
     report("criterion 6 (terminating sum, 50 draws, N <= 8)", ok,
@@ -158,7 +147,7 @@ def test_criterion_06_terminating_sum_closed_form():
 
 
 def test_criterion_07_bailey_transform_all_permutations():
-    reports = check_bailey(CheckOptions(seed=707, tol=1e-11, n=5))
+    reports = run_check("bailey", CheckOptions(seed=707, tol=1e-11, n=5))
     worst = max(r.rel_err for r in reports)
     ok = all(r.passed for r in reports) and len(reports) == 24
     report("criterion 7 (transform, 24 permutations at N=5)", ok,
@@ -166,7 +155,7 @@ def test_criterion_07_bailey_transform_all_permutations():
 
 
 def test_criterion_08_contiguous_relations():
-    reports = check_contiguous(CheckOptions(seed=808, tol=1e-11))
+    reports = run_check("contiguous", CheckOptions(seed=808, tol=1e-11))
     worst = max(r.abs_err for r in reports)
     ok = all(r.passed for r in reports)
     report("criterion 8 (three contiguous relations, n <= 4)", ok,
@@ -174,7 +163,7 @@ def test_criterion_08_contiguous_relations():
 
 
 def test_criterion_09_multiple_box_sum():
-    reports = check_milne(CheckOptions(seed=909, tol=1e-10))
+    reports = run_check("milne", CheckOptions(seed=909, tol=1e-10))
     worst = max(r.rel_err for r in reports)
     ok = all(r.passed for r in reports)
     report("criterion 9 (box-constrained multiple sum, n <= 3)", ok,
@@ -182,7 +171,7 @@ def test_criterion_09_multiple_box_sum():
 
 
 def test_criterion_10_constrained_composition_sum():
-    reports = check_gustafson_rakha(CheckOptions(seed=1010, tol=1e-9))
+    reports = run_check("gustafson_rakha", CheckOptions(seed=1010, tol=1e-9))
     worst = max(r.rel_err for r in reports)
     ok = all(r.passed for r in reports)
     report("criterion 10 (composition-constrained sum, both parities)", ok,
@@ -190,7 +179,7 @@ def test_criterion_10_constrained_composition_sum():
 
 
 def test_criterion_11_determinant_evaluation():
-    reports = check_kratt(CheckOptions(seed=1111, tol=1e-10))
+    reports = run_check("kratt", CheckOptions(seed=1111, tol=1e-10))
     worst = max(r.rel_err for r in reports)
     ok = all(r.passed for r in reports)
     report("criterion 11 (determinant evaluation, n <= 5)", ok,
@@ -199,9 +188,9 @@ def test_criterion_11_determinant_evaluation():
 
 def test_criterion_12_theta_identities_thousand_draws():
     worsts = {}
-    for name, fn in (("four-product", check_ident), ("expansion-1", check_id1),
-                     ("partial-fraction", check_id2), ("expansion-3", check_id3)):
-        rep = fn(CheckOptions(seed=1212, tol=1e-12))[0]
+    for name, check in (("four-product", "ident"), ("expansion-1", "id1"),
+                        ("partial-fraction", "id2"), ("expansion-3", "id3")):
+        rep = run_check(check, CheckOptions(seed=1212, tol=1e-12))[0]
         worsts[name] = rep.abs_err
         assert rep.passed, (name, rep.abs_err)
     ok = max(worsts.values()) <= 1e-12
@@ -210,10 +199,10 @@ def test_criterion_12_theta_identities_thousand_draws():
 
 
 def test_criterion_13_difference_equation_and_transformation():
-    reps = check_an_diffeq(CheckOptions(seed=1313))
+    reps = run_check("an_diffeq", CheckOptions(seed=1313))
     closed = [r for r in reps if "closed" in r.name]
     integral = [r for r in reps if "integral" in r.name]
-    rep_t = check_an_transform(CheckOptions(seed=1313, tol=1e-8))[0]
+    rep_t = run_check("an_transform", CheckOptions(seed=1313, tol=1e-8))[0]
     ok = (all(r.passed and r.abs_err <= 1e-12 for r in closed)
           and all(r.passed and r.abs_err <= 1e-8 for r in integral)
           and rep_t.passed)

@@ -148,6 +148,21 @@ class TestSweep:
         assert rows[0]["name"].endswith("[t0=0.3]")
         assert all(r["pass"] for r in rows)
 
+    def test_digest_covers_the_whole_spec(self, tmp_path):
+        # two base points that differ only in t0, swept over the same t1 value
+        rows = []
+        for t0 in (0.5, 0.55):
+            f = tmp_path / f"base{t0}.json"
+            f.write_text(json.dumps({**BASE_E,
+                                     "t": [[t0, 0]] + BASE_E["t"][1:]}))
+            out = run("sweep", "theorem1", "--grid", "t1=0.6:0.6:1",
+                      "--params", str(f))
+            assert out.returncode == 0
+            rows.append(json.loads(out.stdout.splitlines()[0]))
+        assert rows[0]["name"] == rows[1]["name"] == "theorem1[t1=0.6]"
+        assert rows[0]["lhs"] != rows[1]["lhs"]
+        assert rows[0]["params_digest"] != rows[1]["params_digest"]
+
 
 class TestPrecisionFlag:
     def test_extended_eval_matches_std(self):

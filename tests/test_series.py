@@ -220,7 +220,7 @@ class TestFrenkelTuraev:
 
         smp = Sampler(314)
         for _ in range(20):
-            N, t0, t1, t4, t5 = draw_ft_instance(smp, moduli)
+            (N, t0, t1, t4, t5), _ = draw_ft_instance(smp, moduli)
             lhs = frenkel_turaev_lhs(t0, t1, t4, t5, N, moduli)
             rhs = frenkel_turaev_rhs(t0, t1, t4, t5, N, moduli)
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
