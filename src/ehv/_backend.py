@@ -58,10 +58,6 @@ def clog(x):
     return mpmath.log(x) if is_mp(x) else cmath.log(x)
 
 
-def csqrt(x):
-    return mpmath.sqrt(x) if is_mp(x) else cmath.sqrt(x)
-
-
 def cpow(x, y):
     """Principal-branch power; exact for float base with int exponent."""
     if is_mp(x) or is_mp(y):
@@ -69,10 +65,3 @@ def cpow(x, y):
     if isinstance(y, int):
         return x ** y
     return cmath.exp(y * cmath.log(x))
-
-
-def epsilon() -> float:
-    """Unit roundoff scale of the active mode."""
-    if _mode == EXTENDED:
-        return float(mpmath.mpf(10) ** (-mpmath.mp.dps + 1))
-    return 2.2e-16

@@ -51,10 +51,8 @@ class RahmanParams:
 
     @property
     def A(self):
-        out = 1.0 + 0.0j
-        for v in self.t:
-            out *= v
-        return out
+        t0, t1, t2, t3, t4 = self.t
+        return t0 * t1 * t2 * t3 * t4
 
     def weight_spec(self) -> IntegrandSpec:
         return IntegrandSpec(Family.E, 1, ParamSet(t=self.t), self.moduli)
@@ -91,17 +89,21 @@ def gauge_ratio(z, xi, eta, p):
 # -- the function families ------------------------------------------------------
 
 
-def _rn_vspec(z, n, t, q, p, kind: str) -> VSpec:
+def _rn_params(n, t, q, kind: str):
+    """(head, the z-free parameters) of R_n (kind "R") or of T_n ("T")."""
     t0, t1, t2, t3, t4 = t
     A = t0 * t1 * t2 * t3 * t4
     if kind == "R":
-        head = t3 / t4
-        tail = (q / (t0 * t4), q / (t1 * t4), q / (t2 * t4))
+        head, tail = t3 / t4, (q / (t0 * t4), q / (t1 * t4), q / (t2 * t4))
     else:
-        head = A * t3 / q
-        tail = (A / t0, A / t1, A / t2)
-    pars = tail + (t3 * z, t3 / z, cpow(q, -n), A * cpow(q, n - 1) / t4)
-    return VSpec(t0=head, t=pars, x=1.0, moduli=Moduli(q=q, p=p), N=n)
+        head, tail = A * t3 / q, (A / t0, A / t1, A / t2)
+    return head, tail + (cpow(q, -n), A * cpow(q, n - 1) / t4)
+
+
+def _rn_vspec(z, n, t, q, p, kind: str) -> VSpec:
+    head, pars = _rn_params(n, t, q, kind)
+    return VSpec(t0=head, t=pars[:3] + (t[3] * z, t[3] / z) + pars[3:],
+                 x=1.0, moduli=Moduli(q=q, p=p), N=n)
 
 
 def R_n(z, n: int, rp: RahmanParams):
@@ -130,15 +132,8 @@ def T_nm(z, n: int, m: int, rp: RahmanParams):
 def _family_nodes(z, n: int, t, q, p, kind: str) -> np.ndarray:
     """Vectorized terminating series over a node array z."""
     z = np.asarray(z, dtype=complex)
-    t0, t1, t2, t3, t4 = t
-    A = t0 * t1 * t2 * t3 * t4
-    if kind == "R":
-        head = t3 / t4
-        scal = (q / (t0 * t4), q / (t1 * t4), q / (t2 * t4),
-                cpow(q, -n), A * cpow(q, n - 1) / t4)
-    else:
-        head = A * t3 / q
-        scal = (A / t0, A / t1, A / t2, cpow(q, -n), A * cpow(q, n - 1) / t4)
+    head, scal = _rn_params(n, t, q, kind)
+    t3 = t[3]
     th0 = theta(head, p)
     tot = np.ones_like(z)
     fac = np.ones_like(z)
@@ -157,18 +152,20 @@ def _family_nodes(z, n: int, t, q, p, kind: str) -> np.ndarray:
     return tot
 
 
+def _family_rows(z, indices, rp: RahmanParams, kind: str, base: str = "q"):
+    """Node table (len(indices), N) of the family members with these
+    indices, each distinct index evaluated once."""
+    q, p = _bases(rp, base)
+    tables = {j: _family_nodes(z, j, rp.t, q, p, kind) for j in set(indices)}
+    return np.stack([tables[j] for j in indices])
+
+
 def r_family_nodes(z, n: int, rp: RahmanParams, base_swapped=False) -> np.ndarray:
-    q, p = rp.moduli.q, rp.moduli.p
-    if base_swapped:
-        q, p = p, q
-    return _family_nodes(z, n, rp.t, q, p, "R")
+    return _family_rows(z, [n], rp, "R", "p" if base_swapped else "q")[0]
 
 
 def t_family_nodes(z, n: int, rp: RahmanParams, base_swapped=False) -> np.ndarray:
-    q, p = rp.moduli.q, rp.moduli.p
-    if base_swapped:
-        q, p = p, q
-    return _family_nodes(z, n, rp.t, q, p, "T")
+    return _family_rows(z, [n], rp, "T", "p" if base_swapped else "q")[0]
 
 
 # -- difference operator ---------------------------------------------------------
@@ -258,14 +255,6 @@ def g_function(z, mu, rp: RahmanParams):
     den = [q * q * z / t4, q * q / (t4 * z), A * mu * z / q, A * mu / (q * z)]
     return (elliptic_gamma_multi(num, rp.moduli)
             / elliptic_gamma_multi(den, rp.moduli))
-
-
-def g_n_factor(z, n: int, rp: RahmanParams):
-    q, p = rp.moduli.q, rp.moduli.p
-    t4, A = rp.t[4], rp.A
-    num = theta_factorial_multi([q * q * z / t4, q * q / (t4 * z)], p, q, n - 1)
-    den = theta_factorial_multi([A * z, A / z], p, q, n - 1)
-    return num / den
 
 
 def recurrence_next(R_prev, R_curr, n: int, z, rp: RahmanParams,
@@ -364,58 +353,56 @@ def norm_h2(n: int, l: int, rp: RahmanParams):
     return norm_h(n, rp, "q") * norm_h(l, rp, "p")
 
 
-def _biorth_mesh(rp, n, m, k, l):
+def biorth_value(cells, rp: RahmanParams, cfg: QuadratureConfig | None = None):
+    """Scalar products of T_[n,l] and R_[m,k] over cells (n, m, k, l): one
+    Gram matrix on the beta weight, one driver call.  Returns (integrals,
+    expected, scales, result): expected h N_E on the diagonal, else 0;
+    scale |min_{j <= max(n,m)} h_j N_E|.  InadmissibleContour if the unit
+    circle fails for any cell."""
+    for n, m, k, l in cells:
+        _require_admissible(contour_check(m, n, k, l, rp),
+                            f"indices (n={n},m={m},k={k},l={l})")
+    ns, ms, ks, ls = (list(idx) for idx in zip(*cells))
     weight = make_integrand(rp.weight_spec())
+    factors = ((ms, "R", "q"), (ns, "T", "q"), (ks, "R", "p"), (ls, "T", "p"))
 
     def mesh(N):
         z1d = np.exp(2j * np.pi * np.arange(N) / N)
+        # Named tables: numpy would multiply into a large temporary in
+        # place, which rounds differently from a product into a new array.
+        tables = [_family_rows(z1d, idx, rp, kind, base)
+                  for idx, kind, base in factors]
         vals = weight.mesh_eval(N)
-        vals = vals * _family_nodes(z1d, m, rp.t, rp.moduli.q, rp.moduli.p, "R")
-        vals = vals * _family_nodes(z1d, n, rp.t, rp.moduli.q, rp.moduli.p, "T")
-        if k or l:
-            vals = vals * _family_nodes(z1d, k, rp.t, rp.moduli.p, rp.moduli.q, "R")
-            vals = vals * _family_nodes(z1d, l, rp.t, rp.moduli.p, rp.moduli.q, "T")
-        return vals
+        for tab in tables:
+            vals = vals * tab
+        return vals.T
 
-    return mesh
-
-
-def biorth_value(n: int, m: int, rp: RahmanParams,
-                 cfg: QuadratureConfig | None = None, k: int = 0, l: int = 0):
-    """(integral, expected) for the scalar product of T_[n,l] and R_[m,k].
-
-    Raises InadmissibleContour when the unit circle fails the separation
-    test; contours are never deformed.
-    """
-    _require_admissible(contour_check(m, n, k, l, rp),
-                        f"indices (n={n},m={m},k={k},l={l})")
-    res = integrate_mesh_fn(_biorth_mesh(rp, n, m, k, l), 1, cfg)
-    if n == m and k == l:
-        expected = (norm_h2(n, k, rp) if (k or l) else norm_h(n, rp)) \
-            * rp.beta_value()
-    else:
-        expected = 0.0 + 0.0j
-    return res.value, expected, res
+    res = integrate_mesh_fn(mesh, 1, cfg)
+    beta = rp.beta_value()
+    h_q = [norm_h(j, rp) for j in range(max(ns + ms) + 1)]
+    expected = [(h_q[n] * norm_h(k, rp, "p") if k else h_q[n]) * beta
+                if (n, k) == (m, l) else 0j for n, m, k, l in cells]
+    scales = [abs(min(abs(h) for h in h_q[:max(n, m) + 1]) * beta)
+              for n, m, _, _ in cells]
+    return [complex(v) for v in res.value], expected, scales, res
 
 
-def biorth_integral(n: int, m: int, rp: RahmanParams,
-                    cfg: QuadratureConfig | None = None, k: int = 0, l: int = 0,
-                    tol: float = 1e-8) -> VerificationReport:
-    """Verification report for one scalar-product cell.
+def biorth_integral(cells, rp: RahmanParams,
+                    cfg: QuadratureConfig | None = None, tol: float = 1e-8):
+    """Verification rows of the scalar-product cells (n, m, k, l), in order.
 
     Off-diagonal cells compare |integral| against tol * |h_min N_E| (the
     natural scale of the diagonal), diagonal cells relatively against
     h_n N_E.
     """
-    value, expected, res = biorth_value(n, m, rp, cfg, k, l)
-    scale_n = min(abs(norm_h(j, rp)) for j in range(0, max(n, m) + 1))
-    scale = abs(scale_n * rp.beta_value())
-    name = f"biorth[n={n},m={m}" + (f",k={k},l={l}]" if (k or l) else "]")
-    lhs, rhs = (value / scale, 0.0) if expected == 0 else (value, expected)
-    return VerificationReport.from_sides(
-        name, lhs, rhs, tol, nodes=res.nodes_used,
-        params={"t": list(rp.t), "q": rp.moduli.q, "p": rp.moduli.p,
-                "n": n, "m": m, "k": k, "l": l})
+    values, expected, scales, res = biorth_value(cells, rp, cfg)
+    for (n, m, k, l), value, exp, scale in zip(cells, values, expected, scales):
+        name = f"biorth[n={n},m={m}" + (f",k={k},l={l}]" if (k or l) else "]")
+        lhs, rhs = (value / scale, 0.0) if exp == 0 else (value, exp)
+        yield VerificationReport.from_sides(
+            name, lhs, rhs, tol, nodes=res.nodes_used,
+            params={"t": list(rp.t), "q": rp.moduli.q, "p": rp.moduli.p,
+                    "n": n, "m": m, "k": k, "l": l})
 
 
 # -- integral representation and shifted-weight identities -------------------------

@@ -28,6 +28,7 @@ from .registry import (
     Sampler,
     _draw_spec,
     _family_report,
+    _rank_tol,
     rejection_count,
     run_check,
     timed_rows,
@@ -219,7 +220,7 @@ def cmd_sweep(args) -> int:
                 base = spec_from_params(json.load(fh))
         else:
             base = _draw_spec(Sampler(args.seed), family, n)
-        tol = args.tol or REGISTRY[args.name][1] or 1e-6
+        tol = args.tol or REGISTRY[args.name][1] or _rank_tol(n)
         reports = list(timed_rows(
             _family_report(f"{args.name}[{pname}={v:.6g}]",
                            _swept_spec(family, base, pname, v), tol, args.nodes)

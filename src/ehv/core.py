@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._backend import cexp, clog
+from ._backend import EXTENDED, cexp, clog, get_precision
 from .errors import DomainError, NonConvergent, PoleHit, TruncationFailure
 
 _TWO_PI = 2.0 * math.pi
@@ -72,8 +72,6 @@ _EXTENDED_POLICY = TruncationPolicy(eps=1e-38, max_terms=16384)
 
 def default_policy() -> TruncationPolicy:
     """Mode-aware default: 1e-16 tails in float64, 1e-38 in extended mode."""
-    from ._backend import EXTENDED, get_precision
-
     return _EXTENDED_POLICY if get_precision() == EXTENDED else DEFAULT_POLICY
 
 

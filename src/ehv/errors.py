@@ -61,9 +61,5 @@ class InadmissibleContour(EHVError):
     """The unit circle does not separate the integrand's pole sequences."""
 
 
-class NotConverged(EHVError):
-    """A quadrature result did not meet the requested tolerance."""
-
-
 class ResourceLimit(EHVError):
     """A node or work budget (EHV_MAX_NODES) would be exceeded."""

@@ -10,9 +10,14 @@ decaying geometrically in N.  Convergence control is node doubling: the
 estimate's error is the magnitude of the last doubling change, with no
 extrapolation.
 
-Determinism: node values are summed in chunks of _CHUNK along the outermost
-axis, and the chunk partials are combined in a fixed binary tree keyed by
-chunk index (series.tree_sum).
+A mesh may carry trailing cell axes, (N,)*n + cells: one integral per cell
+over the same nodes (a Gram matrix on one weight, say), doubled until every
+cell has converged.
+
+Determinism: each cell's node values are summed in chunks of _CHUNK along
+the outermost grid axis, and the chunk partials are combined in a fixed
+binary tree keyed by chunk index (series.tree_sum), so a cell gets the
+bits a mesh of its own would.
 """
 
 from __future__ import annotations
@@ -74,32 +79,37 @@ def default_config(n: int) -> QuadratureConfig:
 
 @dataclass
 class QuadratureResult:
-    value: complex
+    """value is a complex, or an array of the cell shape for a mesh with cell
+    axes; est_error is the largest cell's change, converged holds for all."""
+
+    value: complex | np.ndarray
     est_error: float
     nodes_used: int          # point count of the finest evaluated grid
-    dim: int
     converged: bool
 
 
-def _reduce_array(arr: np.ndarray):
-    """Chunked deterministic sums of the values and of their moduli."""
-    sums, abs_sums = [], []
-    for i in range(0, arr.shape[0], _CHUNK):
-        chunk = arr[i:i + _CHUNK]
-        sums.append(complex(np.sum(chunk)))
-        abs_sums.append(float(np.sum(np.abs(chunk))))
-    return tree_sum(sums), tree_sum(abs_sums)
+def _reduce_array(arr: np.ndarray, n: int):
+    """Node averages, sums of the moduli and the cell shape; one entry per
+    cell in C order, each cell's nodes made contiguous and chunk-summed."""
+    N = arr.shape[0]
+    grid_last = np.moveaxis(arr, tuple(range(n)), tuple(range(-n, 0)))
+    flat = np.ascontiguousarray(grid_last).reshape(-1, N, N ** (n - 1))
+    chunks = [flat[:, i:i + _CHUNK] for i in range(0, N, _CHUNK)]
+    sums = tree_sum([np.sum(c, axis=(1, 2)) for c in chunks])
+    abs_sums = tree_sum([np.sum(np.abs(c), axis=(1, 2)) for c in chunks])
+    return ([complex(s) / N ** n for s in sums], abs_sums.tolist(),
+            arr.shape[n:])
 
 
 def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):
-    """Doubling driver over a mesh builder: mesh_fn(N) -> value array (N,)*n.
+    """Doubling driver over a mesh builder: mesh_fn(N) -> array (N,)*n + cells.
 
     Returns the node average at the finest grid with the last doubling
-    change as error estimate.  Converged means that change is within
-    rel_tol of the value, or at the rounding floor of the node sum (the
-    only way an integral whose value is 0 can converge).  Stops early once
-    the node budget would be exceeded (the initial grid over budget raises
-    ResourceLimit).
+    change as error estimate, per cell.  A cell has converged when its
+    change is within rel_tol of its value, or at the rounding floor of its
+    node sum (the only way an integral whose value is 0 can converge); the
+    grid doubles until every cell has.  Stops early once the node budget
+    would be exceeded (the initial grid over budget raises ResourceLimit).
     """
     if cfg is None:
         cfg = default_config(n)
@@ -109,23 +119,23 @@ def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):
         raise ResourceLimit(
             f"initial grid {N}^{n} exceeds EHV_MAX_NODES={budget}"
         )
-    value = _reduce_array(np.asarray(mesh_fn(N)))[0] / (N ** n)
-    est = math.inf
-    converged = False
+    value, _, cells = _reduce_array(np.asarray(mesh_fn(N)), n)
+    est, converged = math.inf, False
     for _ in range(cfg.max_doublings):
         if (2 * N) ** n > budget:
             break
         N = 2 * N
-        total, abs_total = _reduce_array(np.asarray(mesh_fn(N)))
-        value2 = total / (N ** n)
-        est = abs(value2 - value)
+        value2, abs_total, _ = _reduce_array(np.asarray(mesh_fn(N)), n)
+        change = [abs(b - a) for a, b in zip(value, value2)]
+        est = max(change)
         value = value2
-        if (est <= cfg.rel_tol * abs(value)
-                or est <= _ROUNDING_FLOOR * abs_total / (N ** n)):
+        if all(d <= cfg.rel_tol * abs(v) or d <= _ROUNDING_FLOOR * s / (N ** n)
+               for d, v, s in zip(change, value, abs_total)):
             converged = True
             break
-    return QuadratureResult(value=value, est_error=est, nodes_used=N ** n,
-                            dim=n, converged=converged)
+    return QuadratureResult(
+        value=np.array(value).reshape(cells) if cells else value[0],
+        est_error=est, nodes_used=N ** n, converged=converged)
 
 
 def circle_integral(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:
@@ -133,9 +143,8 @@ def circle_integral(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:
 
     f may be a plain callable or carry a vectorized mesh_eval(N).
     """
-    if hasattr(f, "mesh_eval"):
-        return integrate_mesh_fn(f.mesh_eval, 1, cfg)
-    return torus_integral(lambda zs: f(zs[0]), 1, cfg)
+    return torus_integral(f if hasattr(f, "mesh_eval") else
+                          (lambda zs: f(zs[0])), 1, cfg)
 
 
 def torus_integral(f, n: int, cfg: QuadratureConfig | None = None) -> QuadratureResult:
@@ -159,5 +168,4 @@ def torus_integral(f, n: int, cfg: QuadratureConfig | None = None) -> Quadrature
 def integrate_spec(spec: IntegrandSpec, cfg: QuadratureConfig | None = None):
     """Domain-validate and integrate a family integrand over T^n."""
     require_valid(spec)
-    integrand = make_integrand(spec)
-    return integrate_mesh_fn(integrand.mesh_eval, spec.n, cfg)
+    return integrate_mesh_fn(make_integrand(spec).mesh_eval, spec.n, cfg)

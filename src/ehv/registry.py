@@ -232,10 +232,7 @@ def _draw_spec(smp: Sampler, family: Family, n: int,
 
 def _spec_from_options(opts: CheckOptions, family: Family, n: int):
     if opts.params is not None:
-        raw = dict(opts.params)
-        raw.setdefault("family", family.value)
-        raw.setdefault("n", n)
-        return spec_from_params(raw)
+        return spec_from_params({"family": family.value, "n": n, **opts.params})
     return None
 
 
@@ -570,7 +567,7 @@ def check_id3(opts, tol):
     yield _identity_check(opts, tol, "id3", run)
 
 
-def _draw_an_tf(smp, n, m, lo=0.72, hi=0.92, shifted_ok=True):
+def _draw_an_tf(smp, n, m, lo=0.72, hi=0.92):
     def build():
         return (smp.args(n + 1, lo, hi), smp.args(n + 2, lo, hi))
 
@@ -663,10 +660,9 @@ def check_biorth(opts, tol):
         rp = default_rahman_params(opts.seed)
     cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 512, max_doublings=2,
                            rel_tol=1e-11)
-    pairs = ([(opts.n, opts.m)] if opts.n is not None and opts.m is not None
-             else [(n, m) for n in range(4) for m in range(4)])
-    for n, m in pairs:
-        yield biorth_integral(n, m, rp, cfg, tol=tol)
+    cells = ([(opts.n, opts.m, 0, 0)] if opts.n is not None and opts.m is not None
+             else [(n, m, 0, 0) for n in range(4) for m in range(4)])
+    yield from biorth_integral(cells, rp, cfg, tol)
 
 
 def biorth2_param_sets(seed: int = 0):
@@ -700,14 +696,13 @@ def check_biorth2(opts, tol):
     set_a, set_b = biorth2_param_sets(opts.seed)
     cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 1024, max_doublings=2,
                            rel_tol=1e-11)
-    for label, rp, cells in (
+    for label, rp, pairs in (
             ("qshift", set_a, [(0, 0), (1, 0)]),
             ("pshift", set_b, [(0, 0), (0, 1)])):
-        for (m_, k_) in cells:
-            for (n_, l_) in cells:
-                rep = biorth_integral(n_, m_, rp, cfg, k=k_, l=l_, tol=tol)
-                rep.name = f"biorth2/{label} " + rep.name
-                yield rep
+        cells = [(n_, m_, k_, l_) for (m_, k_) in pairs for (n_, l_) in pairs]
+        for rep in biorth_integral(cells, rp, cfg, tol):
+            rep.name = f"biorth2/{label} " + rep.name
+            yield rep
 
 
 def intrep_param_sets(seed: int = 0):
@@ -717,15 +712,20 @@ def intrep_param_sets(seed: int = 0):
             RahmanParams(t=t, moduli=Moduli(0.1, 0.8)))
 
 
-@_check("intrep", tol=1e-8)
-def check_intrep(opts, tol):
+def _weight_shift_cases(opts):
+    """Config and (params, q-depth, p-depth) cases of intrep and shifted_beta."""
     rp_q, rp_p = intrep_param_sets(opts.seed)
-    smp = Sampler(opts.seed + 5)
-    alpha, beta = smp.arg(0.5, 0.7), smp.arg(0.5, 0.7)
     cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 512, max_doublings=2,
                            rel_tol=1e-11)
-    cases = [(rp_q, 0, 0), (rp_q, 1, 0), (rp_q, 2, 0),
-             (rp_p, 0, 1), (rp_p, 0, 2)]
+    return cfg, [(rp_q, 0, 0), (rp_q, 1, 0), (rp_q, 2, 0),
+                 (rp_p, 0, 1), (rp_p, 0, 2)]
+
+
+@_check("intrep", tol=1e-8)
+def check_intrep(opts, tol):
+    cfg, cases = _weight_shift_cases(opts)
+    smp = Sampler(opts.seed + 5)
+    alpha, beta = smp.arg(0.5, 0.7), smp.arg(0.5, 0.7)
     for rp, m_, n_ in cases:
         lhs, rhs, res = twelveV_integral_rep_sides(alpha, beta, m_, n_, rp, cfg)
         yield VerificationReport.from_sides(
@@ -736,11 +736,7 @@ def check_intrep(opts, tol):
 
 @_check("shifted_beta", tol=1e-8)
 def check_shifted_beta(opts, tol):
-    rp_q, rp_p = intrep_param_sets(opts.seed)
-    cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 512, max_doublings=2,
-                           rel_tol=1e-11)
-    cases = [(rp_q, 0, 0), (rp_q, 1, 0), (rp_q, 2, 0),
-             (rp_p, 0, 1), (rp_p, 0, 2)]
+    cfg, cases = _weight_shift_cases(opts)
     for rp, i_, j_ in cases:
         yield shifted_beta_identity(i_, j_, rp, cfg, tol=tol)
 

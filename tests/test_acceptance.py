@@ -216,13 +216,13 @@ def test_criterion_14_biorthogonality_single_and_two_index():
     cfg = QuadratureConfig(nodes_per_dim=512, max_doublings=2, rel_tol=1e-11)
     scale = abs(min(abs(norm_h(j, rp)) for j in range(4)) * rp.beta_value())
     worst_diag, worst_off = 0.0, 0.0
-    for n in range(4):
-        for m in range(4):
-            val, expected, _ = biorth_value(n, m, rp, cfg)
-            if n == m:
-                worst_diag = max(worst_diag, abs(val - expected) / abs(expected))
-            else:
-                worst_off = max(worst_off, abs(val) / scale)
+    cells = [(n, m, 0, 0) for n in range(4) for m in range(4)]
+    vals, expecteds, _, _ = biorth_value(cells, rp, cfg)
+    for (n, m, _, _), val, expected in zip(cells, vals, expecteds):
+        if n == m:
+            worst_diag = max(worst_diag, abs(val - expected) / abs(expected))
+        else:
+            worst_off = max(worst_off, abs(val) / scale)
     ok = worst_diag <= 1e-8 and worst_off <= 1e-8
 
     # two-index grids: the admissible cells carry the Kronecker structure;
@@ -232,20 +232,20 @@ def test_criterion_14_biorthogonality_single_and_two_index():
     set_a, set_b = biorth2_param_sets(1414)
     cfg2 = QuadratureConfig(nodes_per_dim=1024, max_doublings=2, rel_tol=1e-11)
     worst2_diag, worst2_off = 0.0, 0.0
-    for rp2, cells in ((set_a, [(0, 0), (1, 0)]), (set_b, [(0, 0), (0, 1)])):
+    for rp2, pairs in ((set_a, [(0, 0), (1, 0)]), (set_b, [(0, 0), (0, 1)])):
         scale2 = abs(norm_h2(0, 0, rp2) * rp2.beta_value())
-        for (m_, k_) in cells:
-            for (n_, l_) in cells:
-                val, expected, _ = biorth_value(n_, m_, rp2, cfg2, k=k_, l=l_)
-                if (m_, k_) == (n_, l_):
-                    worst2_diag = max(worst2_diag,
-                                      abs(val - expected) / abs(expected))
-                else:
-                    worst2_off = max(worst2_off, abs(val) / scale2)
+        cells = [(n_, m_, k_, l_) for (m_, k_) in pairs for (n_, l_) in pairs]
+        vals, expecteds, _, _ = biorth_value(cells, rp2, cfg2)
+        for (n_, m_, k_, l_), val, expected in zip(cells, vals, expecteds):
+            if (m_, k_) == (n_, l_):
+                worst2_diag = max(worst2_diag,
+                                  abs(val - expected) / abs(expected))
+            else:
+                worst2_off = max(worst2_off, abs(val) / scale2)
     gated = 0
     for (m_, k_, n_, l_) in ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1)):
         with pytest.raises(InadmissibleContour):
-            biorth_value(n_, m_, set_a, cfg2, k=k_, l=l_)
+            biorth_value([(n_, m_, k_, l_)], set_a, cfg2)
         gated += 1
     ok = ok and worst2_diag <= 1e-8 and worst2_off <= 1e-8 and gated == 3
     report("criterion 14 (biorthogonality 4x4 + two-index cells)", ok,

@@ -243,21 +243,23 @@ class TestContour:
 
 class TestBiorthogonality:
     def test_diagonal_cells(self, rp):
-        for n in (0, 1, 2, 3):
-            val, expected, res = biorth_value(n, n, rp, CFG)
-            assert abs(val - expected) <= 1e-8 * abs(expected)
+        cells = [(n, n, 0, 0) for n in (0, 1, 2, 3)]
+        vals, expected, _, _ = biorth_value(cells, rp, CFG)
+        for val, exp in zip(vals, expected):
+            assert abs(val - exp) <= 1e-8 * abs(exp)
 
     def test_off_diagonal_cells(self, rp):
         scale = abs(min((abs(norm_h(j, rp)) for j in range(4)))
                     * rp.beta_value())
-        for (n, m) in ((1, 0), (0, 1), (3, 2), (2, 3)):
-            val, expected, _ = biorth_value(n, m, rp, CFG)
-            assert expected == 0
+        cells = [(n, m, 0, 0) for n, m in ((1, 0), (0, 1), (3, 2), (2, 3))]
+        vals, expected, _, _ = biorth_value(cells, rp, CFG)
+        for val, exp in zip(vals, expected):
+            assert exp == 0
             assert abs(val) <= 1e-8 * scale
 
     def test_norm_h0_reduces_to_beta_value(self, rp):
         assert norm_h(0, rp) == pytest.approx(1.0)
-        val, expected, _ = biorth_value(0, 0, rp, CFG)
+        _, (expected,), _, _ = biorth_value([(0, 0, 0, 0)], rp, CFG)
         assert abs(expected - rp.beta_value()) <= 1e-13 * abs(expected)
 
     def test_norm_two_display_forms_agree(self, rp):
@@ -276,14 +278,33 @@ class TestBiorthogonality:
         # an exactly-zero cell stops at the rounding floor of the node sum
         from ehv.registry import default_rahman_params
 
-        val, expected, res = biorth_value(0, 1, default_rahman_params(0), CFG)
+        _, (expected,), _, res = biorth_value([(0, 1, 0, 0)],
+                                              default_rahman_params(0), CFG)
         assert expected == 0
         assert res.converged and res.nodes_used == 1024
+
+    def test_biorth2_mirror_sets_agree(self):
+        # the pshift set is the qshift set with (q, p) swapped, and Gamma is
+        # symmetric in (q, p): cell (n, m, 0, 0) of the one is (0, 0, m, n)
+        # of the other
+        from ehv.registry import biorth2_param_sets
+
+        set_a, set_b = biorth2_param_sets(0)
+        assert set_b.t == set_a.t and set_b.moduli == set_a.moduli.swapped()
+        cfg = QuadratureConfig(nodes_per_dim=1024, max_doublings=2,
+                               rel_tol=1e-11)
+        pairs = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        va, ea, _, _ = biorth_value([(n, m, 0, 0) for n, m in pairs],
+                                    set_a, cfg)
+        vb, _, _, _ = biorth_value([(0, 0, m, n) for n, m in pairs],
+                                   set_b, cfg)
+        scale = abs(ea[0])
+        assert max(abs(a - b) for a, b in zip(va, vb)) <= 1e-12 * scale
 
     def test_inadmissible_gate(self):
         rp = RahmanParams(t=(0.6, 0.6, 0.6, 0.6, 0.5), moduli=Moduli(0.3, 0.2))
         with pytest.raises(InadmissibleContour):
-            biorth_value(3, 2, rp, CFG)
+            biorth_value([(3, 2, 0, 0)], rp, CFG)
 
 
 class TestIntegralRepresentation:

@@ -148,6 +148,11 @@ class TestSweep:
         assert rows[0]["name"].endswith("[t0=0.3]")
         assert all(r["pass"] for r in rows)
 
+    def test_family_sweep_uses_the_rank_tolerance(self):
+        out = run("sweep", "cn1", "--grid", "q=0.31:0.31:1", "--n", "1")
+        assert out.returncode == 0
+        assert '"tol":1e-09' in out.stdout.splitlines()[0]
+
     def test_digest_covers_the_whole_spec(self, tmp_path):
         # two base points that differ only in t0, swept over the same t1 value
         rows = []

@@ -135,6 +135,48 @@ class TestDeterminism:
         assert a.value == pytest.approx(b.value, rel=1e-13)
 
 
+class TestCellAxis:
+    def test_cells_integrate_as_separate_meshes(self, e_spec):
+        ig = make_integrand(e_spec)
+
+        def flat(N):                 # exact at every grid: converges at once
+            return np.full(N, 0.3 + 0.2j)
+
+        def stacked(N):
+            return np.stack([flat(N), ig.mesh_eval(N)], axis=-1)
+
+        cfg = QuadratureConfig(nodes_per_dim=16, max_doublings=4,
+                               rel_tol=1e-10)
+        fast = integrate_mesh_fn(flat, 1, cfg)
+        slow = integrate_mesh_fn(ig.mesh_eval, 1, cfg)
+        both = integrate_mesh_fn(stacked, 1, cfg)
+        assert fast.nodes_used == 32 < slow.nodes_used
+        assert both.value.shape == (2,)
+        assert (both.nodes_used, both.converged, both.est_error) == \
+            (slow.nodes_used, slow.converged, slow.est_error)
+        fixed = QuadratureConfig(nodes_per_dim=slow.nodes_used,
+                                 max_doublings=0, rel_tol=1e-10)
+        assert both.value[0] == integrate_mesh_fn(flat, 1, fixed).value
+        assert both.value[1] == slow.value
+
+    def test_rank2_cells_same_bits(self):
+        ig = FactorIntegrand(2, Moduli(0.31, 0.23), [
+            Factor(Kind.THETA, 0.4 + 0.1j, (1, 0)),
+            Factor(Kind.THETA, 0.3 - 0.2j, (1, -1)),
+        ])
+
+        def cells(N):
+            vals = ig.mesh_eval(N)
+            return np.stack([vals, vals * (0.5 - 0.25j), vals.T], axis=-1)
+
+        cfg = QuadratureConfig(nodes_per_dim=16, max_doublings=1,
+                               rel_tol=1e-12)
+        both = integrate_mesh_fn(cells, 2, cfg)
+        for i in range(3):
+            one = integrate_mesh_fn(lambda N: cells(N)[..., i], 2, cfg)
+            assert both.value[i] == one.value
+
+
 class TestBudget:
     def test_initial_grid_over_budget(self, e_spec, monkeypatch):
         monkeypatch.setenv("EHV_MAX_NODES", "100")
