@@ -10,15 +10,20 @@ are coerced; the evaluators themselves are precision-agnostic.
 from __future__ import annotations
 
 import cmath
-
-import mpmath
+import sys
 
 STD = "std"
 EXTENDED = "extended"
 EXTENDED_DPS = 36
 
 _mode = STD
-_std_dps = mpmath.mp.dps     # dps in effect when extended mode was entered
+_std_dps = None              # dps in effect when extended mode was entered
+
+
+def _mpmath():
+    """mpmath, imported on first use: the float64 mode never needs it."""
+    import mpmath
+    return mpmath
 
 
 def set_precision(mode: str) -> None:
@@ -27,11 +32,12 @@ def set_precision(mode: str) -> None:
     if mode not in (STD, EXTENDED):
         raise ValueError(f"unknown precision mode {mode!r}")
     if mode == EXTENDED:
+        mp = _mpmath().mp
         if _mode == STD:
-            _std_dps = mpmath.mp.dps
-        mpmath.mp.dps = EXTENDED_DPS
+            _std_dps = mp.dps
+        mp.dps = EXTENDED_DPS
     elif _mode == EXTENDED:
-        mpmath.mp.dps = _std_dps
+        _mpmath().mp.dps = _std_dps
     _mode = mode
 
 
@@ -42,26 +48,27 @@ def get_precision() -> str:
 def coerce(x):
     """Coerce a number to the active mode's scalar type."""
     if _mode == EXTENDED:
-        return mpmath.mpc(x)
+        return _mpmath().mpc(x)
     return complex(x)
 
 
 def is_mp(x) -> bool:
-    return isinstance(x, (mpmath.mpf, mpmath.mpc))
+    mpmath = sys.modules.get("mpmath")   # no mpmath number before its import
+    return mpmath is not None and isinstance(x, (mpmath.mpf, mpmath.mpc))
 
 
 def cexp(x):
-    return mpmath.exp(x) if is_mp(x) else cmath.exp(x)
+    return _mpmath().exp(x) if is_mp(x) else cmath.exp(x)
 
 
 def clog(x):
-    return mpmath.log(x) if is_mp(x) else cmath.log(x)
+    return _mpmath().log(x) if is_mp(x) else cmath.log(x)
 
 
 def cpow(x, y):
     """Principal-branch power; exact for float base with int exponent."""
     if is_mp(x) or is_mp(y):
-        return mpmath.power(x, y)
+        return _mpmath().power(x, y)
     if isinstance(y, int):
         return x ** y
     return cmath.exp(y * cmath.log(x))

@@ -36,6 +36,11 @@ _TWO_PI = 2.0 * math.pi
 _LOG_SPACE_COUNT = 64
 _LOG_SPACE_MAGNITUDE = 1e3
 
+# PoleHit threshold: evaluation raises PoleHit instead of returning a huge
+# value when the relative distance to a pole (for elliptic gamma), or
+# |theta| of a reciprocal factor, falls below this.
+POLE_EPS = 1e-13
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -205,11 +210,6 @@ def theta_multi(zs, p, policy: TruncationPolicy | None = None):
     return acc
 
 
-# PoleHit threshold: |theta| below this times the natural scale is treated
-# as a pole of a reciprocal factor.
-_POLE_EPS = 1e-13
-
-
 def theta_factorial(z, p, q, n: int, policy: TruncationPolicy | None = None):
     """Elliptic shifted factorial theta(z; p; q)_n for any integer n.
 
@@ -232,7 +232,7 @@ def theta_factorial(z, p, q, n: int, policy: TruncationPolicy | None = None):
     for _ in range(-n):
         w = w / q
         f = theta(w, p, policy)
-        if abs(f) < _POLE_EPS:
+        if abs(f) < POLE_EPS:
             raise PoleHit(
                 f"theta_factorial denominator theta({w!r}; p) vanishes"
             )

@@ -10,6 +10,24 @@ is symmetric in (q, p), and satisfies the reflection law
 Gamma(z) Gamma(pq/z) = 1.  The complex-order shifted factorial is the ratio
 theta(z; p; q)_s = Gamma(z q^s) / Gamma(z).
 
+Evaluation uses the Laurent series of the logarithm on the annulus
+|pq| < |w| < 1, which holds no zero or pole of Gamma:
+
+    log Gamma(w; q, p) = sum_{m>=1} (w^m - (pq/w)^m) / (m (1 - q^m)(1 - p^m)).
+
+Shift law: with b the base of larger modulus and o the other,
+Gamma(b z) = theta(z; o) Gamma(z), so Gamma(z) = Gamma(z b^n) / S for n > 0
+and Gamma(z b^n) S for n < 0, with S = prod theta(z b^j; o) over j from
+min(n, 0) to max(n, 0) - 1.  n is the fewest steps that leave
+rho = max(|w|, |pq|/|w|) <= |o|^{1/2} at w = z b^n (tables accept a larger
+rho, see vec.py).  Truncation: M = policy.cutoff(1/((1-|q|)(1-|p|)), rho)
+terms, as |m (1-q^m)(1-p^m)| >= (1-|q|)(1-|p|) bounds the tail by the
+geometric rule of every product here.  Every zero of S is a zero or pole
+of Gamma, so a dividing factor within POLE_EPS relative distance of its
+theta zero raises PoleHit, and a multiplying one makes the value exactly 0:
+the reciprocal at z = 1 is exactly 0 through theta(1; o) = 0.  Either base
+0 leaves one Pochhammer symbol, Gamma(z; q, 0) = 1 / (z; q)_oo.
+
 Two relatives that remain sensible as |q| -> 1 are provided: the double
 sine S(u; w1, w2) built from the modularly paired bases q = e^{2 pi i
 w1/w2}, qt = e^{-2 pi i w2/w1}, and the modified gamma G(u; w1, w2, w3),
@@ -26,27 +44,58 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._backend import cexp, clog, cpow
-from .core import Moduli, TruncationPolicy, default_policy, qpochhammer
+import numpy as np
+
+from ._backend import cexp, cpow
+from .core import (POLE_EPS, Moduli, TruncationPolicy, default_policy,
+                   qpochhammer, theta)
 from .errors import NonConvergent, PoleHit, TruncationFailure
 
 _TWO_PI_I = 2j * math.pi
 
-# Relative distance to the pole lattice below which evaluation refuses to
-# return a huge value and raises PoleHit instead.
-_POLE_GUARD = 1e-13
+
+def shift_plan(zabs, q, p, rho_cap=0.0):
+    """(b, o, n): the bases of the shift law and its step count n.
+
+    n (> 0 inward) is the least |n| leaving rho = max(|w|, |pq|/|w|) at
+    most max(rho_cap, |o|^{1/2}) at |w| = |z b^n|.
+    """
+    qa, pa = float(abs(q)), float(abs(p))
+    b, o = (q, p) if qa >= pa else (p, q)
+    step = -math.log(max(qa, pa))
+    hi = math.log(max(rho_cap, math.sqrt(min(qa, pa))))
+    u = math.log(float(zabs))
+    n_lo, n_hi = (u - hi) / step, (u + hi - math.log(qa * pa)) / step
+    return b, o, max(math.ceil(n_lo), 0) + min(math.floor(n_hi), 0)
+
+
+def log_gamma_terms(w, q, p, policy: TruncationPolicy):
+    """Terms A_m, B_m (m = 1..M) of log Gamma(w x) = sum A_m x^m - B_m x^-m.
+
+    Holds for |x| = 1 when |pq| < |w| < 1; M is the module's truncation
+    rule.  Returns numpy arrays (of mpmath numbers in extended mode).
+    """
+    qa, pa, wa = float(abs(q)), float(abs(p)), float(abs(w))
+    M = policy.cutoff(1.0 / ((1.0 - qa) * (1.0 - pa)), max(wa, qa * pa / wa))
+    if M > policy.max_terms:
+        raise TruncationFailure(f"elliptic gamma series needs {M} terms, "
+                                f"policy allows {policy.max_terms}")
+    w_m, v_m, q_m, p_m = np.cumprod(np.full((M, 4), [w, q * p / w, q, p]),
+                                    axis=0).T
+    d = np.arange(1, M + 1) * (1.0 - q_m) * (1.0 - p_m)
+    return w_m / d, v_m / d
+
+
+def _zero_gap(x, o):
+    """|1 - x o^-k| for the zero o^k of theta(.; o) nearest x in modulus."""
+    k = round(math.log(float(abs(x))) / math.log(float(abs(o))))
+    return abs(1.0 - x * cpow(o, -k))
 
 
 def _gamma_core(z, q, p, policy: TruncationPolicy | None,
                 inverse: bool = False):
-    """Log-sum evaluation of the double product over the (j, k) lattice.
-
-    Rows in k are cut at the first index where the row's geometric tail
-    bound drops below eps; within a row, j is cut the same way.  With
-    inverse=True the reciprocal is computed directly, so points on the
-    pole lattice of Gamma give an exact 0 instead of PoleHit (integrand
-    denominators rely on this at z^2 = 1).
-    """
+    """Gamma(z; q, p), or 1/Gamma with inverse=True: exactly 0 where a shift
+    factor is, as at z = 1 (integrand denominators rely on this at z^2 = 1)."""
     if policy is None:
         policy = default_policy()
     if z == 0:
@@ -54,55 +103,27 @@ def _gamma_core(z, q, p, policy: TruncationPolicy | None,
     qa, pa = abs(q), abs(p)
     if qa >= 1.0 or pa >= 1.0:
         raise NonConvergent("elliptic gamma requires |q| < 1 and |p| < 1")
-    zi = 1.0 / z
     if pa == 0.0 or qa == 0.0:
         # Gamma(z; q, 0) = 1 / (z; q)_oo
         poch = qpochhammer(z, q if pa == 0.0 else p, policy)
         if inverse:
             return poch
-        if abs(poch) < _POLE_GUARD:
+        if abs(poch) < POLE_EPS:
             raise PoleHit("z within guard distance of the degenerate pole lattice")
         return 1.0 / poch
 
-    za = abs(z)
-    scale = max(za, qa * pa * abs(zi))
-    kmax = policy.cutoff(scale, pa)
-    total = 0
-    acc = 0.0
-    hit_zero = False
-    pk = 1.0 + 0.0 * p          # p^k
-    for _ in range(kmax):
-        row_scale = scale * abs(pk)
-        jmax = policy.cutoff(row_scale, qa) if row_scale > 0 else 1
-        total += jmax
-        if total > policy.max_terms:
-            raise TruncationFailure(
-                f"elliptic gamma lattice needs {total}+ terms, "
-                f"policy allows {policy.max_terms}"
-            )
-        w_den = z * pk          # z q^j p^k
-        w_num = (q * p * pk) * zi   # q^{j+1} p^{k+1} / z
-        for _ in range(jmax):
-            fd = 1.0 - w_den
-            fn = 1.0 - w_num
-            if not inverse and abs(fd) < _POLE_GUARD:
-                raise PoleHit(
-                    f"z within {_POLE_GUARD} relative distance of pole lattice"
-                )
-            if inverse and abs(fn) < _POLE_GUARD:
-                raise PoleHit(
-                    "z within guard distance of the reciprocal's pole lattice"
-                )
-            if inverse and fd == 0:
-                hit_zero = True
-            else:
-                acc = acc + clog(fn) - clog(fd)
-            w_den = w_den * q
-            w_num = w_num * q
-        pk = pk * p
-    if hit_zero:
-        return 0.0 + 0.0j
-    return cexp(-acc) if inverse else cexp(acc)
+    b, o, n = shift_plan(abs(z), q, p)
+    divide = (n > 0) != inverse        # the shift factors divide the result
+    shift = 1.0 + 0.0 * z
+    x = z * cpow(b, min(n, 0))
+    for _ in range(abs(n)):
+        if divide and _zero_gap(x, o) < POLE_EPS:
+            raise PoleHit(f"z within {POLE_EPS} relative distance of a pole")
+        shift = shift * theta(x, o, policy)
+        x = x * b
+    A, B = log_gamma_terms(z * cpow(b, n), q, p, policy)
+    g = cexp(B.sum() - A.sum() if inverse else A.sum() - B.sum())
+    return g / shift if divide else g * shift
 
 
 def elliptic_gamma(z, m: Moduli, policy: TruncationPolicy | None = None):
@@ -126,52 +147,37 @@ def elliptic_gamma_multi(zs, m: Moduli, policy: TruncationPolicy | None = None):
 
 def elliptic_factorial_s(z, s, m: Moduli, policy: TruncationPolicy | None = None):
     """theta(z; p; q)_s = Gamma(z q^s) / Gamma(z) for complex order s."""
-    qs = cpow(m.q, s)
-    num = _gamma_core(z * qs, m.q, m.p, policy)
-    den = _gamma_core(z, m.q, m.p, policy)
-    return num / den
+    return (_gamma_core(z * cpow(m.q, s), m.q, m.p, policy)
+            / _gamma_core(z, m.q, m.p, policy))
 
 
 @dataclass(frozen=True)
 class QuasiPeriods:
     """Quasi-period triple (w1, w2, w3) and its four derived bases.
 
-        q  = e^{2 pi i w1/w2}     qt = e^{-2 pi i w2/w1}
-        p  = e^{2 pi i w3/w2}     pt = e^{2 pi i w3/w1}
+        q  = e^{2 pi i w1/w2}     q_tilde = e^{-2 pi i w2/w1}
+        p  = e^{2 pi i w3/w2}     p_tilde = e^{2 pi i w3/w1}
     """
 
     omega1: complex
     omega2: complex
     omega3: complex
-    _bases: dict = field(init=False, repr=False, compare=False, default=None)
+    q: complex = field(init=False, repr=False, compare=False)
+    q_tilde: complex = field(init=False, repr=False, compare=False)
+    p: complex = field(init=False, repr=False, compare=False)
+    p_tilde: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = cexp(_TWO_PI_I * self.omega1 / self.omega2)
-        qt = cexp(-_TWO_PI_I * self.omega2 / self.omega1)
-        p = cexp(_TWO_PI_I * self.omega3 / self.omega2)
-        pt = cexp(_TWO_PI_I * self.omega3 / self.omega1)
-        object.__setattr__(self, "_bases", {"q": q, "qt": qt, "p": p, "pt": pt})
-
-    @property
-    def q(self):
-        return self._bases["q"]
-
-    @property
-    def q_tilde(self):
-        return self._bases["qt"]
-
-    @property
-    def p(self):
-        return self._bases["p"]
-
-    @property
-    def p_tilde(self):
-        return self._bases["pt"]
+        w1, w2, w3 = self.omega1, self.omega2, self.omega3
+        for name, x in (("q", w1 / w2), ("q_tilde", -w2 / w1),
+                        ("p", w3 / w2), ("p_tilde", w3 / w1)):
+            object.__setattr__(self, name, cexp(_TWO_PI_I * x))
 
     @property
     def validity(self) -> dict:
         """Which of the four derived bases lie inside the unit disk."""
-        return {name: abs(b) < 1.0 for name, b in self._bases.items()}
+        return {name: abs(b) < 1.0 for name, b in (
+            ("q", self.q), ("qt", self.q_tilde), ("p", self.p), ("pt", self.p_tilde))}
 
 
 def double_sine(u, omega1, omega2, policy: TruncationPolicy | None = None):
@@ -184,25 +190,19 @@ def double_sine(u, omega1, omega2, policy: TruncationPolicy | None = None):
         )
     num = qpochhammer(cexp(_TWO_PI_I * u / omega2), q, policy)
     den = qpochhammer(cexp(_TWO_PI_I * u / omega1) * qt, qt, policy)
-    if abs(den) < _POLE_GUARD:
+    if abs(den) < POLE_EPS:
         raise PoleHit("double sine denominator Pochhammer vanishes")
     return num / den
 
 
 def modified_gamma_G(u, w: QuasiPeriods, policy: TruncationPolicy | None = None):
-    """Modified elliptic gamma G(u; w1, w2, w3).
-
-    Evaluated as Gamma(x; q, p) * Gamma(pt / y; qt, pt) with
-    x = e^{2 pi i u/w2}, y = e^{2 pi i u/w1}; multiplying out the two
-    double products reproduces the defining four-fold product factor by
-    factor.
-    """
+    """Modified elliptic gamma G(u; w1, w2, w3) = Gamma(x; q, p) Gamma(pt/y;
+    qt, pt), x = e^{2 pi i u/w2}, y = e^{2 pi i u/w1}: the two double products
+    multiply out to the defining four-fold product factor by factor."""
     v = w.validity
     if not (v["q"] and v["p"] and v["pt"]):
-        raise NonConvergent(
-            "modified gamma requires |q|, |p|, |pt| < 1; "
-            f"validity flags: {v}"
-        )
+        raise NonConvergent(f"modified gamma requires |q|, |p|, |pt| < 1; "
+                            f"validity flags: {v}")
     x = cexp(_TWO_PI_I * u / w.omega2)
     y = cexp(_TWO_PI_I * u / w.omega1)
     part_qp = _gamma_core(x, w.q, w.p, policy)

@@ -326,7 +326,7 @@ class FactorIntegrand:
                 key = (f.c, f.kind is Kind.IGAMMA)
                 tab = gamma_cache.get(key)
                 if tab is None:
-                    tab = gamma_vec(f.c * z1d, m.q, m.p,
+                    tab = gamma_vec(f.c, N, m.q, m.p,
                                     inverse=f.kind is Kind.IGAMMA)
                     gamma_cache[key] = tab
                 return tab

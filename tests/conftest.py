@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ehv import _backend
 from ehv.core import Moduli
 
 
@@ -24,3 +25,10 @@ def rand_arg(rng, lo, hi):
 @pytest.fixture
 def arg():
     return rand_arg
+
+
+@pytest.fixture
+def extended():
+    _backend.set_precision(_backend.EXTENDED)
+    yield
+    _backend.set_precision(_backend.STD)

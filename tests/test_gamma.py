@@ -1,20 +1,60 @@
 """Elliptic gamma, double sine, and the modified gamma function."""
 
 import cmath
+import functools
+import math
+import random
 
+import mpmath
+import numpy as np
 import pytest
 
-from ehv.core import Moduli, qpochhammer, theta
-from ehv.errors import NonConvergent, PoleHit
+from ehv.core import Moduli, TruncationPolicy, qpochhammer, theta
+from ehv.errors import NonConvergent, PoleHit, TruncationFailure
 from ehv.gamma import (
     QuasiPeriods,
     double_sine,
     elliptic_factorial_s,
     elliptic_gamma,
     elliptic_gamma_multi,
+    elliptic_gamma_reciprocal,
     modified_gamma_G,
 )
 from ehv.core import theta_factorial
+from ehv.vec import gamma_vec
+
+# (q, p) pairs of the reference grids: real, unbalanced both ways, complex
+REF_MODULI = ((0.31, 0.23), (0.8, 0.1), (0.1, 0.8), (0.5 + 0.3j, 0.2 - 0.1j))
+
+
+def gamma_ref(z, q, p):
+    """Gamma(z; q, p) as the 40-digit double product, independent of ehv."""
+    return _gamma_ref(z, *sorted((q, p), key=abs, reverse=True))
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma_ref(z, q, p):
+    # Rows run over p, the base of smaller modulus; each row (and the row
+    # loop) stops once its first factor is within 1e-36 of 1.
+    with mpmath.workdps(40):
+        z, q, p = mpmath.mpc(z), mpmath.mpc(q), mpmath.mpc(p)
+        log_tiny, log_q = math.log(1e-36), math.log(abs(q))
+        num = den = mpmath.mpc(1)
+        a, b = z, q * p / z                 # z p^k and q p^{k+1} / z
+        while (s := float(max(abs(a), abs(b)))) >= 1e-36:
+            x, y = a, b
+            for _ in range(max(1, math.ceil((log_tiny - math.log(s)) / log_q))):
+                den *= 1 - x
+                num *= 1 - y
+                x *= q
+                y *= q
+            a *= p
+            b *= p
+        return num / den
+
+
+def _rel_err(got, want):
+    return abs(got - want) / abs(want)
 
 
 class TestEllipticGamma:
@@ -69,9 +109,74 @@ class TestEllipticGamma:
         with pytest.raises(PoleHit):
             elliptic_gamma(1.0 / moduli.q, moduli)
 
+    def test_pole_guard_both_directions(self, moduli):
+        pq = moduli.p * moduli.q
+        with pytest.raises(PoleHit):
+            elliptic_gamma(1.0 + 1e-14, moduli)
+        with pytest.raises(PoleHit):
+            elliptic_gamma_reciprocal(pq * (1.0 + 1e-14), moduli)
+        assert math.isfinite(abs(elliptic_gamma(1.0 + 1e-10, moduli)))
+        assert math.isfinite(abs(elliptic_gamma_reciprocal(pq * (1.0 + 1e-10),
+                                                           moduli)))
+        assert elliptic_gamma_reciprocal(1.0, moduli) == 0
+
+    def test_series_beyond_max_terms(self, moduli):
+        with pytest.raises(TruncationFailure):
+            elliptic_gamma(0.5 + 0.1j, moduli, TruncationPolicy(max_terms=5))
+
+    def test_matches_double_product(self):
+        worst = 0.0
+        for z, m in _scalar_grid():
+            worst = max(worst, _rel_err(elliptic_gamma(z, m),
+                                        gamma_ref(z, m.q, m.p)))
+        assert worst <= 1e-13
+
+    def test_matches_double_product_extended(self, extended):
+        tol = mpmath.mpf(10) ** -30
+        for z, m in _scalar_grid():
+            mm = Moduli(mpmath.mpc(m.q), mpmath.mpc(m.p))
+            got = elliptic_gamma(mpmath.mpc(z), mm)
+            assert _rel_err(got, gamma_ref(z, m.q, m.p)) <= tol
+
     def test_nonconvergent(self):
         with pytest.raises(ValueError):
             Moduli(1.2, 0.3)
+
+
+def _scalar_grid():
+    """Seeded (z, moduli): |z| >= 1, |z| = 0.999, inside the annulus and
+    at or below |pq|, each with a random phase."""
+    rng = random.Random(6029)
+    out = []
+    for q, p in REF_MODULI[:2] + REF_MODULI[3:]:
+        pq = abs(q * p)
+        for r in (1.7, 1.0, 0.999, 0.45, pq, 0.6 * pq):
+            out.append((r * cmath.exp(2j * cmath.pi * rng.random()),
+                        Moduli(q, p)))
+    return out
+
+
+class TestGammaTable:
+    @pytest.mark.parametrize("q, p", REF_MODULI)
+    def test_matches_double_product(self, q, p):
+        """Seeded nodes of every table agree with the 40-digit product."""
+        rng = random.Random(6029)
+        pq = abs(q * p)
+        for r in (1.0, 0.999, 0.45, 1.01 * pq, 1.3):
+            c = 1.0 if r == 1.0 else r * cmath.exp(2j * cmath.pi * rng.random())
+            j = rng.randrange(1, 32)         # the same node k / N = j / 32
+            for N in (96, 512, 2048):
+                k = j * N // 32
+                z = (c * np.exp(2j * np.pi * np.arange(N) / N))[k]
+                ref = gamma_ref(complex(z), q, p)
+                inv = gamma_vec(c, N, q, p, inverse=True)
+                assert _rel_err(inv[k], 1 / ref) <= 1e-13
+                if r == 1.0:
+                    assert inv[0] == 0
+                    with pytest.raises(PoleHit):
+                        gamma_vec(c, N, q, p)
+                else:
+                    assert _rel_err(gamma_vec(c, N, q, p)[k], ref) <= 1e-13
 
 
 class TestGammaMulti:

@@ -1,19 +1,14 @@
 """Extended-precision mode: same interfaces, mpmath scalars underneath."""
 
+import subprocess
+import sys
+
 import mpmath
-import pytest
 
 from ehv import _backend
 from ehv.core import Moduli, qpochhammer, theta, theta_factorial
 from ehv.gamma import elliptic_gamma
 from ehv.series import VSpec, sum_V
-
-
-@pytest.fixture
-def extended():
-    _backend.set_precision(_backend.EXTENDED)
-    yield
-    _backend.set_precision(_backend.STD)
 
 
 def test_theta_matches_std(extended):
@@ -73,3 +68,10 @@ def test_std_restores_dps_of_entry():
         assert mpmath.mp.dps == _backend.EXTENDED_DPS
         _backend.set_precision(_backend.STD)
         assert mpmath.mp.dps == 20
+
+
+def test_std_mode_leaves_mpmath_unimported():
+    code = "import sys, ehv.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.stdout.strip() == "False"
