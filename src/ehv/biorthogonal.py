@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import cpow
-from .core import Moduli, theta, theta_factorial_multi, theta_multi
+from .core import (DEGENERATE_EPS, Moduli, theta, theta_factorial_multi,
+                   theta_multi)
 from .errors import InadmissibleContour, SingularStep
 from .integrands import (Family, IntegrandSpec, ParamSet, make_integrand,
                          rhs_closed_form, validate_domain)
@@ -289,7 +290,7 @@ def recurrence_next(R_prev, R_curr, n: int, z, rp: RahmanParams,
     alpha_next = gam(cpow(q, n + 1) / t4)      # alpha_k = gamma(q^k / t4)
     beta_prev = gam(cpow(q, n - 2) * A)        # beta_k  = gamma(q^(k-1) A)
     lead = (gz - alpha_next) * B(A * cpow(q, n - 1) / t4)
-    if abs(lead) < 1e-250:
+    if abs(lead) < DEGENERATE_EPS:
         raise SingularStep("leading recurrence coefficient vanishes")
     rest = ((gz - beta_prev) * B(cpow(q, -n)) * (R_prev - R_curr)
             + delta * (gz - gam(t3)) * R_curr)

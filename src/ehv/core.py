@@ -19,10 +19,24 @@ The Jacobi theta_1 function is exposed through the multiplicative theta via
 with q = exp(2 pi i sigma), p = exp(2 pi i tau).  Principal branches are
 fixed by evaluating p^(1/8) = exp(pi i tau / 4) and q^(-u/2) = exp(-pi i
 sigma u) directly from the modular parameters.
+
+Scalar theta is memoized.  ``theta(z, p, policy)`` is a pure function of
+its arguments, and one check evaluates the same arguments many times (a
+residual and its scale, the term ratios of a terminating sum), so the
+public ``theta`` keeps the last ``THETA_MEMO_SIZE`` values in an LRU memo
+keyed on (z, p, policy) and on the types of z and p.  Only floats and
+complex numbers without a zero part are memoized, so two equal keys always
+have the same bits (no signed zero can hide behind ``==``); mpmath numbers,
+whose arithmetic depends on ``mp.dps``, bypass it, so a value is never
+served at another precision.  Exceptions are never memoized.
+``registry.run_check`` calls ``clear_memo()`` first, so the memo's scope
+is one check call.  The 16 powers p^(+-k), k <= 8, of theta's exact-zero
+test are built once per base.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +54,18 @@ _LOG_SPACE_MAGNITUDE = 1e3
 # value when the relative distance to a pole (for elliptic gamma), or
 # |theta| of a reciprocal factor, falls below this.
 POLE_EPS = 1e-13
+
+# Degeneracy guards: an identity raises DegenerateConfiguration, and the
+# biorthogonal recurrence SingularStep, when a value it divides by is below
+# DEGENERATE_EPS; a series raises PoleHit when a denominator factorial is
+# below DENOMINATOR_EPS.  Both only catch values that underflow towards 0;
+# near-poles are POLE_EPS's job.
+DEGENERATE_EPS = 1e-250
+DENOMINATOR_EPS = 1e-280
+
+# Entries of theta's memo: one check call repeats arguments within a few
+# hundred evaluations (a residual and its scale, consecutive sum terms).
+THETA_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -143,24 +169,55 @@ def qpochhammer(z, b, policy: TruncationPolicy | None = None):
     return acc
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _zero_lattice(p) -> frozenset:
+    # The zeros of theta at z = p^k, 1 <= |k| <= 8, built from the same
+    # power expressions a caller would write (p**k and p**(-k)), so the
+    # exact-zero test stays exact in floating point.
+    powers = set()
+    for k in range(1, 9):
+        powers.add(p ** k)
+        try:
+            powers.add(p ** (-k))
+        except OverflowError:       # |p| < 1e-38: no finite z is that large
+            break
+    return frozenset(powers)
+
+
 def _on_zero_lattice(z, p) -> bool:
-    # Exact-zero detection: the zeros of theta lie at z = p^k.  Comparing
-    # against the same power expressions a caller would build (p**k and
-    # p**(-k)) keeps the check exact in floating point for |k| <= 8.
     if z == 1:
         return True
     if p == 0:
         return False
-    for k in range(1, 9):
-        if z == p ** k or z == p ** (-k):
-            return True
-    return False
+    if _memoizable(p):
+        return z in _zero_lattice(p)
+    return z in _zero_lattice.__wrapped__(p)
+
+
+def _memoizable(x) -> bool:
+    """Whether values equal to x have its bits: a float, or a complex with
+    no zero part (0j == -0j); never an mpmath number, whose arithmetic
+    follows the working precision."""
+    t = type(x)
+    return t is float or (t is complex and x.real != 0 and x.imag != 0)
+
+
+def clear_memo() -> None:
+    """Empty theta's memo and the per-base zero lattices."""
+    _theta_memo.cache_clear()
+    _zero_lattice.cache_clear()
 
 
 def theta(z, p, policy: TruncationPolicy | None = None):
-    """theta(z; p) = (z; p)_oo (p/z; p)_oo."""
+    """theta(z; p) = (z; p)_oo (p/z; p)_oo, memoized (module docstring)."""
     if policy is None:
         policy = default_policy()
+    if _memoizable(z) and _memoizable(p):
+        return _theta_memo(z, p, policy)
+    return _theta_product(z, p, policy)
+
+
+def _theta_product(z, p, policy: TruncationPolicy):
     if z == 0:
         raise DomainError("theta requires z != 0")
     pabs = abs(p)
@@ -196,6 +253,10 @@ def theta(z, p, policy: TruncationPolicy | None = None):
         w1 = w1 * p
         w2 = w2 * p
     return acc
+
+
+_theta_memo = functools.lru_cache(maxsize=THETA_MEMO_SIZE, typed=True)(
+    _theta_product)
 
 
 def theta_multi(zs, p, policy: TruncationPolicy | None = None):

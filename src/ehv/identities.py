@@ -15,7 +15,8 @@ import math
 from enum import Enum
 
 from ._backend import cpow
-from .core import Moduli, theta, theta_multi, theta_factorial_multi
+from .core import (DEGENERATE_EPS, Moduli, theta, theta_multi,
+                   theta_factorial_multi)
 from .errors import DegenerateConfiguration, PoleHit
 from .series import tree_sum
 
@@ -57,7 +58,7 @@ def _partial_fraction_parts(a, b, t, p):
         raise DegenerateConfiguration("prod(a) == prod(b) is excluded")
     for r in range(n):
         for j in range(n):
-            if j != r and abs(theta(a[r] / a[j], p)) < 1e-250:
+            if j != r and abs(theta(a[r] / a[j], p)) < DEGENERATE_EPS:
                 raise DegenerateConfiguration(
                     f"pole collision theta(a_{r}/a_{j}; p) = 0"
                 )
@@ -109,7 +110,7 @@ def _id1_terms(t, z, B, p):
     for v in t:
         A *= v
     thA = theta(A, p)
-    if abs(thA) < 1e-250:
+    if abs(thA) < DEGENERATE_EPS:
         raise DegenerateConfiguration("theta(A; p) = 0")
     n1 = len(t)
     terms = []
@@ -118,7 +119,7 @@ def _id1_terms(t, z, B, p):
         for j in range(n1):
             if j != r:
                 d = theta(t[r] / t[j], p)
-                if abs(d) < 1e-250:
+                if abs(d) < DEGENERATE_EPS:
                     raise DegenerateConfiguration("t_r/t_j collision")
                 val *= theta(A * B * t[j], p) / d
         for k in range(n1):
@@ -156,7 +157,7 @@ def _id3_parts(t, f, p):
     AB = A * B
     lhs_num = theta_multi([AB / fj for fj in f], p)
     lhs_den = theta_multi([AB * tj for tj in t], p)
-    if abs(lhs_den) < 1e-250:
+    if abs(lhs_den) < DEGENERATE_EPS:
         raise DegenerateConfiguration("theta(A B t_j; p) = 0")
     terms = []
     for r in range(len(t)):
@@ -165,7 +166,7 @@ def _id3_parts(t, f, p):
         for j in range(len(t)):
             if j != r:
                 d = theta(t[r] / t[j], p)
-                if abs(d) < 1e-250:
+                if abs(d) < DEGENERATE_EPS:
                     raise DegenerateConfiguration("t_r/t_j collision")
                 den *= d
         terms.append(num / den)
@@ -280,7 +281,7 @@ def an_shift_coefficients(t, f, p):
     for v in f:
         B *= v
     thA = theta(A, p)
-    if abs(thA) < 1e-250:
+    if abs(thA) < DEGENERATE_EPS:
         raise DegenerateConfiguration("theta(A; p) = 0")
     coeffs = []
     for r in range(len(t)):
@@ -288,7 +289,7 @@ def an_shift_coefficients(t, f, p):
         for j in range(len(t)):
             if j != r:
                 d = theta(t[r] / t[j], p)
-                if abs(d) < 1e-250:
+                if abs(d) < DEGENERATE_EPS:
                     raise DegenerateConfiguration("t_r/t_j collision")
                 val *= theta(A * B * t[j], p) / d
         coeffs.append(val)

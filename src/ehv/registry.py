@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from ._backend import coerce
-from .core import Moduli, qpochhammer
+from .core import Moduli, clear_memo, qpochhammer
 from .errors import EHVError, PoleHit
 from .gamma import elliptic_gamma
 from .identities import (
@@ -774,9 +774,11 @@ def check_degeneration_p0(opts, tol):
 def run_check(name: str, opts: CheckOptions) -> list[VerificationReport]:
     """The rows of check ``name`` at ``opts.tol`` or the check's default; each
     row's runtime_ms is the wall time since the previous row (sampling
-    included)."""
+    included).  Every call starts with theta's memo empty, so no call's time
+    depends on the calls before it."""
     if name not in REGISTRY:
         raise EHVError(f"unknown identity {name!r}; known: {sorted(REGISTRY)}")
     fn, default_tol = REGISTRY[name]
     _reset_rejections()
+    clear_memo()
     return list(timed_rows(fn(opts, opts.tol or default_tol)))

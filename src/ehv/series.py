@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass, field
 
 from ._backend import cexp, cpow
-from .core import Moduli, theta, theta_factorial, theta_factorial_multi, theta_multi
+from .core import (DENOMINATOR_EPS, Moduli, theta, theta_factorial,
+                   theta_factorial_multi, theta_multi)
 from .errors import (
     BalancingViolation,
     ConstraintViolation,
@@ -170,7 +171,7 @@ def sum_E_info(spec: SeriesSpec) -> SeriesEval:
     for n in range(n_stop):
         num = theta_multi([v * q ** n for v in spec.t], p)
         den = theta(q ** (n + 1), p) * theta_multi([v * q ** n for v in spec.w], p)
-        if den == 0 or abs(den) < 1e-280:
+        if den == 0 or abs(den) < DENOMINATOR_EPS:
             raise PoleHit(f"denominator factorial vanishes at term {n + 1}")
         h = (num / den) * cexp(_p3_step(spec.alpha, n))
         coeff = coeff * h
@@ -257,7 +258,7 @@ def sum_V_info(spec: VSpec) -> SeriesEval:
             num = num * theta(v * q ** n, p)
             d = theta(q * spec.t0 / v * q ** n, p)
             den = den * d
-        if den == 0 or abs(den) < 1e-280:
+        if den == 0 or abs(den) < DENOMINATOR_EPS:
             raise PoleHit(f"denominator factorial vanishes at term {n + 1}")
         fac = fac * (num / den)
         if fac == 0:
@@ -292,7 +293,7 @@ def frenkel_turaev_rhs(t0, t1, t4, t5, N: int, m: Moduli):
     den = theta_factorial_multi(
         [q * t0 / (t1 * t4 * t5), q * t0 / t1, q * t0 / t4, q * t0 / t5],
         p, q, N)
-    if den == 0 or abs(den) < 1e-280:
+    if den == 0 or abs(den) < DENOMINATOR_EPS:
         raise PoleHit("closed-form denominator factorial vanishes")
     return num / den
 

@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehv.core import (
+    DEFAULT_POLICY,
+    THETA_MEMO_SIZE,
     Moduli,
     TruncationPolicy,
+    _theta_memo,
+    _theta_product,
+    clear_memo,
     qpochhammer,
     theta,
     theta1,
@@ -83,9 +88,13 @@ class TestTheta:
         assert abs(theta(p * z, p) + val / z) <= 1e-13 * abs(val)
 
     def test_zero_lattice_exact(self):
-        for p in (0.3, 0.25, 0.3 + 0.1j):
-            for k in range(-3, 4):
+        for p in (0.3, 0.25, 0.3 + 0.1j, 0.05 - 0.4j):
+            for k in range(-8, 9):
                 assert theta(p ** k, p) == 0.0
+
+    def test_tiny_base_does_not_overflow(self):
+        # p**(-8) overflows a float; theta(z; p) ~ (1 - z)(1 - p/z)
+        assert theta(3e-40, 1e-40) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_quasi_periodicity_annulus(self, rng, arg):
         worst = 0.0
@@ -103,6 +112,58 @@ class TestTheta:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             theta(0.0, 0.3)
+
+
+class TestThetaMemo:
+    @staticmethod
+    def grid(rng, arg):
+        """(z, p) pairs over real, complex and zero bases: random z, the
+        log-space path (|z| > 1e3 with more than 64 factors), the zero
+        lattice, and a float z next to complex ones of equal value.  At
+        z = p = -0.45 the sign of z's zero imaginary part reaches the value:
+        theta is (-0+0j) at +0.0 and -0j at -0.0."""
+        for p in (0.25, -0.45, 0.7, 0.3 + 0.1j, 0.05 - 0.4j, 0.6 + 0.3j, 0.0):
+            zs = [arg(rng, 0.1, 3.0) for _ in range(6)]
+            zs.append(arg(rng, 1e3, 5e3))
+            if p != 0:
+                zs += [p ** k for k in range(-8, 9)]
+                zs += [complex(p, 0.0), complex(p, -0.0)]
+            zs += [0.4, 0.4 + 0j, complex(0.4, -0.0)]
+            for z in zs:
+                yield z, p
+
+    def test_equals_product_loop(self, rng, arg):
+        cases = list(self.grid(rng, arg))
+        assert any(abs(z) > 1e3 and DEFAULT_POLICY.cutoff(abs(z), abs(p)) > 64
+                   for z, p in cases)
+        clear_memo()
+        for z, p in cases:
+            want = repr(_theta_product(z, p, DEFAULT_POLICY))
+            assert repr(theta(z, p)) == want, (z, p)
+            assert repr(theta(z, p)) == want, (z, p)      # from the memo
+        assert _theta_memo.cache_info().hits > 0
+
+    def test_errors_raise_every_time(self):
+        tight = TruncationPolicy(max_terms=4)
+        for _ in range(3):
+            for z in (0.0, 0j):
+                with pytest.raises(DomainError):
+                    theta(z, 0.3 + 0.1j)
+            for p in (1.0, 1.2j, 0.6 + 0.8j):
+                with pytest.raises(NonConvergent):
+                    theta(0.4 + 0.1j, p)
+            with pytest.raises(TruncationFailure):
+                theta(0.4 + 0.1j, 0.5 + 0.1j, tight)
+
+    def test_stays_within_bound(self, rng, arg):
+        clear_memo()
+        for _ in range(3 * THETA_MEMO_SIZE):
+            theta(arg(rng, 0.1, 3.0), 0.3 + 0.1j)
+        info = _theta_memo.cache_info()
+        assert info.maxsize == THETA_MEMO_SIZE
+        assert info.currsize == THETA_MEMO_SIZE
+        clear_memo()
+        assert _theta_memo.cache_info().currsize == 0
 
 
 class TestThetaMulti:

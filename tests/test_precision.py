@@ -4,11 +4,24 @@ import subprocess
 import sys
 
 import mpmath
+import pytest
 
 from ehv import _backend
-from ehv.core import Moduli, qpochhammer, theta, theta_factorial
+from ehv.core import (Moduli, TruncationPolicy, _theta_product, default_policy,
+                      qpochhammer, theta, theta_factorial)
+from ehv.errors import TruncationFailure
 from ehv.gamma import elliptic_gamma
 from ehv.series import VSpec, sum_V
+
+
+def direct_theta(z, p, terms):
+    out = 1
+    w1, w2 = z, p / z
+    for _ in range(terms):
+        out *= (1 - w1) * (1 - w2)
+        w1 *= p
+        w2 *= p
+    return out
 
 
 def test_theta_matches_std(extended):
@@ -17,6 +30,32 @@ def test_theta_matches_std(extended):
     hi = theta(z, p)
     lo = theta(0.4 + 0.1j, 0.25)
     assert abs(complex(hi) - lo) <= 1e-14 * abs(lo)
+
+
+def test_theta_memo_keeps_precisions_apart():
+    # The same arguments and policy at 15 digits, at 36, then at 15 again:
+    # each call gives the value of its own precision.
+    z, p = 0.4 + 0.1j, 0.25 + 0.05j
+    zm, pm = mpmath.mpc(z), mpmath.mpc(p)
+    fine = TruncationPolicy(eps=1e-38, max_terms=16384)
+    with mpmath.workdps(50):
+        ref = direct_theta(zm, pm, 200)
+    lo = theta(z, p)
+    lo_mp = theta(zm, pm, fine)
+    assert abs(lo_mp - ref) > 1e-20 * abs(ref)
+    _backend.set_precision(_backend.EXTENDED)
+    try:
+        hi = theta(zm, pm, fine)
+        assert abs(hi - ref) < 1e-30 * abs(ref)
+        assert theta(z, p) == _theta_product(z, p, default_policy())
+        # 13288 factors: within the extended policy's max_terms only
+        assert abs(theta(z, 0.993)) > 0
+    finally:
+        _backend.set_precision(_backend.STD)
+    assert repr(theta(z, p)) == repr(lo)
+    assert theta(zm, pm, fine) == lo_mp
+    with pytest.raises(TruncationFailure):
+        theta(z, 0.993)
 
 
 def test_gamma_difference_law_at_30_digits(extended):

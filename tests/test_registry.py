@@ -1,7 +1,15 @@
-"""run_check: the registry's row timing."""
+"""run_check: the registry's row timing and its independence of history."""
 
+import dataclasses
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import ehv
+from ehv import _backend
 from ehv.registry import CheckOptions, run_check
 
 
@@ -18,3 +26,27 @@ def test_rows_add_up_to_the_call():
     wall_ms = (time.perf_counter() - start) * 1e3
     total = sum(r.runtime_ms for r in reports)
     assert 0.9 * wall_ms <= total <= wall_ms
+
+
+def test_rows_do_not_depend_on_earlier_calls():
+    # id1 in a fresh interpreter, then here after other checks and an
+    # extended-precision call: theta's memo is emptied by every run_check
+    code = ("import dataclasses, json\n"
+            "from ehv.registry import CheckOptions, run_check\n"
+            "rows = run_check('id1', CheckOptions(seed=0))\n"
+            "print(json.dumps([repr(dataclasses.replace(r, runtime_ms=0.0))"
+            " for r in rows]))")
+    src = str(Path(ehv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True, env=env)
+    run_check("ident", CheckOptions(seed=0))
+    run_check("bailey", CheckOptions(seed=0))
+    _backend.set_precision(_backend.EXTENDED)
+    try:
+        run_check("degeneration_p0", CheckOptions(seed=0))
+    finally:
+        _backend.set_precision(_backend.STD)
+    after = run_check("id1", CheckOptions(seed=0))
+    assert ([repr(dataclasses.replace(r, runtime_ms=0.0)) for r in after]
+            == json.loads(fresh.stdout))
