@@ -307,14 +307,6 @@ class ContourCheck:
     worst_margin: float
 
 
-def _unit_circle_check(candidates) -> ContourCheck:
-    """Admissible iff every interior-pole candidate has modulus <= 1 - 1e-6."""
-    worst = max(candidates, key=abs)
-    margin = 1.0 - abs(worst)
-    return ContourCheck(admissible=margin >= _MARGIN, worst_pole=worst,
-                        worst_margin=margin)
-
-
 def _require_admissible(chk: ContourCheck, what: str) -> None:
     if not chk.admissible:
         raise InadmissibleContour(
@@ -326,13 +318,16 @@ def _require_admissible(chk: ContourCheck, what: str) -> None:
 def contour_check(m: int, n: int, k: int, l: int, rp: RahmanParams) -> ContourCheck:
     """Is the unit circle itself a valid separating contour?
 
-    Extremal interior-pole candidates: t_0..t_3, t_4 q^-m p^-k, and
-    A^-1 q^(1-n) p^(1-l).
+    Admissible iff every extremal interior-pole candidate -- t_0..t_3,
+    t_4 q^-m p^-k and A^-1 q^(1-n) p^(1-l) -- has modulus <= 1 - 1e-6.
     """
     q, p = rp.moduli.q, rp.moduli.p
-    return _unit_circle_check(list(rp.t[:4]) + [
-        rp.t[4] * cpow(q, -m) * cpow(p, -k),
-        cpow(q, 1 - n) * cpow(p, 1 - l) / rp.A])
+    worst = max(list(rp.t[:4]) + [rp.t[4] * cpow(q, -m) * cpow(p, -k),
+                                  cpow(q, 1 - n) * cpow(p, 1 - l) / rp.A],
+                key=abs)
+    margin = 1.0 - abs(worst)
+    return ContourCheck(admissible=margin >= _MARGIN, worst_pole=worst,
+                        worst_margin=margin)
 
 
 def norm_h(n: int, rp: RahmanParams, base: str = "q"):
@@ -354,6 +349,30 @@ def norm_h2(n: int, l: int, rp: RahmanParams):
     return norm_h(n, rp, "q") * norm_h(l, rp, "p")
 
 
+def _gram(rp: RahmanParams, tables, cfg: QuadratureConfig | None):
+    """One driver call over the beta weight times per-cell node tables.
+
+    tables(z) -> (factors, divisors), lists of (cells, N) tables on the N
+    roots of unity z: cell c integrates the weight times row c of every
+    factor, then divided by row c of every divisor, in list order.
+    """
+    weight = make_integrand(rp.weight_spec())
+
+    def mesh(N):
+        z1d = np.exp(2j * np.pi * np.arange(N) / N)
+        # Named tables: numpy would multiply into a large temporary in
+        # place, which rounds differently from a product into a new array.
+        factors, divisors = tables(z1d)
+        vals = weight.mesh_eval(N)
+        for tab in factors:
+            vals = vals * tab
+        for tab in divisors:
+            vals = vals / tab
+        return vals.T
+
+    return integrate_mesh_fn(mesh, 1, cfg)
+
+
 def biorth_value(cells, rp: RahmanParams, cfg: QuadratureConfig | None = None):
     """Scalar products of T_[n,l] and R_[m,k] over cells (n, m, k, l): one
     Gram matrix on the beta weight, one driver call.  Returns (integrals,
@@ -364,21 +383,9 @@ def biorth_value(cells, rp: RahmanParams, cfg: QuadratureConfig | None = None):
         _require_admissible(contour_check(m, n, k, l, rp),
                             f"indices (n={n},m={m},k={k},l={l})")
     ns, ms, ks, ls = (list(idx) for idx in zip(*cells))
-    weight = make_integrand(rp.weight_spec())
     factors = ((ms, "R", "q"), (ns, "T", "q"), (ks, "R", "p"), (ls, "T", "p"))
-
-    def mesh(N):
-        z1d = np.exp(2j * np.pi * np.arange(N) / N)
-        # Named tables: numpy would multiply into a large temporary in
-        # place, which rounds differently from a product into a new array.
-        tables = [_family_rows(z1d, idx, rp, kind, base)
-                  for idx, kind, base in factors]
-        vals = weight.mesh_eval(N)
-        for tab in tables:
-            vals = vals * tab
-        return vals.T
-
-    res = integrate_mesh_fn(mesh, 1, cfg)
+    res = _gram(rp, lambda z: ([_family_rows(z, idx, rp, kind, base)
+                                for idx, kind, base in factors], []), cfg)
     beta = rp.beta_value()
     h_q = [norm_h(j, rp) for j in range(max(ns + ms) + 1)]
     expected = [(h_q[n] * norm_h(k, rp, "p") if k else h_q[n]) * beta
@@ -419,96 +426,83 @@ def _theta_factorial_vec(z, p, q, k: int):
     return out
 
 
-def twelveV_integral_rep_sides(alpha, beta, m: int, n: int, rp: RahmanParams,
+def _factorial_rows(w, p, q, depths):
+    """Table (len(depths), N) of theta(w; p; q)_k, one row per depth k,
+    each distinct depth built once."""
+    tables = {k: _theta_factorial_vec(w, p, q, k) for k in set(depths)}
+    return np.stack([tables[k] for k in depths])
+
+
+def _shift_tables(a, b, cells, rp: RahmanParams):
+    """Node tables, for _gram, of the per-cell (i, j) shift
+
+        theta(a z^+-1; p; q)_i theta(b z^+-1; q; p)_j
+            / [theta(A z^+-1; p; q)_i theta(A z^+-1; q; p)_j].
+    """
+    q, p = rp.moduli.q, rp.moduli.p
+    i_q, j_p = (list(depths) for depths in zip(*cells))
+
+    def tables(z):
+        def pair(c, nome, base, depths):
+            return [_factorial_rows(c * z, nome, base, depths),
+                    _factorial_rows(c / z, nome, base, depths)]
+
+        return (pair(a, p, q, i_q) + pair(b, q, p, j_p),
+                pair(rp.A, p, q, i_q) + pair(rp.A, q, p, j_p))
+
+    return tables
+
+
+def twelveV_integral_rep_sides(alpha, beta, depths, rp: RahmanParams,
                                cfg: QuadratureConfig | None = None):
-    """(product of the two terminating series, prefactor * quadrature).
+    """Per-depth (product of the two terminating series, prefactor *
+    quadrature) lists and the one QuadratureResult.
 
     The representation couples a q-base series of depth m and a p-base
-    series of depth n to one contour integral against the beta weight.
+    series of depth n to one contour integral against the beta weight; the
+    depths (m, n) are the cells of one Gram integral.
     """
     q, p = rp.moduli.q, rp.moduli.p
     t = rp.t
     A = rp.A
-    _require_admissible(
-        _unit_circle_check(list(t) + [cpow(q, 1 - m) * cpow(p, 1 - n) / A]),
-        f"depths ({m},{n})")
     t0 = t[0]
-    v_q = sum_V(VSpec(
-        t0=A * t0 / q,
-        t=(alpha, t0 * t[1], t0 * t[2], t0 * t[3], t0 * t[4],
-           cpow(q, -m), A * A * cpow(q, m - 1) / alpha),
-        x=1.0, moduli=rp.moduli, N=m))
-    v_p = sum_V(VSpec(
-        t0=A * t0 / p,
-        t=(beta, t0 * t[1], t0 * t[2], t0 * t[3], t0 * t[4],
-           cpow(p, -n), A * A * cpow(p, n - 1) / beta),
-        x=1.0, moduli=rp.moduli.swapped(), N=n))
-    lhs = v_q * v_p
-
-    pref = (theta_factorial_multi([A * t0, A / t0], p, q, m)
-            * theta_factorial_multi([A * t0, A / t0], q, p, n)
-            / theta_factorial_multi([A / (alpha * t0), A * t0 / alpha], p, q, m)
-            / theta_factorial_multi([A / (beta * t0), A * t0 / beta], q, p, n))
-
-    weight = make_integrand(rp.weight_spec())
-
-    def mesh(N):
-        z1d = np.exp(2j * np.pi * np.arange(N) / N)
-        vals = weight.mesh_eval(N)
-        vals = vals * _theta_factorial_vec(A * z1d / alpha, p, q, m)
-        vals = vals * _theta_factorial_vec(A / (alpha * z1d), p, q, m)
-        vals = vals * _theta_factorial_vec(A * z1d / beta, q, p, n)
-        vals = vals * _theta_factorial_vec(A / (beta * z1d), q, p, n)
-        vals = vals / _theta_factorial_vec(A * z1d, p, q, m)
-        vals = vals / _theta_factorial_vec(A / z1d, p, q, m)
-        vals = vals / _theta_factorial_vec(A * z1d, q, p, n)
-        vals = vals / _theta_factorial_vec(A / z1d, q, p, n)
-        return vals
-
-    res = integrate_mesh_fn(mesh, 1, cfg)
-    rhs = pref * res.value / rp.beta_value()
+    for m, n in depths:
+        _require_admissible(contour_check(0, m, 0, n, rp), f"depths ({m},{n})")
+    res = _gram(rp, _shift_tables(A / alpha, A / beta, depths, rp), cfg)
+    norm = rp.beta_value()
+    lhs, rhs = [], []
+    for (m, n), value in zip(depths, res.value):
+        v_q, v_p = (sum_V(VSpec(
+            t0=A * t0 / mod.q,
+            t=(x, t0 * t[1], t0 * t[2], t0 * t[3], t0 * t[4],
+               cpow(mod.q, -d), A * A * cpow(mod.q, d - 1) / x),
+            x=1.0, moduli=mod, N=d))
+            for mod, d, x in ((rp.moduli, m, alpha),
+                              (rp.moduli.swapped(), n, beta)))
+        pref = (theta_factorial_multi([A * t0, A / t0], p, q, m)
+                * theta_factorial_multi([A * t0, A / t0], q, p, n)
+                / theta_factorial_multi([A / (alpha * t0), A * t0 / alpha], p, q, m)
+                / theta_factorial_multi([A / (beta * t0), A * t0 / beta], q, p, n))
+        lhs.append(v_q * v_p)
+        rhs.append(pref * complex(value) / norm)
     return lhs, rhs, res
 
 
-def shifted_beta_sides(i: int, j: int, rp: RahmanParams,
+def shifted_beta_sides(shifts, rp: RahmanParams,
                        cfg: QuadratureConfig | None = None):
-    """(quadrature with factorial ratios, (t0/A)^(2ij) N_E(shifted))."""
+    """Per-shift (quadrature with factorial ratios, (t0/A)^(2ij)
+    N_E(t0 q^i p^j, t_1..t_4)) lists and the one QuadratureResult; the
+    shifts (i, j) are the cells of one Gram integral."""
     q, p = rp.moduli.q, rp.moduli.p
     t = rp.t
-    A = rp.A
     t0 = t[0]
-    shifted0 = t0 * cpow(q, i) * cpow(p, j)
-    _require_admissible(
-        _unit_circle_check(list(t) + [shifted0,
-                                      cpow(q, 1 - i) * cpow(p, 1 - j) / A]),
-        f"shifts ({i},{j})")
-    weight = make_integrand(rp.weight_spec())
-
-    def mesh(N):
-        z1d = np.exp(2j * np.pi * np.arange(N) / N)
-        vals = weight.mesh_eval(N)
-        vals = vals * _theta_factorial_vec(t0 * z1d, p, q, i)
-        vals = vals * _theta_factorial_vec(t0 / z1d, p, q, i)
-        vals = vals * _theta_factorial_vec(t0 * z1d, q, p, j)
-        vals = vals * _theta_factorial_vec(t0 / z1d, q, p, j)
-        vals = vals / _theta_factorial_vec(A * z1d, p, q, i)
-        vals = vals / _theta_factorial_vec(A / z1d, p, q, i)
-        vals = vals / _theta_factorial_vec(A * z1d, q, p, j)
-        vals = vals / _theta_factorial_vec(A / z1d, q, p, j)
-        return vals
-
-    res = integrate_mesh_fn(mesh, 1, cfg)
-    shifted_spec = IntegrandSpec(
-        Family.E, 1, ParamSet(t=(shifted0,) + t[1:]), rp.moduli)
-    rhs = cpow(t0 / A, 2 * i * j) * rhs_closed_form(shifted_spec)
-    return res.value, rhs, res
-
-
-def shifted_beta_identity(i: int, j: int, rp: RahmanParams,
-                          cfg: QuadratureConfig | None = None,
-                          tol: float = 1e-8) -> VerificationReport:
-    lhs, rhs, res = shifted_beta_sides(i, j, rp, cfg)
-    return VerificationReport.from_sides(
-        f"shifted_beta[i={i},j={j}]", lhs, rhs, tol, nodes=res.nodes_used,
-        params={"t": list(rp.t), "q": rp.moduli.q, "p": rp.moduli.p,
-                "i": i, "j": j})
+    for i, j in shifts:
+        _require_admissible(contour_check(0, i, 0, j, rp), f"shifts ({i},{j})")
+    res = _gram(rp, _shift_tables(t0, t0, shifts, rp), cfg)
+    rhs = []
+    for i, j in shifts:
+        shifted_spec = IntegrandSpec(
+            Family.E, 1, ParamSet(t=(t0 * cpow(q, i) * cpow(p, j),) + t[1:]),
+            rp.moduli)
+        rhs.append(cpow(t0 / rp.A, 2 * i * j) * rhs_closed_form(shifted_spec))
+    return [complex(v) for v in res.value], rhs, res

@@ -28,7 +28,9 @@ from .registry import (
     Sampler,
     _draw_spec,
     _family_report,
+    _given,
     _rank_tol,
+    check_tol,
     rejection_count,
     run_check,
     timed_rows,
@@ -214,13 +216,13 @@ def cmd_sweep(args) -> int:
     try:
         pname, values = _parse_grid(args.grid)
         family = _SWEEPABLE[args.name]
-        n = args.n or (2 if args.name in ("an2_even", "an3_even") else 1)
+        n = _given(args.n, 2 if args.name in ("an2_even", "an3_even") else 1)
         if args.params:
             with open(args.params, encoding="utf-8") as fh:
                 base = spec_from_params(json.load(fh))
         else:
             base = _draw_spec(Sampler(args.seed), family, n)
-        tol = args.tol or REGISTRY[args.name][1] or _rank_tol(n)
+        tol = check_tol(_given(args.tol, REGISTRY[args.name][1] or _rank_tol(n)))
         reports = list(timed_rows(
             _family_report(f"{args.name}[{pname}={v:.6g}]",
                            _swept_spec(family, base, pname, v), tol, args.nodes)

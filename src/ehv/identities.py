@@ -109,21 +109,10 @@ def _id1_terms(t, z, B, p):
     A = 1.0 + 0.0j
     for v in t:
         A *= v
-    thA = theta(A, p)
-    if abs(thA) < DEGENERATE_EPS:
-        raise DegenerateConfiguration("theta(A; p) = 0")
-    n1 = len(t)
     terms = []
-    for r in range(n1):
-        val = theta(B * t[r], p) / thA
-        for j in range(n1):
-            if j != r:
-                d = theta(t[r] / t[j], p)
-                if abs(d) < DEGENERATE_EPS:
-                    raise DegenerateConfiguration("t_r/t_j collision")
-                val *= theta(A * B * t[j], p) / d
-        for k in range(n1):
-            val *= theta(t[r] / z[k], p) / theta(A * B * z[k], p)
+    for r, val in enumerate(an_shift_coefficients(t, B, p)):
+        for zk in z:
+            val *= theta(t[r] / zk, p) / theta(A * B * zk, p)
         terms.append(val)
     return terms
 
@@ -212,20 +201,34 @@ def _det(mat):
     return det
 
 
-def krattenthaler_condition(a, b, c, X, m: Moduli) -> float:
-    """Cancellation measure max|entry|^n / |det| of the determinant."""
-    lhs, _ = krattenthaler_det_sides(a, b, c, X, m)
-    if lhs == 0:
-        return math.inf
+def _kratt_matrix(a, b, c, X, m: Moduli):
+    """The n x n matrix of krattenthaler_det_sides, rows i, columns j."""
     n = len(X)
     p, q = m.p, m.q
-    biggest = 0.0
+    mat = []
     for i in range(n):
+        row = []
         for j in range(1, n + 1):
             num = theta_factorial_multi([a * X[i], a * c / X[i]], p, q, n - j)
             den = theta_factorial_multi([b * X[i], b * c / X[i]], p, q, n - j)
-            biggest = max(biggest, abs(num / den))
-    return biggest ** n / abs(lhs)
+            if den == 0:
+                raise PoleHit(f"denominator factorial vanishes at entry ({i},{j})")
+            row.append(num / den)
+        mat.append(row)
+    return mat
+
+
+def krattenthaler_condition(a, b, c, X, m: Moduli) -> float:
+    """Cancellation measure max|entry|^n / |det| of the determinant."""
+    mat = _kratt_matrix(a, b, c, X, m)
+    det = _det(mat)
+    if det == 0:
+        return math.inf
+    biggest = 0.0
+    for row in mat:
+        for entry in row:
+            biggest = max(biggest, abs(entry))
+    return biggest ** len(mat) / abs(det)
 
 
 def krattenthaler_det_sides(a, b, c, X, m: Moduli):
@@ -240,17 +243,7 @@ def krattenthaler_det_sides(a, b, c, X, m: Moduli):
     X = tuple(X)
     n = len(X)
     p, q = m.p, m.q
-    mat = []
-    for i in range(n):
-        row = []
-        for j in range(1, n + 1):
-            num = theta_factorial_multi([a * X[i], a * c / X[i]], p, q, n - j)
-            den = theta_factorial_multi([b * X[i], b * c / X[i]], p, q, n - j)
-            if den == 0:
-                raise PoleHit(f"denominator factorial vanishes at entry ({i},{j})")
-            row.append(num / den)
-        mat.append(row)
-    lhs = _det(mat)
+    lhs = _det(_kratt_matrix(a, b, c, X, m))
 
     rhs = cpow(a, n * (n - 1) // 2) * cpow(q, n * (n - 1) * (n - 2) // 6)
     for i in range(n):
@@ -271,15 +264,17 @@ class DiffSide(Enum):
     CLOSED_FORM = "closed_form"
 
 
-def an_shift_coefficients(t, f, p):
-    """The n+1 coefficients c_r multiplying the t_r -> q t_r shifts."""
+def an_shift_coefficients(t, B, p):
+    """The n+1 coefficients c_r multiplying the t_r -> q t_r shifts,
+
+        c_r = theta(B t_r)/theta(A) prod_{j != r} theta(A B t_j)/theta(t_r/t_j),
+
+    with A = prod t and B = prod f (id1's expansion takes any B).
+    """
     t = tuple(t)
     A = 1.0 + 0.0j
     for v in t:
         A *= v
-    B = 1.0 + 0.0j
-    for v in f:
-        B *= v
     thA = theta(A, p)
     if abs(thA) < DEGENERATE_EPS:
         raise DegenerateConfiguration("theta(A; p) = 0")
@@ -325,7 +320,7 @@ def an_difference_residual(t, f, m: Moduli, side: DiffSide = DiffSide.CLOSED_FOR
         return integrate_spec(spec, cfg).value
 
     base = value(t)
-    coeffs = an_shift_coefficients(t, f, m.p)
+    coeffs = an_shift_coefficients(t, make_an1_spec(t, f, m).product_B, m.p)
     shifted = []
     for r in range(n + 1):
         tt = list(t)

@@ -3,7 +3,8 @@ right-hand sides, and parameter-domain validation.
 
 Families (n is the torus dimension actually integrated over):
 
-    E         single-variable weight with 5 parameters t_0..t_4
+    E         single-variable weight with 5 parameters t_0..t_4; it is C_1
+              of type I, and its integrand and closed form are CN_I's at n = 1
     CN_I      2n+3 parameters, hyperoctahedral symmetry, cross terms 1/Gamma
     CN_II     5 parameters + coupling t, Gamma-ratio cross terms
     CN_III    per-axis x_i, three t_k, coupling t; theta prefactor, q/p asymmetric
@@ -370,22 +371,27 @@ def _unit(n, i, scale=1):
     return tuple(e)
 
 
+def _an_evecs(n):
+    """Exponent vectors of z_1..z_{n+1} on the constrained A_n torus: the
+    constrained variable z_{n+1} has (-1, ..., -1)."""
+    return [_unit(n, k) for k in range(n)] + [tuple([-1] * n)]
+
+
+def _minus(e):
+    return tuple(-v for v in e)
+
+
+def _add(e1, e2):
+    return tuple(a + b for a, b in zip(e1, e2))
+
+
 def make_integrand(spec: IntegrandSpec) -> FactorIntegrand:
     """Bare integrand for the quadrature families (not GENERIC_VWP/MINUS_A)."""
     fam, n, ps, m = spec.family, spec.n, spec.params, spec.moduli
     fs = []
     one = 1.0 + 0.0j
 
-    if fam is Family.E:
-        A = spec.product_A
-        for tm in ps.t:
-            fs.append(Factor(Kind.GAMMA, tm, (1,)))
-            fs.append(Factor(Kind.GAMMA, tm, (-1,)))
-        for c, e in ((one, 2), (one, -2), (A, 1), (A, -1)):
-            fs.append(Factor(Kind.IGAMMA, c, (e,)))
-        return FactorIntegrand(1, m, fs)
-
-    if fam is Family.CN_I:
+    if fam in (Family.E, Family.CN_I):
         A = spec.product_A
         for j in range(n):
             for tr in ps.t:
@@ -444,21 +450,13 @@ def make_integrand(spec: IntegrandSpec) -> FactorIntegrand:
                 fs.append(Factor(Kind.THETA, one, tuple(e)))
         return FactorIntegrand(n, m, fs)
 
-    # constrained A_n families: variable k = n+1 has exponent vector (-1,..,-1)
     if fam in (Family.AN_I, Family.AN_II, Family.AN_III):
-        evecs = [_unit(n, k) for k in range(n)] + [tuple([-1] * n)]
-
-        def minus(e):
-            return tuple(-v for v in e)
-
-        def add(e1, e2):
-            return tuple(a + b for a, b in zip(e1, e2))
-
+        evecs = _an_evecs(n)
         if fam is Family.AN_I:
             AB = spec.product_A * spec.product_B
             for ek in evecs:
                 for ti in ps.t:
-                    fs.append(Factor(Kind.GAMMA, ti, minus(ek)))
+                    fs.append(Factor(Kind.GAMMA, ti, _minus(ek)))
                 for fj in ps.f:
                     fs.append(Factor(Kind.GAMMA, fj, ek))
                 fs.append(Factor(Kind.IGAMMA, AB, ek))
@@ -466,7 +464,7 @@ def make_integrand(spec: IntegrandSpec) -> FactorIntegrand:
                 for j in range(n + 1):
                     if i != j:
                         fs.append(Factor(Kind.IGAMMA, one,
-                                         add(evecs[i], minus(evecs[j]))))
+                                         _add(evecs[i], _minus(evecs[j]))))
             return FactorIntegrand(n, m, fs)
 
         if fam is Family.AN_II:
@@ -477,17 +475,17 @@ def make_integrand(spec: IntegrandSpec) -> FactorIntegrand:
                 for c in (t1, t2, t3):
                     fs.append(Factor(Kind.GAMMA, c, ek))
                 for c in (t4, t5):
-                    fs.append(Factor(Kind.GAMMA, c, minus(ek)))
+                    fs.append(Factor(Kind.GAMMA, c, _minus(ek)))
                 fs.append(Factor(Kind.IGAMMA, C, ek))
             for i in range(n + 1):
                 for j in range(i + 1, n + 1):
-                    fs.append(Factor(Kind.GAMMA, tc, add(evecs[i], evecs[j])))
+                    fs.append(Factor(Kind.GAMMA, tc, _add(evecs[i], evecs[j])))
                     fs.append(Factor(Kind.GAMMA, sc_,
-                                     minus(add(evecs[i], evecs[j]))))
+                                     _minus(_add(evecs[i], evecs[j]))))
                     fs.append(Factor(Kind.IGAMMA, one,
-                                     add(evecs[i], minus(evecs[j]))))
+                                     _add(evecs[i], _minus(evecs[j]))))
                     fs.append(Factor(Kind.IGAMMA, one,
-                                     add(minus(evecs[i]), evecs[j])))
+                                     _add(_minus(evecs[i]), evecs[j])))
             return FactorIntegrand(n, m, fs)
 
         # AN_III
@@ -495,17 +493,17 @@ def make_integrand(spec: IntegrandSpec) -> FactorIntegrand:
         tc = ps.extras["t"]
         for ek in evecs:
             for tk in ps.t[: n + 1]:
-                fs.append(Factor(Kind.GAMMA, tk, minus(ek)))
+                fs.append(Factor(Kind.GAMMA, tk, _minus(ek)))
             for tk in ps.t[n + 1:]:
                 fs.append(Factor(Kind.GAMMA, tc * tk, ek))
-            fs.append(Factor(Kind.IGAMMA, A, minus(ek)))
+            fs.append(Factor(Kind.IGAMMA, A, _minus(ek)))
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
-                fs.append(Factor(Kind.GAMMA, tc, add(evecs[i], evecs[j])))
+                fs.append(Factor(Kind.GAMMA, tc, _add(evecs[i], evecs[j])))
                 fs.append(Factor(Kind.IGAMMA, one,
-                                 add(evecs[i], minus(evecs[j]))))
+                                 _add(evecs[i], _minus(evecs[j]))))
                 fs.append(Factor(Kind.IGAMMA, one,
-                                 add(minus(evecs[i]), evecs[j])))
+                                 _add(_minus(evecs[i]), evecs[j])))
         return FactorIntegrand(n, m, fs)
 
     raise UnsupportedFamily(
@@ -530,18 +528,7 @@ def rhs_closed_form(spec: IntegrandSpec):
     pp, qq = _pochs(m)
     G = lambda *args: elliptic_gamma_multi(args, m)
 
-    if fam is Family.E:
-        t = ps.t
-        A = spec.product_A
-        val = 2.0 / (qq * pp)
-        for i in range(5):
-            for j in range(i + 1, 5):
-                val *= G(t[i] * t[j])
-        for i in range(5):
-            val /= G(A / t[i])
-        return val
-
-    if fam is Family.CN_I:
+    if fam in (Family.E, Family.CN_I):
         t = ps.t
         A = spec.product_A
         val = 2.0 ** n * math.factorial(n) / (pp * qq) ** n
@@ -807,26 +794,19 @@ def make_an_trans_integrand(tglob, first, second, firstprod, secondprod,
     i != j Gamma(z_i/z_j) cross terms and Gamma(t^{n+1} S z_k, t B / z_k).
     """
     n = len(first) - 2
-    evecs = [_unit(n, k) for k in range(n)] + [tuple([-1] * n)]
-
-    def minus(e):
-        return tuple(-v for v in e)
-
-    def add(e1, e2):
-        return tuple(a + b for a, b in zip(e1, e2))
-
+    evecs = _an_evecs(n)
     one = 1.0 + 0.0j
     tn1 = cpow(tglob, n + 1)
     fs = []
     for ek in evecs:
         for fj in first:
-            fs.append(Factor(Kind.GAMMA, tglob * fj, minus(ek)))
+            fs.append(Factor(Kind.GAMMA, tglob * fj, _minus(ek)))
         for sj in second:
             fs.append(Factor(Kind.GAMMA, sj, ek))
         fs.append(Factor(Kind.IGAMMA, tn1 * secondprod, ek))
-        fs.append(Factor(Kind.IGAMMA, tglob * firstprod, minus(ek)))
+        fs.append(Factor(Kind.IGAMMA, tglob * firstprod, _minus(ek)))
     for i in range(n + 1):
         for j in range(n + 1):
             if i != j:
-                fs.append(Factor(Kind.IGAMMA, one, add(evecs[i], minus(evecs[j]))))
+                fs.append(Factor(Kind.IGAMMA, one, _add(evecs[i], _minus(evecs[j]))))
     return FactorIntegrand(n, m, fs)

@@ -51,7 +51,7 @@ from .biorthogonal import (
     biorth_integral,
     contour_check,
     norm_h,
-    shifted_beta_identity,
+    shifted_beta_sides,
     twelveV_integral_rep_sides,
 )
 from .params import spec_from_params, spec_to_params
@@ -145,16 +145,31 @@ def timed_rows(rows):
         yield rep
 
 
+def _given(value, default):
+    """value unless unset (None): 0 is a value, for its own check to reject."""
+    return default if value is None else value
+
+
+def check_tol(tol: float) -> float:
+    """tol, or EHVError unless tol > 0 (so 0, negatives and NaN fail)."""
+    if not tol > 0:
+        raise EHVError(f"tolerance must be > 0, got {tol!r}")
+    return tol
+
+
 def _rank_tol(n: int) -> float:
     return 1e-9 if n == 1 else 1e-6
 
 
+def _cfg(nodes: int | None, default: int, doublings: int,
+         rel_tol: float) -> QuadratureConfig:
+    """nodes (--nodes; None when unset, then default) per dimension."""
+    return QuadratureConfig(nodes_per_dim=_given(nodes, default),
+                            max_doublings=doublings, rel_tol=rel_tol)
+
+
 def _rank_cfg(n: int, nodes: int | None) -> QuadratureConfig:
-    if n == 1:
-        return QuadratureConfig(nodes_per_dim=nodes or 256, max_doublings=1,
-                                rel_tol=1e-11)
-    return QuadratureConfig(nodes_per_dim=nodes or 96, max_doublings=2,
-                            rel_tol=1e-8)
+    return _cfg(nodes, 256, 1, 1e-11) if n == 1 else _cfg(nodes, 96, 2, 1e-8)
 
 
 def _family_report(name, spec, tol, nodes) -> VerificationReport:
@@ -253,9 +268,9 @@ def check_theorem1(opts, tol):
 
 def _check_family(opts, tol, name, family, rank=None):
     """Two seeded draws at each rank: opts.n, else ``rank``, else 1 and 2."""
-    rank = opts.n or rank
-    for n_run in ([rank] if rank else [1, 2]):
-        rank_tol = tol or _rank_tol(n_run)
+    rank = _given(opts.n, rank)
+    for n_run in ([1, 2] if rank is None else [rank]):
+        rank_tol = _given(tol, _rank_tol(n_run))
         spec = _spec_from_options(opts, family, n_run)
         if spec is not None:
             yield _family_report(f"{name}[n={n_run}]", spec, rank_tol,
@@ -312,7 +327,7 @@ def check_an1(opts, tol):
                            spec.moduli)
     yield VerificationReport.from_sides(
         "an1[n=1] closed form vs beta evaluation",
-        rhs_closed_form(spec), rhs_closed_form(pooled), tol or 1e-12)
+        rhs_closed_form(spec), rhs_closed_form(pooled), _given(tol, 1e-12))
 
 
 # -- series checks ----------------------------------------------------------------
@@ -397,7 +412,7 @@ def _draw_v12(smp: Sampler, m: Moduli, N: int, cond_cap: float = 100.0,
 def check_bailey(opts, tol):
     m = DEFAULT_MODULI
     smp = Sampler(opts.seed)
-    N = min(5, opts.n or 3)
+    N = min(5, _given(opts.n, 3))
     t = _draw_v12(smp, m, N, cond_cap=30.0, check_transform=True)
     for i, perm in enumerate(itertools.permutations(range(4))):
         yield bailey_transform_check(t, N, m, perm=perm, tol=tol,
@@ -597,8 +612,7 @@ def check_an_diffeq(opts, tol):
     if "integral" in sides:
         smp = Sampler(opts.seed + 31)
         t, f = _draw_an_tf(smp, 1, m)
-        cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 256,
-                               max_doublings=2, rel_tol=1e-10)
+        cfg = _cfg(opts.nodes, 256, 2, 1e-10)
         r = an_difference_residual(t, f, m, DiffSide.INTEGRAL, cfg)
         yield VerificationReport.from_sides(
             "an_diffeq[integral,n=1]", r, 0.0, max(tol, 1e-8),
@@ -615,8 +629,7 @@ def check_an_transform(opts, tol):
 
     tg, f, s = smp.accept(build,
                           lambda cand: an_trans_domain_check(*cand, m).ok)
-    cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 256, max_doublings=2,
-                           rel_tol=1e-10)
+    cfg = _cfg(opts.nodes, 256, 2, 1e-10)
     lhs, rhs, res_l, res_r = an_transformation_sides(tg, f, s, m, cfg)
     yield VerificationReport.from_sides(
         "an_transform[n=1]", lhs, rhs, tol,
@@ -658,8 +671,7 @@ def check_biorth(opts, tol):
                           moduli=Moduli(d.get("q", 0.8), d.get("p", 0.1)))
     else:
         rp = default_rahman_params(opts.seed)
-    cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 512, max_doublings=2,
-                           rel_tol=1e-11)
+    cfg = _cfg(opts.nodes, 512, 2, 1e-11)
     cells = ([(opts.n, opts.m, 0, 0)] if opts.n is not None and opts.m is not None
              else [(n, m, 0, 0) for n in range(4) for m in range(4)])
     yield from biorth_integral(cells, rp, cfg, tol)
@@ -694,8 +706,7 @@ def biorth2_param_sets(seed: int = 0):
 @_check("biorth2", tol=1e-8)
 def check_biorth2(opts, tol):
     set_a, set_b = biorth2_param_sets(opts.seed)
-    cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 1024, max_doublings=2,
-                           rel_tol=1e-11)
+    cfg = _cfg(opts.nodes, 1024, 2, 1e-11)
     for label, rp, pairs in (
             ("qshift", set_a, [(0, 0), (1, 0)]),
             ("pshift", set_b, [(0, 0), (0, 1)])):
@@ -713,32 +724,38 @@ def intrep_param_sets(seed: int = 0):
 
 
 def _weight_shift_cases(opts):
-    """Config and (params, q-depth, p-depth) cases of intrep and shifted_beta."""
+    """Config and the (params, [(q-depth, p-depth), ...]) sets of intrep and
+    shifted_beta; each set is one Gram integral."""
     rp_q, rp_p = intrep_param_sets(opts.seed)
-    cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 512, max_doublings=2,
-                           rel_tol=1e-11)
-    return cfg, [(rp_q, 0, 0), (rp_q, 1, 0), (rp_q, 2, 0),
-                 (rp_p, 0, 1), (rp_p, 0, 2)]
+    return _cfg(opts.nodes, 512, 2, 1e-11), [
+        (rp_q, [(0, 0), (1, 0), (2, 0)]), (rp_p, [(0, 1), (0, 2)])]
 
 
 @_check("intrep", tol=1e-8)
 def check_intrep(opts, tol):
-    cfg, cases = _weight_shift_cases(opts)
+    cfg, sets = _weight_shift_cases(opts)
     smp = Sampler(opts.seed + 5)
     alpha, beta = smp.arg(0.5, 0.7), smp.arg(0.5, 0.7)
-    for rp, m_, n_ in cases:
-        lhs, rhs, res = twelveV_integral_rep_sides(alpha, beta, m_, n_, rp, cfg)
-        yield VerificationReport.from_sides(
-            f"intrep[m={m_},n={n_}]", lhs, rhs, tol, nodes=res.nodes_used,
-            params={"t": list(rp.t), "alpha": alpha, "beta": beta,
-                    "m": m_, "n": n_})
+    for rp, depths in sets:
+        lhs, rhs, res = twelveV_integral_rep_sides(alpha, beta, depths, rp, cfg)
+        for (m_, n_), lhs_, rhs_ in zip(depths, lhs, rhs):
+            yield VerificationReport.from_sides(
+                f"intrep[m={m_},n={n_}]", lhs_, rhs_, tol, nodes=res.nodes_used,
+                params={"t": list(rp.t), "alpha": alpha, "beta": beta,
+                        "m": m_, "n": n_})
 
 
 @_check("shifted_beta", tol=1e-8)
 def check_shifted_beta(opts, tol):
-    cfg, cases = _weight_shift_cases(opts)
-    for rp, i_, j_ in cases:
-        yield shifted_beta_identity(i_, j_, rp, cfg, tol=tol)
+    cfg, sets = _weight_shift_cases(opts)
+    for rp, shifts in sets:
+        lhs, rhs, res = shifted_beta_sides(shifts, rp, cfg)
+        for (i_, j_), lhs_, rhs_ in zip(shifts, lhs, rhs):
+            yield VerificationReport.from_sides(
+                f"shifted_beta[i={i_},j={j_}]", lhs_, rhs_, tol,
+                nodes=res.nodes_used,
+                params={"t": list(rp.t), "q": rp.moduli.q, "p": rp.moduli.p,
+                        "i": i_, "j": j_})
 
 
 @_check("degeneration_p0", tol=1e-6)
@@ -750,8 +767,7 @@ def check_degeneration_p0(opts, tol):
         lambda: IntegrandSpec(Family.E, 1, ParamSet(t=smp.args(5, 0.4, 0.8)),
                               m_small),
         lambda s: validate_domain(s).ok)
-    cfg = QuadratureConfig(nodes_per_dim=opts.nodes or 256, max_doublings=1,
-                           rel_tol=1e-11)
+    cfg = _cfg(opts.nodes, 256, 1, 1e-11)
     res = integrate_spec(spec, cfg)
     t = spec.params.t
     A = spec.product_A
@@ -772,13 +788,15 @@ def check_degeneration_p0(opts, tol):
 
 
 def run_check(name: str, opts: CheckOptions) -> list[VerificationReport]:
-    """The rows of check ``name`` at ``opts.tol`` or the check's default; each
-    row's runtime_ms is the wall time since the previous row (sampling
-    included).  Every call starts with theta's memo empty, so no call's time
-    depends on the calls before it."""
+    """The rows of check ``name`` at ``opts.tol`` or the check's default,
+    which must be > 0 (else EHVError); each row's runtime_ms is the wall
+    time since the previous row (sampling included).  Every call starts
+    with theta's memo empty, so no call's time depends on the calls before
+    it."""
     if name not in REGISTRY:
         raise EHVError(f"unknown identity {name!r}; known: {sorted(REGISTRY)}")
     fn, default_tol = REGISTRY[name]
     _reset_rejections()
     clear_memo()
-    return list(timed_rows(fn(opts, opts.tol or default_tol)))
+    tol = _given(opts.tol, default_tol)
+    return list(timed_rows(fn(opts, tol if tol is None else check_tol(tol))))

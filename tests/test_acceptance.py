@@ -306,24 +306,23 @@ def test_criterion_15_operator_checks():
 def test_criterion_16_weight_shift_and_integral_representation():
     rp_q, rp_p = intrep_param_sets(1616)
     cfg = QuadratureConfig(nodes_per_dim=512, max_doublings=2, rel_tol=1e-11)
-    worst_sb = 0.0
-    feasible_sb = [(rp_q, 1, 0), (rp_q, 2, 0), (rp_p, 0, 1), (rp_p, 0, 2)]
-    for rp, i, j in feasible_sb:
-        lhs, rhs, _ = shifted_beta_sides(i, j, rp, cfg)
-        worst_sb = max(worst_sb, abs(lhs - rhs) / abs(rhs))
-    worst_ir = 0.0
-    for rp, m, n in ((rp_q, 1, 0), (rp_q, 2, 0), (rp_p, 0, 1), (rp_p, 0, 2)):
-        lhs, rhs, _ = twelveV_integral_rep_sides(0.6 + 0.1j, 0.55 - 0.05j,
-                                                 m, n, rp, cfg)
-        worst_ir = max(worst_ir, abs(lhs - rhs) / abs(rhs))
+    def worst(sides):
+        lhs, rhs, _ = sides
+        return max(abs(a - b) / abs(b) for a, b in zip(lhs, rhs))
+
+    worst_sb = worst_ir = 0.0
+    for rp, cells in ((rp_q, [(1, 0), (2, 0)]), (rp_p, [(0, 1), (0, 2)])):
+        worst_sb = max(worst_sb, worst(shifted_beta_sides(cells, rp, cfg)))
+        worst_ir = max(worst_ir, worst(twelveV_integral_rep_sides(
+            0.6 + 0.1j, 0.55 - 0.05j, cells, rp, cfg)))
     # both-index-shifted cases require |A| > |q^(1-i) p^(1-j)| >= 1: no
     # admissible parameters exist on the undeformed circle; the gate fires
     gated = 0
     for i, j in ((1, 1), (2, 1), (1, 2), (2, 2)):
         with pytest.raises(InadmissibleContour):
-            shifted_beta_sides(i, j, rp_q, cfg)
+            shifted_beta_sides([(i, j)], rp_q, cfg)
         with pytest.raises(InadmissibleContour):
-            twelveV_integral_rep_sides(0.6, 0.55, i, j, rp_q, cfg)
+            twelveV_integral_rep_sides(0.6, 0.55, [(i, j)], rp_q, cfg)
         gated += 2
     ok = worst_sb <= 1e-8 and worst_ir <= 1e-8 and gated == 8
     report("criterion 16 (shifted weight + integral representation)", ok,

@@ -309,7 +309,8 @@ class TestBiorthogonality:
 
 class TestIntegralRepresentation:
     def test_depth_zero_trivial(self, rp):
-        lhs, rhs, _ = twelveV_integral_rep_sides(0.6, 0.55, 0, 0, rp, CFG)
+        (lhs,), (rhs,), _ = twelveV_integral_rep_sides(0.6, 0.55, [(0, 0)],
+                                                       rp, CFG)
         assert lhs == pytest.approx(1.0)
         assert abs(rhs - 1.0) <= 1e-10
 
@@ -318,24 +319,24 @@ class TestIntegralRepresentation:
         m, n = mn
         use = rp if n == 0 else RahmanParams(t=rp.t,
                                              moduli=rp.moduli.swapped())
-        lhs, rhs, _ = twelveV_integral_rep_sides(0.6 + 0.1j, 0.55 - 0.05j,
-                                                 m, n, use, CFG)
+        (lhs,), (rhs,), _ = twelveV_integral_rep_sides(
+            0.6 + 0.1j, 0.55 - 0.05j, [(m, n)], use, CFG)
         assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
     def test_gate_for_structurally_deep_indices(self, rp):
         with pytest.raises(InadmissibleContour):
-            twelveV_integral_rep_sides(0.6, 0.55, 1, 1, rp, CFG)
+            twelveV_integral_rep_sides(0.6, 0.55, [(1, 1)], rp, CFG)
 
 
 class TestShiftedWeight:
     def test_zero_shift_is_beta_integral(self, rp):
-        lhs, rhs, _ = shifted_beta_sides(0, 0, rp, CFG)
+        (lhs,), (rhs,), _ = shifted_beta_sides([(0, 0)], rp, CFG)
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
         assert abs(rhs - rp.beta_value()) <= 1e-13 * abs(rhs)
 
     @pytest.mark.parametrize("ij", [(1, 0), (2, 0)])
     def test_q_shifts(self, rp, ij):
-        lhs, rhs, _ = shifted_beta_sides(ij[0], ij[1], rp, CFG)
+        (lhs,), (rhs,), _ = shifted_beta_sides([ij], rp, CFG)
         assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
     def test_theta_factorial_form_agrees(self, rp):
@@ -343,7 +344,7 @@ class TestShiftedWeight:
         from ehv.core import theta_factorial_multi
 
         i = 1
-        lhs, rhs, _ = shifted_beta_sides(i, 0, rp, CFG)
+        _, (rhs,), _ = shifted_beta_sides([(i, 0)], rp, CFG)
         p, q = rp.moduli.p, rp.moduli.q
         t = rp.t
         A = rp.A
@@ -355,7 +356,85 @@ class TestShiftedWeight:
 
     def test_gate(self, rp):
         with pytest.raises(InadmissibleContour):
-            shifted_beta_sides(1, 1, rp, CFG)
+            shifted_beta_sides([(1, 1)], rp, CFG)
+
+
+def _hand_written_gate(candidates):
+    """The unit-circle gate over a candidate list written out by hand, as
+    intrep and shifted_beta once kept their own: (admissible, worst pole,
+    margin)."""
+    worst = max(candidates, key=abs)
+    margin = 1.0 - abs(worst)
+    return margin >= 1e-6, worst, margin
+
+
+class TestWeightShiftGram:
+    @pytest.fixture(scope="class")
+    def sets(self):
+        from ehv.registry import intrep_param_sets
+
+        rp_q, rp_p = intrep_param_sets(0)
+        return [(rp_q, [(0, 0), (1, 0), (2, 0)]), (rp_p, [(0, 1), (0, 2)])]
+
+    @pytest.mark.parametrize("sides", ["intrep", "shifted_beta"])
+    def test_cells_equal_single_cell_calls(self, sets, sides):
+        def call(cells, rp):
+            if sides == "intrep":
+                return twelveV_integral_rep_sides(0.6 + 0.1j, 0.55 - 0.05j,
+                                                  cells, rp, CFG)
+            return shifted_beta_sides(cells, rp, CFG)
+
+        for rp, cells in sets:
+            lhs, rhs, res = call(cells, rp)
+            assert len(lhs) == len(rhs) == len(cells)
+            for cell, lhs_c, rhs_c in zip(cells, lhs, rhs):
+                (lhs_1,), (rhs_1,), res_1 = call([cell], rp)
+                assert repr((lhs_c, rhs_c)) == repr((lhs_1, rhs_1))
+                assert res.nodes_used == res_1.nodes_used == 1024
+
+    @pytest.mark.parametrize("check", ["intrep", "shifted_beta"])
+    def test_one_driver_call_per_parameter_set(self, monkeypatch, check):
+        import ehv.biorthogonal as bo
+        from ehv.registry import CheckOptions, run_check
+
+        calls = []
+        driver = bo.integrate_mesh_fn
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return driver(*args, **kwargs)
+
+        monkeypatch.setattr(bo, "integrate_mesh_fn", counting)
+        rows = run_check(check, CheckOptions(seed=0))
+        assert len(rows) == 5 and all(r.passed for r in rows)
+        assert len(calls) == 2
+
+    def test_gate_equals_the_hand_written_lists(self):
+        # intrep listed t_0..t_4 and A^-1 q^(1-m) p^(1-n); shifted_beta
+        # added t_0 q^m p^n, never larger in modulus than t_0
+        rr = random.Random(8)
+        seen = set()
+        for k in range(60):
+            moduli = [Moduli(0.8, 0.1), Moduli(0.1, 0.8),
+                      Moduli(0.5 + 0.3j, 0.2 - 0.1j)][k % 3]
+            t = tuple(rr.uniform(0.3, 0.97)
+                      * cmath.exp(2j * cmath.pi * rr.random())
+                      for _ in range(5))
+            try:
+                rp = RahmanParams(t=t, moduli=moduli)
+            except ValueError:
+                continue
+            q, p, A = moduli.q, moduli.p, rp.A
+            for m in range(3):
+                for n in range(3):
+                    last = q ** (1 - m) * p ** (1 - n) / A
+                    chk = contour_check(0, m, 0, n, rp)
+                    got = (chk.admissible, chk.worst_pole, chk.worst_margin)
+                    assert got == _hand_written_gate(list(t) + [last])
+                    assert got == _hand_written_gate(
+                        list(t) + [t[0] * q ** m * p ** n, last])
+                    seen.add(((m, n), chk.admissible))
+        assert ((1, 1), False) in seen and ((0, 0), True) in seen
 
 
 class TestGaugeValidation:

@@ -103,6 +103,29 @@ class TestVerify:
         out = run("verify", "kratt", "--seed", "5", "--tol", "1e-18")
         assert out.returncode == 1
 
+    @pytest.mark.parametrize("args, error", [
+        (("verify", "cn1", "--n", "0"), "rank n must be >= 1"),
+        (("verify", "theorem1", "--nodes", "0"), "nodes_per_dim must be >= 8"),
+        (("verify", "ft_sum", "--tol", "0"), "tolerance must be > 0"),
+        (("verify", "ident", "--tol", "-1"), "tolerance must be > 0"),
+        (("sweep", "cn1", "--grid", "q=0.31:0.31:1", "--n", "0"),
+         "rank n must be >= 1"),
+        (("sweep", "cn1", "--grid", "q=0.31:0.31:1", "--tol", "0"),
+         "tolerance must be > 0"),
+    ])
+    def test_zero_or_negative_option_exit_2(self, args, error):
+        # 0 is a value, not "unset": it reaches the option's own check
+        out = run(*args)
+        assert out.returncode == 2 and out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and error in json.loads(lines[0])["error"]
+
+    def test_biorth_cell_zero_zero(self):
+        out = run("verify", "biorth", "--n", "0", "--m", "0", "--json")
+        assert out.returncode == 0
+        rows = [json.loads(line) for line in out.stdout.splitlines()]
+        assert [r["name"] for r in rows] == ["biorth[n=0,m=0]"]
+
 
 BASE_E = {
     # wide-margin base point: the t0 sweep over [0.1, 0.9] stays admissible

@@ -2,12 +2,13 @@
 
 import cmath
 import functools
+import math
 
 import numpy as np
 import pytest
 
 from ehv.core import theta_factorial_multi
-from ehv.errors import DegenerateConfiguration, DomainViolation
+from ehv.errors import DegenerateConfiguration, DomainViolation, EHVError
 from ehv.identities import (
     DiffSide,
     an_difference_residual,
@@ -16,6 +17,7 @@ from ehv.identities import (
     id1_scale,
     id3_residual,
     id3_scale,
+    krattenthaler_condition,
     krattenthaler_det_sides,
     partial_fraction_residual,
     partial_fraction_scale,
@@ -145,6 +147,37 @@ class TestKrattenthaler:
         lhs, rhs = krattenthaler_det_sides(a, b, c, X, moduli)
         assert abs(lhs - lu_det) <= 1e-10 * abs(lu_det)
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
+
+    def test_condition_equals_the_entrywise_formula(self, rng, arg, moduli):
+        # the matrix is built once; the measure is still max|entry|^n / |det|
+        # with every entry built again, as the kratt sampler first used it
+        def entrywise(a, b, c, X):
+            lhs, _ = krattenthaler_det_sides(a, b, c, X, moduli)
+            if lhs == 0:
+                return math.inf
+            n = len(X)
+            p, q = moduli.p, moduli.q
+            biggest = 0.0
+            for i in range(n):
+                for j in range(1, n + 1):
+                    num = theta_factorial_multi([a * X[i], a * c / X[i]],
+                                                p, q, n - j)
+                    den = theta_factorial_multi([b * X[i], b * c / X[i]],
+                                                p, q, n - j)
+                    biggest = max(biggest, abs(num / den))
+            return biggest ** n / abs(lhs)
+
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(12):
+                a, b, c = (arg(rng, 0.4, 0.9) for _ in range(3))
+                X = tuple(arg(rng, 0.5, 1.5) for _ in range(n))
+                try:
+                    want = entrywise(a, b, c, X)
+                except EHVError as exc:
+                    with pytest.raises(type(exc)):
+                        krattenthaler_condition(a, b, c, X, moduli)
+                    continue
+                assert krattenthaler_condition(a, b, c, X, moduli) == want
 
     def test_rescale_covariance(self, rng, arg, moduli):
         # X_i -> lam X_i with c -> lam^2 c is another instance; the two

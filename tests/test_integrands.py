@@ -102,6 +102,31 @@ class TestDeltaE:
 
 
 class TestCnFamilies:
+    def test_e_is_cn1_rank_one(self, rng, arg):
+        # E is C_1 of type I: the same factor list and closed form, and the
+        # closed form is still the former E-only product, bit for bit
+        from ehv.core import qpochhammer
+
+        for moduli in (Moduli(0.31, 0.23), Moduli(0.8, 0.1),
+                       Moduli(0.5 + 0.3j, 0.2 - 0.1j)):
+            for _ in range(5):
+                t = tuple(arg(rng, 0.5, 0.9) for _ in range(5))
+                e = IntegrandSpec(Family.E, 1, ParamSet(t=t), moduli)
+                c1 = IntegrandSpec(Family.CN_I, 1, ParamSet(t=t), moduli)
+                assert (repr(make_integrand(e).factors)
+                        == repr(make_integrand(c1).factors))
+                assert repr(rhs_closed_form(e)) == repr(rhs_closed_form(c1))
+                G = lambda z: elliptic_gamma_multi([z], moduli)
+                A = prod(t)
+                want = 2.0 / (qpochhammer(moduli.q, moduli.q)
+                              * qpochhammer(moduli.p, moduli.p))
+                for i in range(5):
+                    for j in range(i + 1, 5):
+                        want *= G(t[i] * t[j])
+                for i in range(5):
+                    want /= G(A / t[i])
+                assert repr(rhs_closed_form(e)) == repr(want)
+
     def test_hyperoctahedral_invariance(self, rng, arg, moduli):
         spec = IntegrandSpec(Family.CN_I, 2,
                              ParamSet(t=tuple(arg(rng, 0.72, 0.85)
@@ -255,7 +280,8 @@ class TestPointwiseShiftIdentity:
         f = tuple(arg(rng, 0.6, 0.85) for _ in range(3))
         z = on_circle(rng)
         base = make_integrand(make_an1_spec(t, f, moduli))((z,))
-        coeffs = an_shift_coefficients(t, f, moduli.p)
+        coeffs = an_shift_coefficients(
+            t, make_an1_spec(t, f, moduli).product_B, moduli.p)
         total = 0.0 + 0.0j
         for r in range(2):
             tt = list(t)
