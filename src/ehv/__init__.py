@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .core import (
     Moduli,
-    TruncationPolicy,
     qpochhammer,
     theta,
     theta1,
@@ -35,7 +34,6 @@ from .report import VerificationReport
 
 __all__ = [
     "Moduli",
-    "TruncationPolicy",
     "qpochhammer",
     "theta",
     "theta1",

@@ -20,9 +20,10 @@ from . import _backend
 from .core import Moduli, qpochhammer, theta, theta1, theta_factorial
 from .errors import EHVError
 from .gamma import QuasiPeriods, double_sine, elliptic_gamma, modified_gamma_G
-from .integrands import Family, IntegrandSpec, ParamSet, make_integrand
+from .integrands import IntegrandSpec, ParamSet, make_integrand
 from .params import decode_complex, load_params, spec_from_params
 from .registry import (
+    FAMILY_CHECKS,
     REGISTRY,
     CheckOptions,
     Sampler,
@@ -180,12 +181,6 @@ def _parse_grid(text: str):
     return name.strip(), values
 
 
-_SWEEPABLE = {"theorem1": Family.E, "cn1": Family.CN_I, "cn2": Family.CN_II,
-              "cn3": Family.CN_III, "an1": Family.AN_I,
-              "an2_odd": Family.AN_II, "an2_even": Family.AN_II,
-              "an3_odd": Family.AN_III, "an3_even": Family.AN_III}
-
-
 def _swept_spec(family, base_spec, pname, value) -> IntegrandSpec:
     ps = base_spec.params
     seqs = {k: list(getattr(ps, k)) for k in ("t", "w", "f", "s", "x")}
@@ -209,14 +204,14 @@ def _swept_spec(family, base_spec, pname, value) -> IntegrandSpec:
 
 
 def cmd_sweep(args) -> int:
-    if args.name not in _SWEEPABLE:
-        _fail(2, f"sweep supports {sorted(_SWEEPABLE)}; got {args.name!r}")
+    if args.name not in FAMILY_CHECKS:
+        _fail(2, f"sweep supports {sorted(FAMILY_CHECKS)}; got {args.name!r}")
     if not args.grid:
         _fail(2, "sweep needs --grid NAME=START:STOP:COUNT[:geom]")
     try:
         pname, values = _parse_grid(args.grid)
-        family = _SWEEPABLE[args.name]
-        n = _given(args.n, 2 if args.name in ("an2_even", "an3_even") else 1)
+        family, rank = FAMILY_CHECKS[args.name]
+        n = _given(args.n, rank or 1)
         if args.params:
             with open(args.params, encoding="utf-8") as fh:
                 base = spec_from_params(json.load(fh))

@@ -20,15 +20,21 @@ with q = exp(2 pi i sigma), p = exp(2 pi i tau).  Principal branches are
 fixed by evaluating p^(1/8) = exp(pi i tau / 4) and q^(-u/2) = exp(-pi i
 sigma u) directly from the modular parameters.
 
-Scalar theta is memoized.  ``theta(z, p, policy)`` is a pure function of
-its arguments, and one check evaluates the same arguments many times (a
-residual and its scale, the term ratios of a terminating sum), so the
-public ``theta`` keeps the last ``THETA_MEMO_SIZE`` values in an LRU memo
-keyed on (z, p, policy) and on the types of z and p.  Only floats and
-complex numbers without a zero part are memoized, so two equal keys always
-have the same bits (no signed zero can hide behind ``==``); mpmath numbers,
-whose arithmetic depends on ``mp.dps``, bypass it, so a value is never
-served at another precision.  Exceptions are never memoized.
+Truncation is set by the precision mode and is not an argument: every
+product reads ``default_policy()``, the 1e-16 tail rule in standard mode
+and the 1e-38 one in extended mode (``DEFAULT_POLICY`` and
+``_EXTENDED_POLICY``).
+
+Scalar theta is memoized.  ``theta(z, p)`` is a pure function of its
+arguments and the mode, and one check evaluates the same arguments many
+times (a residual and its scale, the term ratios of a terminating sum), so
+the public ``theta`` keeps the last ``THETA_MEMO_SIZE`` values in an LRU
+memo keyed on (z, p, the mode's policy) and on the types of z and p: a
+value is never served to the other mode.  Only floats and complex
+numbers without a zero part are memoized, so two equal keys always have
+the same bits (no signed zero can hide behind ``==``); mpmath numbers,
+whose arithmetic depends on ``mp.dps``, bypass it.  Exceptions are never
+memoized.
 ``registry.run_check`` calls ``clear_memo()`` first, so the memo's scope
 is one check call.  The 16 powers p^(+-k), k <= 8, of theta's exact-zero
 test are built once per base.
@@ -70,21 +76,15 @@ THETA_MEMO_SIZE = 256
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Tail-bound control for all infinite products.
+    """Tail-bound control for all infinite products; one per precision mode.
 
     A product is cut at the first index K where the geometric tail bound
     |z| |b|^K / (1 - |b|) drops below eps; exceeding max_terms first is a
     TruncationFailure.
     """
 
-    eps: float = 1e-16
-    max_terms: int = 4096
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+    eps: float
+    max_terms: int
 
     def cutoff(self, scale: float, base_mod: float) -> int:
         """Smallest K with scale * base_mod^K / (1 - base_mod) < eps."""
@@ -97,7 +97,7 @@ class TruncationPolicy:
         return max(k, 1)
 
 
-DEFAULT_POLICY = TruncationPolicy()
+DEFAULT_POLICY = TruncationPolicy(eps=1e-16, max_terms=4096)
 _EXTENDED_POLICY = TruncationPolicy(eps=1e-38, max_terms=16384)
 
 
@@ -135,10 +135,9 @@ class Moduli:
         return Moduli(q=self.p, p=self.q)
 
 
-def qpochhammer(z, b, policy: TruncationPolicy | None = None):
-    """(z; b)_oo = prod_{k>=0} (1 - z b^k), truncated under the policy."""
-    if policy is None:
-        policy = default_policy()
+def qpochhammer(z, b):
+    """(z; b)_oo = prod_{k>=0} (1 - z b^k), truncated under the mode's policy."""
+    policy = default_policy()
     babs = abs(b)
     if babs >= 1.0:
         raise NonConvergent(f"qpochhammer requires |b| < 1, got {babs}")
@@ -208,10 +207,9 @@ def clear_memo() -> None:
     _zero_lattice.cache_clear()
 
 
-def theta(z, p, policy: TruncationPolicy | None = None):
+def theta(z, p):
     """theta(z; p) = (z; p)_oo (p/z; p)_oo, memoized (module docstring)."""
-    if policy is None:
-        policy = default_policy()
+    policy = default_policy()
     if _memoizable(z) and _memoizable(p):
         return _theta_memo(z, p, policy)
     return _theta_product(z, p, policy)
@@ -259,7 +257,7 @@ _theta_memo = functools.lru_cache(maxsize=THETA_MEMO_SIZE, typed=True)(
     _theta_product)
 
 
-def theta_multi(zs, p, policy: TruncationPolicy | None = None):
+def theta_multi(zs, p):
     """Product of theta over a sequence; the empty sequence gives 1."""
     zs = list(zs)
     for z in zs:
@@ -267,11 +265,11 @@ def theta_multi(zs, p, policy: TruncationPolicy | None = None):
             raise DomainError("theta requires z != 0")
     acc = 1.0 + 0.0j
     for z in zs:
-        acc = acc * theta(z, p, policy)
+        acc = acc * theta(z, p)
     return acc
 
 
-def theta_factorial(z, p, q, n: int, policy: TruncationPolicy | None = None):
+def theta_factorial(z, p, q, n: int):
     """Elliptic shifted factorial theta(z; p; q)_n for any integer n.
 
     n >= 0: prod_{l=0}^{n-1} theta(z q^l; p).
@@ -285,14 +283,14 @@ def theta_factorial(z, p, q, n: int, policy: TruncationPolicy | None = None):
         acc = 1.0 + 0.0j
         w = z
         for _ in range(n):
-            acc = acc * theta(w, p, policy)
+            acc = acc * theta(w, p)
             w = w * q
         return acc
     acc = 1.0 + 0.0j
     w = z
     for _ in range(-n):
         w = w / q
-        f = theta(w, p, policy)
+        f = theta(w, p)
         if abs(f) < POLE_EPS:
             raise PoleHit(
                 f"theta_factorial denominator theta({w!r}; p) vanishes"
@@ -301,16 +299,15 @@ def theta_factorial(z, p, q, n: int, policy: TruncationPolicy | None = None):
     return 1.0 / acc
 
 
-def theta_factorial_multi(zs, p, q, n: int,
-                          policy: TruncationPolicy | None = None):
+def theta_factorial_multi(zs, p, q, n: int):
     """theta(z_1, ..., z_k; p; q)_n = prod_j theta(z_j; p; q)_n."""
     acc = 1.0 + 0.0j
     for z in zs:
-        acc = acc * theta_factorial(z, p, q, n, policy)
+        acc = acc * theta_factorial(z, p, q, n)
     return acc
 
 
-def theta1(u, sigma, tau, policy: TruncationPolicy | None = None):
+def theta1(u, sigma, tau):
     """Jacobi theta_1 via the multiplicative theta function.
 
     Requires Im(tau) > 0 so that |p| < 1.  sigma may be real (|q| = 1).
@@ -322,4 +319,4 @@ def theta1(u, sigma, tau, policy: TruncationPolicy | None = None):
     p = cexp(two_pi_i * tau)
     q_u = cexp(two_pi_i * sigma * u)          # q^u without a log branch cut
     pref = cexp(two_pi_i * tau / 8.0) * 1j * cexp(-two_pi_i * sigma * u / 2.0)
-    return pref * qpochhammer(p, p, policy) * theta(q_u, p, policy)
+    return pref * qpochhammer(p, p) * theta(q_u, p)

@@ -22,11 +22,13 @@ min(n, 0) to max(n, 0) - 1.  n is the fewest steps that leave
 rho = max(|w|, |pq|/|w|) <= |o|^{1/2} at w = z b^n (tables accept a larger
 rho, see vec.py).  Truncation: M = policy.cutoff(1/((1-|q|)(1-|p|)), rho)
 terms, as |m (1-q^m)(1-p^m)| >= (1-|q|)(1-|p|) bounds the tail by the
-geometric rule of every product here.  Every zero of S is a zero or pole
-of Gamma, so a dividing factor within POLE_EPS relative distance of its
-theta zero raises PoleHit, and a multiplying one makes the value exactly 0:
-the reciprocal at z = 1 is exactly 0 through theta(1; o) = 0.  Either base
-0 leaves one Pochhammer symbol, Gamma(z; q, 0) = 1 / (z; q)_oo.
+geometric rule of every product here.  The policy is the precision mode's
+(core.default_policy), not an argument; only the float64 node tables of
+vec.py pass core.DEFAULT_POLICY in either mode.  Every zero of S is a zero
+or pole of Gamma, so a dividing factor within POLE_EPS relative distance
+of its theta zero raises PoleHit, and a multiplying one makes the value
+exactly 0: the reciprocal at z = 1 is exactly 0 through theta(1; o) = 0.
+Either base 0 leaves one Pochhammer symbol, Gamma(z; q, 0) = 1/(z; q)_oo.
 
 Two relatives that remain sensible as |q| -> 1 are provided: the double
 sine S(u; w1, w2) built from the modularly paired bases q = e^{2 pi i
@@ -92,12 +94,9 @@ def _zero_gap(x, o):
     return abs(1.0 - x * cpow(o, -k))
 
 
-def _gamma_core(z, q, p, policy: TruncationPolicy | None,
-                inverse: bool = False):
+def _gamma_core(z, q, p, inverse: bool = False):
     """Gamma(z; q, p), or 1/Gamma with inverse=True: exactly 0 where a shift
     factor is, as at z = 1 (integrand denominators rely on this at z^2 = 1)."""
-    if policy is None:
-        policy = default_policy()
     if z == 0:
         raise PoleHit("elliptic gamma argument z = 0")
     qa, pa = abs(q), abs(p)
@@ -105,7 +104,7 @@ def _gamma_core(z, q, p, policy: TruncationPolicy | None,
         raise NonConvergent("elliptic gamma requires |q| < 1 and |p| < 1")
     if pa == 0.0 or qa == 0.0:
         # Gamma(z; q, 0) = 1 / (z; q)_oo
-        poch = qpochhammer(z, q if pa == 0.0 else p, policy)
+        poch = qpochhammer(z, q if pa == 0.0 else p)
         if inverse:
             return poch
         if abs(poch) < POLE_EPS:
@@ -119,36 +118,35 @@ def _gamma_core(z, q, p, policy: TruncationPolicy | None,
     for _ in range(abs(n)):
         if divide and _zero_gap(x, o) < POLE_EPS:
             raise PoleHit(f"z within {POLE_EPS} relative distance of a pole")
-        shift = shift * theta(x, o, policy)
+        shift = shift * theta(x, o)
         x = x * b
-    A, B = log_gamma_terms(z * cpow(b, n), q, p, policy)
+    A, B = log_gamma_terms(z * cpow(b, n), q, p, default_policy())
     g = cexp(B.sum() - A.sum() if inverse else A.sum() - B.sum())
     return g / shift if divide else g * shift
 
 
-def elliptic_gamma(z, m: Moduli, policy: TruncationPolicy | None = None):
+def elliptic_gamma(z, m: Moduli):
     """Gamma(z; q, p) with pole-proximity guard."""
-    return _gamma_core(z, m.q, m.p, policy)
+    return _gamma_core(z, m.q, m.p)
 
 
-def elliptic_gamma_reciprocal(z, m: Moduli,
-                              policy: TruncationPolicy | None = None):
+def elliptic_gamma_reciprocal(z, m: Moduli):
     """1/Gamma(z; q, p); exactly 0 on the pole lattice of Gamma."""
-    return _gamma_core(z, m.q, m.p, policy, inverse=True)
+    return _gamma_core(z, m.q, m.p, inverse=True)
 
 
-def elliptic_gamma_multi(zs, m: Moduli, policy: TruncationPolicy | None = None):
+def elliptic_gamma_multi(zs, m: Moduli):
     """Gamma(z_1, ..., z_k; q, p) = prod_j Gamma(z_j; q, p); empty -> 1."""
     acc = 1.0 + 0.0j
     for z in zs:
-        acc = acc * _gamma_core(z, m.q, m.p, policy)
+        acc = acc * _gamma_core(z, m.q, m.p)
     return acc
 
 
-def elliptic_factorial_s(z, s, m: Moduli, policy: TruncationPolicy | None = None):
+def elliptic_factorial_s(z, s, m: Moduli):
     """theta(z; p; q)_s = Gamma(z q^s) / Gamma(z) for complex order s."""
-    return (_gamma_core(z * cpow(m.q, s), m.q, m.p, policy)
-            / _gamma_core(z, m.q, m.p, policy))
+    return (_gamma_core(z * cpow(m.q, s), m.q, m.p)
+            / _gamma_core(z, m.q, m.p))
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,7 @@ class QuasiPeriods:
             ("q", self.q), ("qt", self.q_tilde), ("p", self.p), ("pt", self.p_tilde))}
 
 
-def double_sine(u, omega1, omega2, policy: TruncationPolicy | None = None):
+def double_sine(u, omega1, omega2):
     """S(u; w1, w2) = (e^{2 pi i u/w2}; q)_oo / (e^{2 pi i u/w1} qt; qt)_oo."""
     q = cexp(_TWO_PI_I * omega1 / omega2)
     qt = cexp(-_TWO_PI_I * omega2 / omega1)
@@ -188,14 +186,14 @@ def double_sine(u, omega1, omega2, policy: TruncationPolicy | None = None):
         raise NonConvergent(
             "double sine requires Im(w1/w2) > 0 so that |q|, |qt| < 1"
         )
-    num = qpochhammer(cexp(_TWO_PI_I * u / omega2), q, policy)
-    den = qpochhammer(cexp(_TWO_PI_I * u / omega1) * qt, qt, policy)
+    num = qpochhammer(cexp(_TWO_PI_I * u / omega2), q)
+    den = qpochhammer(cexp(_TWO_PI_I * u / omega1) * qt, qt)
     if abs(den) < POLE_EPS:
         raise PoleHit("double sine denominator Pochhammer vanishes")
     return num / den
 
 
-def modified_gamma_G(u, w: QuasiPeriods, policy: TruncationPolicy | None = None):
+def modified_gamma_G(u, w: QuasiPeriods):
     """Modified elliptic gamma G(u; w1, w2, w3) = Gamma(x; q, p) Gamma(pt/y;
     qt, pt), x = e^{2 pi i u/w2}, y = e^{2 pi i u/w1}: the two double products
     multiply out to the defining four-fold product factor by factor."""
@@ -205,6 +203,6 @@ def modified_gamma_G(u, w: QuasiPeriods, policy: TruncationPolicy | None = None)
                             f"validity flags: {v}")
     x = cexp(_TWO_PI_I * u / w.omega2)
     y = cexp(_TWO_PI_I * u / w.omega1)
-    part_qp = _gamma_core(x, w.q, w.p, policy)
-    part_mod = _gamma_core(w.p_tilde / y, w.q_tilde, w.p_tilde, policy)
+    part_qp = _gamma_core(x, w.q, w.p)
+    part_mod = _gamma_core(w.p_tilde / y, w.q_tilde, w.p_tilde)
     return part_qp * part_mod

@@ -18,7 +18,7 @@ dz/z measure live in the quadrature module, which evaluates the plain
 grid average of these values.
 
 Every family is described once as a list of atomic factors
-g(c * z^e) with g in {Gamma, 1/Gamma, theta, 1/theta, identity} and e an
+g(c * z^e) with g in {Gamma, 1/Gamma, theta, identity} and e an
 integer exponent vector over the free variables (the constrained variable
 z_{n+1} of the AN families contributes (-1, ..., -1)).  The scalar path
 evaluates atoms directly; the mesh path evaluates one table per distinct
@@ -269,7 +269,6 @@ class Kind(Enum):
     GAMMA = "gamma"
     IGAMMA = "igamma"
     THETA = "theta"
-    ITHETA = "itheta"
     MONO = "mono"          # value c * z^e itself
 
 
@@ -287,18 +286,17 @@ class FactorIntegrand:
     value array on the full N^n tensor grid of roots of unity.
     """
 
-    def __init__(self, n: int, moduli: Moduli, factors, constant=1.0 + 0.0j):
+    def __init__(self, n: int, moduli: Moduli, factors):
         self.n = n
         self.moduli = moduli
         self.factors = tuple(factors)
-        self.constant = constant
 
     def __call__(self, zs):
         zs = tuple(zs)
         if len(zs) != self.n:
             raise ValueError(f"expected {self.n} variables, got {len(zs)}")
         m = self.moduli
-        out = self.constant
+        out = 1.0 + 0.0j
         for f in self.factors:
             w = f.c
             for zi, e in zip(zs, f.evec):
@@ -310,8 +308,6 @@ class FactorIntegrand:
                 out = out * elliptic_gamma_reciprocal(w, m)
             elif f.kind is Kind.THETA:
                 out = out * theta(w, m.p)
-            elif f.kind is Kind.ITHETA:
-                out = out / theta(w, m.p)
             else:
                 out = out * w
         return out
@@ -331,12 +327,12 @@ class FactorIntegrand:
                                     inverse=f.kind is Kind.IGAMMA)
                     gamma_cache[key] = tab
                 return tab
-            if f.kind in (Kind.THETA, Kind.ITHETA):
+            if f.kind is Kind.THETA:
                 tab = theta_cache.get(f.c)
                 if tab is None:
                     tab = theta_vec(f.c * z1d, m.p)
                     theta_cache[f.c] = tab
-                return tab if f.kind is Kind.THETA else 1.0 / tab
+                return tab
             return f.c * z1d
 
         per_evec: dict = {}
@@ -349,7 +345,7 @@ class FactorIntegrand:
 
         axes = [np.arange(N).reshape([N if d == i else 1 for d in range(self.n)])
                 for i in range(self.n)]
-        out = np.full((N,) * self.n, self.constant, dtype=complex)
+        out = np.ones((N,) * self.n, dtype=complex)
         for evec, tab in per_evec.items():
             idx = None
             for e, ax in zip(evec, axes):

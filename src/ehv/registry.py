@@ -123,9 +123,9 @@ class Sampler:
     def args(self, k: int, lo: float, hi: float):
         return tuple(self.arg(lo, hi) for _ in range(k))
 
-    def accept(self, draw, ok, max_tries: int = 5000):
+    def accept(self, draw, ok):
         global _REJECTION_COUNT
-        for _ in range(max_tries):
+        for _ in range(5000):
             cand = draw()
             if ok(cand):
                 return cand
@@ -283,22 +283,32 @@ def _check_family(opts, tol, name, family, rank=None):
                                  opts.nodes)
 
 
-def _family_check(name, family, tol=None, rank=None):
+# The family-integral checks, which `ehv sweep` also runs: name -> (family,
+# rank); rank None runs ranks 1 and 2, and a sweep draws at rank 1.
+FAMILY_CHECKS = {"theorem1": (Family.E, 1), "cn1": (Family.CN_I, None),
+                 "cn2": (Family.CN_II, None), "cn3": (Family.CN_III, None),
+                 "an1": (Family.AN_I, None), "an2_odd": (Family.AN_II, 1),
+                 "an2_even": (Family.AN_II, 2), "an3_odd": (Family.AN_III, 1),
+                 "an3_even": (Family.AN_III, 2)}
+
+
+def _family_check(name, tol=None):
+    family, rank = FAMILY_CHECKS[name]
     _check(name, tol)(functools.partial(_check_family, name=name,
                                         family=family, rank=rank))
 
 
-_family_check("cn1", Family.CN_I)
-_family_check("cn2", Family.CN_II)
-_family_check("an2_odd", Family.AN_II, 1e-6, rank=1)
-_family_check("an2_even", Family.AN_II, 1e-6, rank=2)
-_family_check("an3_odd", Family.AN_III, 1e-6, rank=1)
-_family_check("an3_even", Family.AN_III, 1e-6, rank=2)
+_family_check("cn1")
+_family_check("cn2")
+_family_check("an2_odd", 1e-6)
+_family_check("an2_even", 1e-6)
+_family_check("an3_odd", 1e-6)
+_family_check("an3_even", 1e-6)
 
 
 @_check("cn3")
 def check_cn3(opts, tol):
-    yield from _check_family(opts, tol, "cn3", Family.CN_III)
+    yield from _check_family(opts, tol, "cn3", *FAMILY_CHECKS["cn3"])
     # q <-> p asymmetry of the integrand at a generic point, encoded so that
     # pass means the relative difference exceeds the 1e-3 threshold.
     smp = Sampler(opts.seed + 99)
@@ -318,7 +328,7 @@ def check_cn3(opts, tol):
 @_check("an1")
 def check_an1(opts, tol):
     yield from _check_family(opts, tol, "an1 (conjecture support)",
-                             Family.AN_I)
+                             *FAMILY_CHECKS["an1"])
     # n=1 closed form must coincide with the 5-parameter beta evaluation
     smp = Sampler(opts.seed + 7)
     spec = _draw_spec(smp, Family.AN_I, 1)
@@ -333,10 +343,13 @@ def check_an1(opts, tol):
 # -- series checks ----------------------------------------------------------------
 
 
-def draw_ft_instance(smp: Sampler, m: Moduli, nmax: int = 8, cond_cap: float = 30.0):
-    """Admissible, well-conditioned terminating-sum instance.
+_COND_CAP = 30.0     # largest term over |sum| of a terminating-sum draw
 
-    Rejects draws whose evaluation cancels more than cond_cap of the term
+
+def draw_ft_instance(smp: Sampler, m: Moduli):
+    """Admissible, well-conditioned terminating-sum instance, N <= 8.
+
+    Rejects draws whose evaluation cancels more than _COND_CAP of the term
     scale; at higher cancellation no double-precision evaluation could
     certify the identity at 1e-12.  Returns ((N, t0, t1, t4, t5), (lhs, rhs)),
     the sides being those the acceptance test evaluated.
@@ -345,7 +358,7 @@ def draw_ft_instance(smp: Sampler, m: Moduli, nmax: int = 8, cond_cap: float = 3
     sides = None
 
     def build():
-        N = smp.rng.randint(0, nmax)
+        N = smp.rng.randint(0, 8)
         t0, t1, t4, t5 = smp.args(4, 0.4, 0.85)
         return (N, t0, t1, t4, t5)
 
@@ -360,7 +373,7 @@ def draw_ft_instance(smp: Sampler, m: Moduli, nmax: int = 8, cond_cap: float = 3
             sides = (info.value, frenkel_turaev_rhs(t0, t1, t4, t5, N, m))
         except (PoleHit, EHVError):
             return False
-        return abs(info.value) > 0 and info.last_term / abs(info.value) <= cond_cap
+        return abs(info.value) > 0 and info.last_term / abs(info.value) <= _COND_CAP
 
     draw = smp.accept(build, ok)
     return draw, sides
@@ -376,8 +389,7 @@ def check_ft_sum(opts, tol):
             params={"t": [t0, t1, t4, t5], "N": N})
 
 
-def _draw_v12(smp: Sampler, m: Moduli, N: int, cond_cap: float = 100.0,
-              check_transform: bool = False):
+def _draw_v12(smp: Sampler, m: Moduli, N: int, check_transform: bool = False):
     q = m.q
 
     def build():
@@ -388,7 +400,7 @@ def _draw_v12(smp: Sampler, m: Moduli, N: int, cond_cap: float = 100.0,
 
     def well_conditioned(t0, ts):
         info = sum_V_info(VSpec(t0=t0, t=ts, x=1.0, moduli=m, N=N))
-        return abs(info.value) > 0 and info.last_term / abs(info.value) <= cond_cap
+        return abs(info.value) > 0 and info.last_term / abs(info.value) <= _COND_CAP
 
     def ok(t):
         try:
@@ -413,7 +425,7 @@ def check_bailey(opts, tol):
     m = DEFAULT_MODULI
     smp = Sampler(opts.seed)
     N = min(5, _given(opts.n, 3))
-    t = _draw_v12(smp, m, N, cond_cap=30.0, check_transform=True)
+    t = _draw_v12(smp, m, N, check_transform=True)
     for i, perm in enumerate(itertools.permutations(range(4))):
         yield bailey_transform_check(t, N, m, perm=perm, tol=tol,
                                      name=f"bailey[perm={i}]")
@@ -424,7 +436,7 @@ def check_contiguous(opts, tol):
     m = DEFAULT_MODULI
     for n in (1, 2, 3, 4):
         smp = Sampler(opts.seed + n)
-        t = _draw_v12(smp, m, n, cond_cap=30.0)
+        t = _draw_v12(smp, m, n)
         for j, r in enumerate(contiguous_relative_residuals(t, m), start=1):
             yield VerificationReport.from_sides(
                 f"contiguous[rel{j},n={n}]", r, 0.0, tol,
@@ -514,8 +526,9 @@ def check_kratt(opts, tol):
             params={"a": a, "b": b, "c": c, "X": list(X)})
 
 
-def _identity_check(opts, tol, name, runner, draws=1000):
+def _identity_check(opts, tol, name, runner):
     smp = Sampler(opts.seed)
+    draws = 1000
     worst = 0.0
     for _ in range(draws):
         worst = max(worst, runner(smp))
@@ -582,9 +595,9 @@ def check_id3(opts, tol):
     yield _identity_check(opts, tol, "id3", run)
 
 
-def _draw_an_tf(smp, n, m, lo=0.72, hi=0.92):
+def _draw_an_tf(smp, n, m):
     def build():
-        return (smp.args(n + 1, lo, hi), smp.args(n + 2, lo, hi))
+        return (smp.args(n + 1, 0.72, 0.92), smp.args(n + 2, 0.72, 0.92))
 
     def ok(cand):
         t, f = cand
@@ -665,6 +678,10 @@ def default_rahman_params(seed: int = 0) -> RahmanParams:
 
 @_check("biorth", tol=1e-8)
 def check_biorth(opts, tol):
+    """The 4x4 grid n, m <= 3, or the one cell given by both --n and --m."""
+    if (opts.n is None) != (opts.m is None) or min(opts.n or 0, opts.m or 0) < 0:
+        raise EHVError(f"biorth takes both --n >= 0 and --m >= 0, or neither; "
+                       f"got n={opts.n}, m={opts.m}")
     if opts.params is not None:
         d = opts.params
         rp = RahmanParams(t=tuple(d["t"]),
@@ -672,7 +689,7 @@ def check_biorth(opts, tol):
     else:
         rp = default_rahman_params(opts.seed)
     cfg = _cfg(opts.nodes, 512, 2, 1e-11)
-    cells = ([(opts.n, opts.m, 0, 0)] if opts.n is not None and opts.m is not None
+    cells = ([(opts.n, opts.m, 0, 0)] if opts.n is not None
              else [(n, m, 0, 0) for n in range(4) for m in range(4)])
     yield from biorth_integral(cells, rp, cfg, tol)
 

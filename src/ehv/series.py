@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._backend import cexp, cpow
-from .core import (DENOMINATOR_EPS, Moduli, theta, theta_factorial,
+from .core import (DENOMINATOR_EPS, POLE_EPS, Moduli, theta, theta_factorial,
                    theta_factorial_multi, theta_multi)
 from .errors import (
     BalancingViolation,
@@ -39,8 +39,6 @@ from .errors import (
     PoleHit,
 )
 from .report import VerificationReport
-
-_DEN_GUARD = 1e-13
 
 
 def tree_sum(values):
@@ -56,14 +54,14 @@ def tree_sum(values):
     return vals[0]
 
 
-def match_qpow(t, q, max_n: int = 512, rtol: float = 1e-12):
-    """Return N >= 0 with t ~ q^(-N) (relative tolerance), else None."""
+def match_qpow(t, q):
+    """N in [0, 512] with t = q^(-N) to relative 1e-9, else None."""
     if q == 0:
         return None
     w = 1.0 + 0.0j
     ta = abs(t)
-    for n in range(max_n + 1):
-        if abs(t - w) <= rtol * abs(w):
+    for n in range(513):
+        if abs(t - w) <= 1e-9 * abs(w):
             return n
         w = w / q
         if abs(w) > 1.5 * ta and abs(w) > 1.0:
@@ -71,19 +69,19 @@ def match_qpow(t, q, max_n: int = 512, rtol: float = 1e-12):
     return None
 
 
-def _match_qppow(t, q, p, max_n: int = 64, rtol: float = 1e-12):
-    """Return (N, M) with t ~ q^(-N) p^(-M), minimizing N, else None."""
+def _match_qppow(t, q, p):
+    """Least-N (N, M) in [0, 64]^2 with t = q^-N p^-M to 1e-12, else None."""
     if q == 0:
         return None
-    for n in range(max_n + 1):
+    for n in range(65):
         if p == 0:
             cand = cpow(q, -n)
-            if abs(t - cand) <= rtol * abs(cand):
+            if abs(t - cand) <= 1e-12 * abs(cand):
                 return (n, 0)
             continue
-        for mth in range(max_n + 1):
+        for mth in range(65):
             cand = cpow(q, -n) * cpow(p, -mth)
-            if abs(t - cand) <= rtol * abs(cand):
+            if abs(t - cand) <= 1e-12 * abs(cand):
                 return (n, mth)
     return None
 
@@ -245,7 +243,7 @@ def sum_V_info(spec: VSpec) -> SeriesEval:
     m = spec.moduli
     p, q = m.p, m.q
     th0 = theta(spec.t0, p)
-    if abs(th0) < _DEN_GUARD:
+    if abs(th0) < POLE_EPS:
         raise PoleHit("theta(t0; p) vanishes")
     qx = q * spec.x
     terms = [1.0 + 0.0j]
@@ -272,16 +270,16 @@ def sum_V(spec: VSpec):
     return sum_V_info(spec).value
 
 
-def twelveV(t0, ts, m: Moduli, x=1.0):
-    """V-series with automatic termination detection over its parameters."""
+def twelveV(t0, ts, m: Moduli):
+    """V-series at x = 1, terminated at the least N with some t = q^(-N)."""
     best = None
     for v in ts:
-        n = match_qpow(v, m.q, rtol=1e-9)
+        n = match_qpow(v, m.q)
         if n is not None and (best is None or n < best):
             best = n
     if best is None:
         raise NotTerminating("not terminating: no parameter matches q^(-N)")
-    return sum_V(VSpec(t0=t0, t=tuple(ts), x=x, moduli=m, N=best))
+    return sum_V(VSpec(t0=t0, t=tuple(ts), x=1.0, moduli=m, N=best))
 
 
 def frenkel_turaev_rhs(t0, t1, t4, t5, N: int, m: Moduli):

@@ -112,6 +112,11 @@ class TestVerify:
          "rank n must be >= 1"),
         (("sweep", "cn1", "--grid", "q=0.31:0.31:1", "--tol", "0"),
          "tolerance must be > 0"),
+        # a biorth cell needs both indices, each >= 0
+        (("verify", "biorth", "--n", "-1", "--m", "0"), "both --n >= 0 and --m >= 0"),
+        (("verify", "biorth", "--n", "0", "--m", "-2"), "both --n >= 0 and --m >= 0"),
+        (("verify", "biorth", "--n", "2"), "both --n >= 0 and --m >= 0"),
+        (("verify", "biorth", "--m", "1"), "both --n >= 0 and --m >= 0"),
     ])
     def test_zero_or_negative_option_exit_2(self, args, error):
         # 0 is a value, not "unset": it reaches the option's own check

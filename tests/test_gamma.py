@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ehv.core import Moduli, TruncationPolicy, qpochhammer, theta
+from ehv.core import Moduli, qpochhammer, theta
 from ehv.errors import NonConvergent, PoleHit, TruncationFailure
 from ehv.gamma import (
     QuasiPeriods,
@@ -120,9 +120,11 @@ class TestEllipticGamma:
                                                            moduli)))
         assert elliptic_gamma_reciprocal(1.0, moduli) == 0
 
-    def test_series_beyond_max_terms(self, moduli):
-        with pytest.raises(TruncationFailure):
-            elliptic_gamma(0.5 + 0.1j, moduli, TruncationPolicy(max_terms=5))
+    def test_series_beyond_max_terms(self):
+        # |z| = q = p = 0.99 is inside the annulus, so no theta shift factor
+        # runs, and the series needs 5,041 terms against the limit of 4,096
+        with pytest.raises(TruncationFailure, match="series needs 5041"):
+            elliptic_gamma(0.99 * cmath.exp(0.3j), Moduli(0.99, 0.99))
 
     def test_matches_double_product(self):
         worst = 0.0

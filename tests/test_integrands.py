@@ -452,7 +452,7 @@ class TestPoleTable:
         from ehv.registry import Sampler, _draw_spec
 
         class Recorder(Sampler):
-            def accept(self, draw, ok, max_tries=5000):
+            def accept(self, draw, ok):
                 self.drawn = [draw() for _ in range(count)]
                 return self.drawn[0]
 

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from ehv import _backend
-from ehv.core import (Moduli, TruncationPolicy, _theta_product, default_policy,
+from ehv.core import (Moduli, _theta_product, default_policy,
                       qpochhammer, theta, theta_factorial)
 from ehv.errors import TruncationFailure
 from ehv.gamma import elliptic_gamma
@@ -33,19 +33,18 @@ def test_theta_matches_std(extended):
 
 
 def test_theta_memo_keeps_precisions_apart():
-    # The same arguments and policy at 15 digits, at 36, then at 15 again:
-    # each call gives the value of its own precision.
+    # The same arguments at 15 digits, at 36, then at 15 again: each call
+    # gives the value of its own precision.
     z, p = 0.4 + 0.1j, 0.25 + 0.05j
     zm, pm = mpmath.mpc(z), mpmath.mpc(p)
-    fine = TruncationPolicy(eps=1e-38, max_terms=16384)
     with mpmath.workdps(50):
         ref = direct_theta(zm, pm, 200)
     lo = theta(z, p)
-    lo_mp = theta(zm, pm, fine)
+    lo_mp = theta(zm, pm)
     assert abs(lo_mp - ref) > 1e-20 * abs(ref)
     _backend.set_precision(_backend.EXTENDED)
     try:
-        hi = theta(zm, pm, fine)
+        hi = theta(zm, pm)
         assert abs(hi - ref) < 1e-30 * abs(ref)
         assert theta(z, p) == _theta_product(z, p, default_policy())
         # 13288 factors: within the extended policy's max_terms only
@@ -53,7 +52,7 @@ def test_theta_memo_keeps_precisions_apart():
     finally:
         _backend.set_precision(_backend.STD)
     assert repr(theta(z, p)) == repr(lo)
-    assert theta(zm, pm, fine) == lo_mp
+    assert theta(zm, pm) == lo_mp
     with pytest.raises(TruncationFailure):
         theta(z, 0.993)
 
