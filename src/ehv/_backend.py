@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import cmath
 import sys
+from contextlib import contextmanager
 
 STD = "std"
 EXTENDED = "extended"
 EXTENDED_DPS = 36
 
 _mode = STD
-_std_dps = None              # dps in effect when extended mode was entered
 
 
 def _mpmath():
@@ -26,19 +26,24 @@ def _mpmath():
     return mpmath
 
 
-def set_precision(mode: str) -> None:
-    """Switch modes; leaving extended mode restores the dps it replaced."""
-    global _mode, _std_dps
+@contextmanager
+def precision(mode: str):
+    """Evaluate the block in ``mode``; leaving it restores the mode and the
+    ``mpmath.mp.dps`` in effect on entry.  Standard mode imports no mpmath."""
+    global _mode
     if mode not in (STD, EXTENDED):
         raise ValueError(f"unknown precision mode {mode!r}")
+    outer, dps = _mode, None
     if mode == EXTENDED:
         mp = _mpmath().mp
-        if _mode == STD:
-            _std_dps = mp.dps
-        mp.dps = EXTENDED_DPS
-    elif _mode == EXTENDED:
-        _mpmath().mp.dps = _std_dps
+        dps, mp.dps = mp.dps, EXTENDED_DPS
     _mode = mode
+    try:
+        yield
+    finally:
+        _mode = outer
+        if dps is not None:
+            _mpmath().mp.dps = dps
 
 
 def get_precision() -> str:

@@ -1,9 +1,14 @@
 """Command-line front end.
 
-    ehv eval   <function> [--z ...] [--params FILE] ...
+    ehv eval   <function> [--z --p --q --b --u --sigma --tau --w1 --w2 --w3
+                           --N] [--params FILE] [--precision std|extended]
     ehv verify <identity> [--params FILE] [--tol X] [--seed N] [--nodes N]
-                          [--json] [--precision std|extended] [--n N] [--m M]
+                          [--n N] [--m M] [--json] [--precision std|extended]
     ehv sweep  <identity> --grid NAME=START:STOP:COUNT[:geom] [--out PATH]
+                          [--params FILE] [--tol X] [--seed N] [--nodes N]
+                          [--n N] [--precision std|extended]
+
+Each subcommand takes only the flags it reads; any other exits 2.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 invalid input or a
 gated precondition (unknown name, domain violation, inadmissible contour).
@@ -21,7 +26,7 @@ from .core import Moduli, qpochhammer, theta, theta1, theta_factorial
 from .errors import EHVError
 from .gamma import QuasiPeriods, double_sine, elliptic_gamma, modified_gamma_G
 from .integrands import IntegrandSpec, ParamSet, make_integrand
-from .params import decode_complex, load_params, spec_from_params
+from .params import load_params, spec_from_params
 from .registry import (
     FAMILY_CHECKS,
     REGISTRY,
@@ -32,6 +37,7 @@ from .registry import (
     _given,
     _rank_tol,
     check_tol,
+    file_spec,
     rejection_count,
     run_check,
     timed_rows,
@@ -65,63 +71,58 @@ def _fmt_complex(v: complex) -> str:
                        "im": float(f"{v.imag:.17g}")})
 
 
+_FILE_FUNCTIONS = "sum_V and delta_*"
+
+
 def _eval_function(args) -> complex:
     name = args.name
-    d = load_params(args.params) if args.params else {}
-
-    def need(attr, flag):
-        val = getattr(args, flag, None)
-        if val is not None:
-            return _parse_complex(val)
-        if attr in d:
-            return d[attr]
-        raise EHVError(f"missing argument --{flag} for {name}")
-
-    if name == "theta":
-        return theta(need("z", "z"), need("p", "p"))
-    if name == "theta1":
-        return theta1(need("u", "u"), need("sigma", "sigma"), need("tau", "tau"))
-    if name == "qpochhammer":
-        return qpochhammer(need("z", "z"), need("b", "b"))
-    if name == "theta_factorial":
-        return theta_factorial(need("z", "z"), need("p", "p"), need("q", "q"),
-                               int(args.N if args.N is not None
-                                   else d.get("extras", {}).get("N", 0)))
-    if name == "gamma":
-        return elliptic_gamma(need("z", "z"),
-                              Moduli(q=need("q", "q"), p=need("p", "p")))
-    if name == "S":
-        return double_sine(need("u", "u"), need("omega1", "w1"),
-                           need("omega2", "w2"))
-    if name == "G":
-        w = QuasiPeriods(need("omega1", "w1"), need("omega2", "w2"),
-                         need("omega3", "w3"))
-        return modified_gamma_G(need("u", "u"), w)
-    if name == "sum_V":
+    if name == "sum_V" or name.startswith("delta_"):
         if not args.params:
-            raise EHVError("sum_V needs --params FILE")
+            raise EHVError(f"{name} needs --params FILE")
+        return _eval_from_file(name, load_params(args.params))
+
+    def need(flag):
+        val = getattr(args, flag)
+        if val is None:
+            raise EHVError(f"missing argument --{flag} for {name}")
+        return _parse_complex(val)
+
+    functions = {
+        "theta": lambda: theta(need("z"), need("p")),
+        "theta1": lambda: theta1(need("u"), need("sigma"), need("tau")),
+        "qpochhammer": lambda: qpochhammer(need("z"), need("b")),
+        "theta_factorial": lambda: theta_factorial(
+            need("z"), need("p"), need("q"), _given(args.N, 0)),
+        "gamma": lambda: elliptic_gamma(need("z"),
+                                        Moduli(q=need("q"), p=need("p"))),
+        "S": lambda: double_sine(need("u"), need("w1"), need("w2")),
+        "G": lambda: modified_gamma_G(
+            need("u"), QuasiPeriods(need("w1"), need("w2"), need("w3"))),
+    }
+    if name not in functions:
+        raise EHVError(f"unknown function {name!r}; known: "
+                       f"{', '.join(functions)}, {_FILE_FUNCTIONS}")
+    if args.params:
+        raise EHVError(f"{name} takes its arguments as flags; --params is "
+                       f"for {_FILE_FUNCTIONS}")
+    return functions[name]()
+
+
+def _eval_from_file(name: str, d: dict) -> complex:
+    """sum_V of the file's terminating series, or delta_* (any suffix): the
+    integrand of the file's family spec at its point(s) z."""
+    if name == "sum_V":
         extras = d.get("extras", {})
         spec = VSpec(t0=extras.get("t0", d.get("t", (None,))[0]),
                      t=tuple(d["t"][1:]) if "t0" not in extras else d["t"],
                      x=extras.get("x", 1.0),
                      moduli=Moduli(q=d["q"], p=d["p"]),
-                     N=int(extras.get("N", d.get("N", 0))))
+                     N=extras.get("N", d.get("N", 0)))
         return sum_V(spec)
-    if name.startswith("delta_"):
-        if not args.params:
-            raise EHVError(f"{name} needs --params FILE with a family spec")
-        with open(args.params, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        spec = spec_from_params(raw)
-        zs = raw.get("z")
-        if zs is None:
-            raise EHVError(f"{name} needs a \"z\" entry in the params file")
-        zpts = [decode_complex(v) for v in (zs if isinstance(zs[0], list) else [zs])]
-        return make_integrand(spec)(tuple(zpts))
-    raise EHVError(
-        f"unknown function {name!r}; known: theta, theta1, qpochhammer, "
-        "theta_factorial, gamma, S, G, sum_V, delta_*"
-    )
+    spec = spec_from_params(d)
+    if "z" not in d:
+        raise EHVError(f"{name} needs a \"z\" entry in the params file")
+    return make_integrand(spec)(d["z"])
 
 
 def cmd_eval(args) -> int:
@@ -138,7 +139,7 @@ def cmd_eval(args) -> int:
 def _options_from_args(args) -> CheckOptions:
     params = load_params(args.params) if args.params else None
     return CheckOptions(seed=args.seed, tol=args.tol, nodes=args.nodes,
-                        n=args.n, m=args.m, side=args.side, params=params)
+                        n=args.n, m=args.m, params=params)
 
 
 def cmd_verify(args) -> int:
@@ -182,14 +183,16 @@ def _parse_grid(text: str):
 
 
 def _swept_spec(family, base_spec, pname, value) -> IntegrandSpec:
+    """base_spec with q, p or a scalar extra set to value, or the modulus
+    of sequence entry <t|f|x><index> set to value."""
     ps = base_spec.params
-    seqs = {k: list(getattr(ps, k)) for k in ("t", "w", "f", "s", "x")}
+    seqs = {k: list(getattr(ps, k)) for k in ("t", "f", "x")}
     extras = dict(ps.extras)
     moduli = base_spec.moduli
     if pname in ("q", "p"):
         moduli = Moduli(q=value if pname == "q" else moduli.q,
                         p=value if pname == "p" else moduli.p)
-    elif pname in extras or pname in ("t", "s", "rho", "gamma"):
+    elif pname in extras:
         extras[pname] = value
     elif pname[0] in seqs and pname[1:].isdigit():
         seq = seqs[pname[0]]
@@ -211,13 +214,13 @@ def cmd_sweep(args) -> int:
     try:
         pname, values = _parse_grid(args.grid)
         family, rank = FAMILY_CHECKS[args.name]
-        n = _given(args.n, rank or 1)
         if args.params:
-            with open(args.params, encoding="utf-8") as fh:
-                base = spec_from_params(json.load(fh))
+            base = file_spec(load_params(args.params), family, args.n)
         else:
-            base = _draw_spec(Sampler(args.seed), family, n)
-        tol = check_tol(_given(args.tol, REGISTRY[args.name][1] or _rank_tol(n)))
+            base = _draw_spec(Sampler(args.seed), family,
+                              _given(args.n, rank or 1))
+        tol = check_tol(_given(args.tol,
+                               REGISTRY[args.name][1] or _rank_tol(base.n)))
         reports = list(timed_rows(
             _family_report(f"{args.name}[{pname}={v:.6g}]",
                            _swept_spec(family, base, pname, v), tol, args.nodes)
@@ -247,49 +250,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="evaluate and verify theta hypergeometric identities")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--params", help="JSON parameter file")
+    def command(name, func, help, params_help):
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        sp.add_argument("name")
+        sp.add_argument("--params", help=params_help)
+        sp.add_argument("--precision", choices=("std", "extended"),
+                        default="std")
+        sp.set_defaults(func=func)
+        return sp
+
+    def check_flags(sp):
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--nodes", type=int, default=None)
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--precision", choices=("std", "extended"),
-                        default="std")
         sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--m", type=int, default=None)
-        sp.add_argument("--side", default=None,
-                        choices=(None, "closed_form", "integral"))
 
-    pe = sub.add_parser("eval", help="evaluate a named function")
-    pe.add_argument("name")
+    pe = command("eval", cmd_eval, "evaluate a named function",
+                 f"JSON parameter file ({_FILE_FUNCTIONS})")
     for flag in ("z", "p", "q", "b", "u", "sigma", "tau", "w1", "w2", "w3"):
         pe.add_argument(f"--{flag}")
     pe.add_argument("--N", type=int, default=None)
-    common(pe)
-    pe.set_defaults(func=cmd_eval)
 
-    pv = sub.add_parser("verify", help="run a named identity check")
-    pv.add_argument("name")
-    common(pv)
-    pv.set_defaults(func=cmd_verify)
+    pv = command("verify", cmd_verify, "run a named identity check",
+                 "JSON parameter file (biorth and the family checks)")
+    check_flags(pv)
+    pv.add_argument("--m", type=int, default=None)
+    pv.add_argument("--json", action="store_true")
 
-    ps = sub.add_parser("sweep", help="verify over a parameter grid")
-    ps.add_argument("name")
+    ps = command("sweep", cmd_sweep, "verify over a parameter grid",
+                 "JSON parameter file of the base point")
+    check_flags(ps)
     ps.add_argument("--grid", help="NAME=START:STOP:COUNT[:geom]")
     ps.add_argument("--out", help="output path (JSON lines)")
-    common(ps)
-    ps.set_defaults(func=cmd_sweep)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "precision", "std") == "extended":
-        _backend.set_precision(_backend.EXTENDED)
-    try:
+    with _backend.precision(args.precision):
         return args.func(args)
-    finally:
-        _backend.set_precision(_backend.STD)
 
 
 if __name__ == "__main__":

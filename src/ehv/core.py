@@ -96,6 +96,14 @@ class TruncationPolicy:
         k = int(math.ceil(math.log(target) / math.log(base_mod)))
         return max(k, 1)
 
+    def terms(self, what: str, scale: float, base_mod: float) -> int:
+        """cutoff(scale, base_mod), or TruncationFailure beyond max_terms."""
+        k = self.cutoff(scale, base_mod)
+        if k > self.max_terms:
+            raise TruncationFailure(
+                f"{what} needs {k} terms, policy allows {self.max_terms}")
+        return k
+
 
 DEFAULT_POLICY = TruncationPolicy(eps=1e-16, max_terms=4096)
 _EXTENDED_POLICY = TruncationPolicy(eps=1e-38, max_terms=16384)
@@ -145,11 +153,7 @@ def qpochhammer(z, b):
         return 1.0 + 0.0 * z
     if babs == 0.0:
         return 1.0 - z
-    kmax = policy.cutoff(abs(z), babs)
-    if kmax > policy.max_terms:
-        raise TruncationFailure(
-            f"qpochhammer needs {kmax} terms, policy allows {policy.max_terms}"
-        )
+    kmax = policy.terms("qpochhammer", abs(z), babs)
     use_logs = kmax > _LOG_SPACE_COUNT or abs(z) > _LOG_SPACE_MAGNITUDE
     w = z
     if use_logs:
@@ -227,11 +231,7 @@ def _theta_product(z, p, policy: TruncationPolicy):
         return 1.0 - z
     zi = 1.0 / z
     scale = max(abs(z), pabs * abs(zi))
-    kmax = policy.cutoff(scale, pabs)
-    if kmax > policy.max_terms:
-        raise TruncationFailure(
-            f"theta needs {kmax} terms, policy allows {policy.max_terms}"
-        )
+    kmax = policy.terms("theta", scale, pabs)
     use_logs = kmax > _LOG_SPACE_COUNT or scale > _LOG_SPACE_MAGNITUDE
     w1 = z
     w2 = p * zi

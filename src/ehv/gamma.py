@@ -51,7 +51,7 @@ import numpy as np
 from ._backend import cexp, cpow
 from .core import (POLE_EPS, Moduli, TruncationPolicy, default_policy,
                    qpochhammer, theta)
-from .errors import NonConvergent, PoleHit, TruncationFailure
+from .errors import NonConvergent, PoleHit
 
 _TWO_PI_I = 2j * math.pi
 
@@ -78,10 +78,8 @@ def log_gamma_terms(w, q, p, policy: TruncationPolicy):
     rule.  Returns numpy arrays (of mpmath numbers in extended mode).
     """
     qa, pa, wa = float(abs(q)), float(abs(p)), float(abs(w))
-    M = policy.cutoff(1.0 / ((1.0 - qa) * (1.0 - pa)), max(wa, qa * pa / wa))
-    if M > policy.max_terms:
-        raise TruncationFailure(f"elliptic gamma series needs {M} terms, "
-                                f"policy allows {policy.max_terms}")
+    M = policy.terms("elliptic gamma series", 1.0 / ((1.0 - qa) * (1.0 - pa)),
+                     max(wa, qa * pa / wa))
     w_m, v_m, q_m, p_m = np.cumprod(np.full((M, 4), [w, q * p / w, q, p]),
                                     axis=0).T
     d = np.arange(1, M + 1) * (1.0 - q_m) * (1.0 - p_m)

@@ -58,20 +58,18 @@ class ParamSet:
     """Named parameter sequences plus scalar extras; all entries nonzero."""
 
     t: tuple = ()
-    w: tuple = ()
     f: tuple = ()
-    s: tuple = ()
     x: tuple = ()
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("t", "w", "f", "s", "x"):
+        for name in ("t", "f", "x"):
             seq = tuple(getattr(self, name))
             object.__setattr__(self, name, seq)
             if any(v == 0 for v in seq):
                 raise ValueError(f"parameter sequence {name} contains 0")
-        for key, v in self.extras.items():
-            if isinstance(v, (int, float, complex)) and v == 0 and key in ("t", "s", "rho"):
+        for key in ("t", "s"):
+            if self.extras.get(key, 1) == 0:
                 raise ValueError(f"scalar extra {key} must be nonzero")
 
 

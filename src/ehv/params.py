@@ -1,13 +1,16 @@
-"""Parameter-file I/O and integrand-spec serialization.
+"""Parameter files: the one reader and the integrand-spec encoding.
 
-File format: JSON object with optional fields
+File format: a JSON object; each command reads the fields it needs.
 
-    {"q": [re, im], "p": [re, im],
-     "t": [[re, im], ...], "w": [...], "f": [...], "s": [...], "x": [...],
-     "extras": {"t": [re, im], "s": [...], "rho": [...], "gamma": [...],
-                "m": 13, "N": 4, "n": 2, ...}}
+    {"family": "Cn_III", "n": 2,
+     "q": [re, im], "p": [re, im],
+     "t": [[re, im], ...], "f": [...], "x": [...],
+     "extras": {"t": [re, im], "s": [re, im], "m": 13, "N": 4, ...},
+     "N": 4,
+     "z": [re, im] or [[re, im], ...]}
 
-Complex numbers are [re, im] pairs (bare reals also accepted).
+Complex numbers are [re, im] pairs (bare reals also accepted).  Which
+family reads which sequence and extra is listed in the README.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import json
 
 from .core import Moduli
 from .integrands import Family, IntegrandSpec, ParamSet
+
+_SEQUENCES = ("t", "f", "x")
+_INT_EXTRAS = ("m", "N")
 
 
 def decode_complex(v):
@@ -31,38 +37,35 @@ def encode_complex(v):
     return [v.real, v.imag]
 
 
-def decode_params(raw: dict) -> dict:
-    """Decode a raw JSON object into python complex structures."""
-    out = {}
-    for key in ("q", "p"):
-        if key in raw:
-            out[key] = decode_complex(raw[key])
-    for key in ("t", "w", "f", "s", "x"):
+def load_params(path: str) -> dict:
+    """The decoded parameter file at ``path``: complex q, p; tuples of
+    complex t, f, x; extras as complex numbers, except the integers m and
+    N; z as a tuple of points; family as given; integer n and N."""
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("a parameter file holds one JSON object")
+    out = {key: decode_complex(raw[key]) for key in ("q", "p") if key in raw}
+    for key in _SEQUENCES:
         if key in raw:
             out[key] = tuple(decode_complex(v) for v in raw[key])
-    extras = {}
-    for key, v in raw.get("extras", {}).items():
-        if key in ("m", "N", "n", "i", "j", "k", "l") or isinstance(v, bool):
-            extras[key] = int(v)
-        elif isinstance(v, (int, float, list, tuple)):
-            extras[key] = decode_complex(v)
-        else:
-            extras[key] = v
-    if extras:
-        out["extras"] = extras
-    for key in ("family", "n", "N", "seed"):
+    if "extras" in raw:
+        out["extras"] = {key: int(v) if key in _INT_EXTRAS else decode_complex(v)
+                         for key, v in raw["extras"].items()}
+    if "z" in raw:
+        zs = raw["z"]
+        points = isinstance(zs, list) and zs and isinstance(zs[0], list)
+        out["z"] = tuple(map(decode_complex, zs if points else [zs]))
+    if "family" in raw:
+        out["family"] = raw["family"]
+    for key in ("n", "N"):
         if key in raw:
-            out[key] = raw[key]
+            out[key] = int(raw[key])
     return out
 
 
-def load_params(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return decode_params(json.load(fh))
-
-
 def spec_to_params(spec: IntegrandSpec) -> dict:
-    """JSON-ready encoding; round-trips through spec_from_params."""
+    """JSON-ready encoding; a file holding it loads back to the same spec."""
     ps = spec.params
     out = {
         "family": spec.family.value,
@@ -70,7 +73,7 @@ def spec_to_params(spec: IntegrandSpec) -> dict:
         "q": encode_complex(spec.moduli.q),
         "p": encode_complex(spec.moduli.p),
     }
-    for key in ("t", "w", "f", "s", "x"):
+    for key in _SEQUENCES:
         seq = getattr(ps, key)
         if seq:
             out[key] = [encode_complex(v) for v in seq]
@@ -82,11 +85,9 @@ def spec_to_params(spec: IntegrandSpec) -> dict:
     return out
 
 
-def spec_from_params(raw: dict) -> IntegrandSpec:
-    d = decode_params(raw)
-    fam = Family(raw["family"])
-    moduli = Moduli(q=d["q"], p=d["p"])
-    ps = ParamSet(t=d.get("t", ()), w=d.get("w", ()), f=d.get("f", ()),
-                  s=d.get("s", ()), x=d.get("x", ()),
+def spec_from_params(d: dict) -> IntegrandSpec:
+    """The spec of a decoded parameter file (see load_params)."""
+    ps = ParamSet(**{key: d.get(key, ()) for key in _SEQUENCES},
                   extras=d.get("extras", {}))
-    return IntegrandSpec(fam, int(raw["n"]), ps, moduli)
+    return IntegrandSpec(Family(d["family"]), d["n"], ps,
+                         Moduli(q=d["q"], p=d["p"]))

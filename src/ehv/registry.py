@@ -4,9 +4,11 @@ Every entry is a generator ``fn(opts, tol)`` registered once, with its
 default tolerance, by ``@_check(name, tol=...)``.  It draws seeded
 admissible parameters (rejection sampling against the domain/contour gates,
 rejection count tracked), runs its identity at ``tol`` and yields
-VerificationReport rows in a deterministic order.  Supplying a parameter
-file replaces the seeded draw for the checks that accept one.
-``run_check`` resolves the tolerance and times the rows.
+VerificationReport rows in a deterministic order.  A parameter file
+replaces the draws of a family check by the one spec it gives
+(``file_spec``) and supplies ``biorth``'s parameters; every other check
+draws its own and refuses one.  ``run_check`` resolves the tolerance and
+times the rows.
 """
 
 from __future__ import annotations
@@ -79,8 +81,7 @@ class CheckOptions:
     nodes: int | None = None
     n: int | None = None
     m: int | None = None
-    side: str | None = None
-    params: dict | None = None
+    params: dict | None = None      # a decoded file, see params.load_params
 
 
 # name -> (check generator fn(opts, tol), default tolerance); a default of
@@ -245,10 +246,24 @@ def _draw_spec(smp: Sampler, family: Family, n: int,
     return smp.accept(build, ok)
 
 
-def _spec_from_options(opts: CheckOptions, family: Family, n: int):
-    if opts.params is not None:
-        return spec_from_params({"family": family.value, "n": n, **opts.params})
-    return None
+def file_spec(params: dict, family: Family, n: int | None) -> IntegrandSpec:
+    """The spec a decoded parameter file gives a check of ``family``: the
+    file's family must be that one, and its n is the rank, which ``n``
+    (--n), when given, must equal; else EHVError."""
+    if params.get("family") != family.value:
+        raise EHVError(f"the parameter file's family is "
+                       f"{params.get('family')!r}; this check's is {family.value!r}")
+    if n not in (None, params.get("n")):
+        raise EHVError(f"--n {n} disagrees with the parameter file's n = "
+                       f"{params.get('n')}")
+    return spec_from_params(params)
+
+
+def _file_check(opts, tol, name):
+    """One row, ``name[n=<n>]``, at the spec of the parameter file."""
+    spec = file_spec(opts.params, FAMILY_CHECKS[name][0], opts.n)
+    yield _family_report(f"{name}[n={spec.n}]", spec,
+                         _given(tol, _rank_tol(spec.n)), opts.nodes)
 
 
 # -- quadrature-family checks ----------------------------------------------------
@@ -256,10 +271,6 @@ def _spec_from_options(opts: CheckOptions, family: Family, n: int):
 
 @_check("theorem1", tol=1e-9)
 def check_theorem1(opts, tol):
-    spec = _spec_from_options(opts, Family.E, 1)
-    if spec is not None:
-        yield _family_report("theorem1", spec, tol, opts.nodes)
-        return
     smp = Sampler(opts.seed)
     for i in range(20):
         spec = _draw_spec(smp, Family.E, 1)
@@ -271,11 +282,6 @@ def _check_family(opts, tol, name, family, rank=None):
     rank = _given(opts.n, rank)
     for n_run in ([1, 2] if rank is None else [rank]):
         rank_tol = _given(tol, _rank_tol(n_run))
-        spec = _spec_from_options(opts, family, n_run)
-        if spec is not None:
-            yield _family_report(f"{name}[n={n_run}]", spec, rank_tol,
-                                 opts.nodes)
-            continue
         smp = Sampler(opts.seed + n_run)
         for i in range(2):
             spec = _draw_spec(smp, family, n_run)
@@ -423,8 +429,10 @@ def _draw_v12(smp: Sampler, m: Moduli, N: int, check_transform: bool = False):
 @_check("bailey", tol=1e-11)
 def check_bailey(opts, tol):
     m = DEFAULT_MODULI
+    N = _given(opts.n, 3)
+    if not 1 <= N <= 5:
+        raise EHVError(f"bailey takes --n from 1 to 5, got {N}")
     smp = Sampler(opts.seed)
-    N = min(5, _given(opts.n, 3))
     t = _draw_v12(smp, m, N, check_transform=True)
     for i, perm in enumerate(itertools.permutations(range(4))):
         yield bailey_transform_check(t, N, m, perm=perm, tol=tol,
@@ -613,23 +621,20 @@ def _draw_an_tf(smp, n, m):
 @_check("an_diffeq", tol=1e-12)
 def check_an_diffeq(opts, tol):
     m = DEFAULT_MODULI
-    sides = [opts.side] if opts.side else ["closed_form", "integral"]
-    if "closed_form" in sides:
-        for n in (1, 2, 3):
-            smp = Sampler(opts.seed + n)
-            t, f = _draw_an_tf(smp, n, m)
-            r = an_difference_residual(t, f, m, DiffSide.CLOSED_FORM)
-            yield VerificationReport.from_sides(
-                f"an_diffeq[closed,n={n}]", r, 0.0, tol,
-                params={"t": list(t), "f": list(f)})
-    if "integral" in sides:
-        smp = Sampler(opts.seed + 31)
-        t, f = _draw_an_tf(smp, 1, m)
-        cfg = _cfg(opts.nodes, 256, 2, 1e-10)
-        r = an_difference_residual(t, f, m, DiffSide.INTEGRAL, cfg)
+    for n in (1, 2, 3):
+        smp = Sampler(opts.seed + n)
+        t, f = _draw_an_tf(smp, n, m)
+        r = an_difference_residual(t, f, m, DiffSide.CLOSED_FORM)
         yield VerificationReport.from_sides(
-            "an_diffeq[integral,n=1]", r, 0.0, max(tol, 1e-8),
+            f"an_diffeq[closed,n={n}]", r, 0.0, tol,
             params={"t": list(t), "f": list(f)})
+    smp = Sampler(opts.seed + 31)
+    t, f = _draw_an_tf(smp, 1, m)
+    cfg = _cfg(opts.nodes, 256, 2, 1e-10)
+    r = an_difference_residual(t, f, m, DiffSide.INTEGRAL, cfg)
+    yield VerificationReport.from_sides(
+        "an_diffeq[integral,n=1]", r, 0.0, max(tol, 1e-8),
+        params={"t": list(t), "f": list(f)})
 
 
 @_check("an_transform", tol=1e-8)
@@ -807,12 +812,19 @@ def check_degeneration_p0(opts, tol):
 def run_check(name: str, opts: CheckOptions) -> list[VerificationReport]:
     """The rows of check ``name`` at ``opts.tol`` or the check's default,
     which must be > 0 (else EHVError); each row's runtime_ms is the wall
-    time since the previous row (sampling included).  Every call starts
-    with theta's memo empty, so no call's time depends on the calls before
-    it."""
+    time since the previous row (sampling included).  With ``opts.params``
+    a family check gives one row, at the file's spec; a check that draws
+    its own parameters raises EHVError.  Every call starts with theta's
+    memo empty, so no call's time depends on the calls before it."""
     if name not in REGISTRY:
         raise EHVError(f"unknown identity {name!r}; known: {sorted(REGISTRY)}")
     fn, default_tol = REGISTRY[name]
+    if opts.params is not None:
+        if name in FAMILY_CHECKS:
+            fn = functools.partial(_file_check, name=name)
+        elif name != "biorth":
+            raise EHVError(f"{name} draws its own parameters; a parameter "
+                           f"file is for biorth and {', '.join(FAMILY_CHECKS)}")
     _reset_rejections()
     clear_memo()
     tol = _given(opts.tol, default_tol)

@@ -1,9 +1,10 @@
 """Vectorized (numpy, float64) kernels for quadrature-node evaluation.
 
 Products are cut by core.DEFAULT_POLICY, the float64 rule of the scalar
-evaluators.  Inputs are assumed pre-validated (domain-checked integrands
-keep all pole lattices away from the evaluated circles), so there are no
-per-factor pole guards; a final finiteness check catches the rest.
+evaluators, and raise TruncationFailure beyond its max_terms as they do.
+Inputs are assumed pre-validated (domain-checked integrands keep all pole
+lattices away from the evaluated circles), so there are no per-factor pole
+guards; a final finiteness check catches the rest.
 
 gamma_vec evaluates Gamma on the N nodes c w^k (w^N = 1) by the series of
 gamma.py, log Gamma(x) = sum_m (x^m - (pq/x)^m) / (m (1-q^m)(1-p^m)) on
@@ -41,7 +42,7 @@ def qpoch_vec(z: np.ndarray, b) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if babs == 0.0:
         return 1.0 - z
-    kmax = DEFAULT_POLICY.cutoff(float(np.max(np.abs(z))), babs)
+    kmax = DEFAULT_POLICY.terms("qpoch_vec", float(np.max(np.abs(z))), babs)
     out = np.ones_like(z)
     w = z.copy()
     for _ in range(kmax):
@@ -60,7 +61,7 @@ def theta_vec(z: np.ndarray, p) -> np.ndarray:
         return 1.0 - z
     zi = p / z
     scale = float(max(np.max(np.abs(z)), np.max(np.abs(zi))))
-    kmax = DEFAULT_POLICY.cutoff(scale, pabs)
+    kmax = DEFAULT_POLICY.terms("theta_vec", scale, pabs)
     if scale < _DIRECT_SCALE:
         out = np.ones_like(z)
         w1 = z.copy()

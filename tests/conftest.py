@@ -29,6 +29,5 @@ def arg():
 
 @pytest.fixture
 def extended():
-    _backend.set_precision(_backend.EXTENDED)
-    yield
-    _backend.set_precision(_backend.STD)
+    with _backend.precision(_backend.EXTENDED):
+        yield

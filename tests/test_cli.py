@@ -1,11 +1,16 @@
 """CLI surface: eval/verify/sweep grammar, exit codes, report determinism."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from ehv.cli import build_parser, main
+from ehv.params import spec_to_params
+from ehv.registry import FAMILY_CHECKS, CheckOptions, Sampler, _draw_spec, run_check
 
 CMD = [sys.executable, "-m", "ehv.cli"]
 
@@ -205,3 +210,91 @@ class TestPrecisionFlag:
         va, vb = json.loads(a.stdout), json.loads(b.stdout)
         assert va["re"] == pytest.approx(vb["re"], rel=1e-13)
         assert va["im"] == pytest.approx(vb["im"], rel=1e-13)
+
+
+# The flags each subcommand reads; it takes no other.
+FLAGS = {
+    "eval": {"--z", "--p", "--q", "--b", "--u", "--sigma", "--tau", "--w1",
+             "--w2", "--w3", "--N", "--params", "--precision"},
+    "verify": {"--params", "--tol", "--seed", "--nodes", "--n", "--m",
+               "--json", "--precision"},
+    "sweep": {"--grid", "--out", "--params", "--tol", "--seed", "--nodes",
+              "--n", "--precision"},
+}
+BASE_ARGV = {
+    "eval": ["eval", "theta", "--z", "0.5", "--p", "0.3"],
+    "verify": ["verify", "degeneration_p0"],
+    "sweep": ["sweep", "theorem1", "--grid", "t0=0.5:0.5:1"],
+}
+
+
+class TestFlagSurface:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: {flag for action in sp._actions
+                      for flag in action.option_strings
+                      if flag not in ("-h", "--help")}
+               for name, sp in sub.choices.items()}
+        assert got == FLAGS
+        assert sum(map(len, got.values())) == 29
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--tol"), ("eval", "--seed"), ("eval", "--nodes"),
+        ("eval", "--json"), ("eval", "--n"), ("eval", "--m"),
+        ("eval", "--side"), ("verify", "--side"), ("sweep", "--json"),
+        ("sweep", "--m"), ("sweep", "--side"),
+        ("verify", "--see"),        # no abbreviations either
+    ])
+    def test_a_flag_it_does_not_read_exits_2(self, command, flag, capsys):
+        value = {"--json": [], "--side": ["integral"]}.get(flag, ["1"])
+        with pytest.raises(SystemExit) as exc:
+            main(BASE_ARGV[command] + [flag] + value)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _seeded(name, seed, n):
+    """The check's first seeded spec and row at rank n."""
+    smp = Sampler(seed if name == "theorem1" else seed + n)
+    spec = _draw_spec(smp, FAMILY_CHECKS[name][0], n)
+    row = run_check(name, CheckOptions(seed=seed, n=n))[0]
+    return spec, json.loads(row.to_json_line())
+
+
+class TestFamilyParamsFile:
+    """A parameter file holding a family check's own seeded draw reproduces
+    that draw's row: the file's family and rank n are the check's."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_CHECKS))
+    def test_file_reproduces_the_seeded_row(self, name, tmp_path, capsys):
+        n = FAMILY_CHECKS[name][1] or 2
+        spec, want = _seeded(name, 4, n)
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec_to_params(spec)))
+        assert main(["verify", name, "--params", str(f), "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        row = json.loads(lines[0])
+        assert row["name"] == f"{name}[n={n}]"
+        for key in ("lhs", "rhs", "params_digest"):
+            assert row[key] == want[key]
+
+    def test_mismatches_exit_2(self, tmp_path):
+        spec, _ = _seeded("an2_odd", 4, 1)
+        f = tmp_path / "an2.json"
+        f.write_text(json.dumps(spec_to_params(spec)))
+        for args, error in [
+                (("verify", "an3_odd"), "this check's is 'An_III'"),
+                (("verify", "an2_odd", "--n", "2"), "--n 2 disagrees"),
+                (("sweep", "an2_odd", "--grid", "q=0.3:0.3:1", "--n", "3"),
+                 "--n 3 disagrees"),
+                (("verify", "ident"), "ident draws its own parameters")]:
+            out = run(*args, "--params", str(f))
+            assert out.returncode == 2 and out.stdout == ""
+            assert error in json.loads(out.stderr)["error"]
+
+    def test_bailey_beyond_its_largest_n_exits_2(self):
+        out = run("verify", "bailey", "--n", "6")
+        assert out.returncode == 2
+        assert "from 1 to 5, got 6" in json.loads(out.stderr)["error"]

@@ -20,6 +20,7 @@ from ehv.core import (
     theta_multi,
 )
 from ehv.errors import DomainError, NonConvergent, PoleHit, TruncationFailure
+from ehv.vec import qpoch_vec, theta_vec
 
 
 def direct_qpoch(z, b, terms=200):
@@ -64,6 +65,15 @@ class TestQPochhammer:
         # 43,035 factors against the standard limit of 4,096
         with pytest.raises(TruncationFailure, match="qpochhammer needs 43035"):
             qpochhammer(0.5, 0.999)
+
+    def test_tables_share_the_factor_limit(self):
+        # a node table refuses the inputs its scalar kernel refuses
+        with pytest.raises(TruncationFailure, match="qpoch_vec needs 43035"):
+            qpoch_vec([0.5], 0.999)
+        with pytest.raises(TruncationFailure, match="theta_vec needs 6077"):
+            theta_vec([0.4 + 0.1j] * 4, 0.993)
+        with pytest.raises(TruncationFailure, match="theta needs 6077"):
+            theta(0.4 + 0.1j, 0.993)
 
 
 class TestTheta:

@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import json
 
 import pytest
 
@@ -18,7 +19,7 @@ from ehv.integrands import (
     rhs_closed_form,
     validate_domain,
 )
-from ehv.params import spec_from_params, spec_to_params
+from ehv.params import load_params, spec_from_params, spec_to_params
 
 
 def prod(seq):
@@ -342,13 +343,15 @@ class TestGenericVWP:
 
 
 class TestSerialization:
-    def test_round_trip(self, rng, arg, moduli):
+    def test_round_trip(self, rng, arg, moduli, tmp_path):
         spec = IntegrandSpec(
             Family.CN_III, 2,
             ParamSet(t=tuple(arg(rng, 0.5, 0.8) for _ in range(3)),
                      x=(arg(rng, 0.6, 0.8), arg(rng, 0.6, 0.8)),
                      extras={"t": arg(rng, 0.2, 0.5)}), moduli)
-        back = spec_from_params(spec_to_params(spec))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_to_params(spec)))
+        back = spec_from_params(load_params(path))
         assert back.family == spec.family and back.n == spec.n
         assert back.params.t == spec.params.t
         assert back.params.x == spec.params.x

@@ -42,15 +42,12 @@ def test_theta_memo_keeps_precisions_apart():
     lo = theta(z, p)
     lo_mp = theta(zm, pm)
     assert abs(lo_mp - ref) > 1e-20 * abs(ref)
-    _backend.set_precision(_backend.EXTENDED)
-    try:
+    with _backend.precision(_backend.EXTENDED):
         hi = theta(zm, pm)
         assert abs(hi - ref) < 1e-30 * abs(ref)
         assert theta(z, p) == _theta_product(z, p, default_policy())
         # 13288 factors: within the extended policy's max_terms only
         assert abs(theta(z, 0.993)) > 0
-    finally:
-        _backend.set_precision(_backend.STD)
     assert repr(theta(z, p)) == repr(lo)
     assert theta(zm, pm) == lo_mp
     with pytest.raises(TruncationFailure):
@@ -100,16 +97,33 @@ def test_factorial_splitting_tight(extended):
 
 
 def test_std_restores_dps_of_entry():
+    # entered twice, extended mode still leaves the dps of the outer entry
     with mpmath.workdps(20):
-        _backend.set_precision(_backend.EXTENDED)
-        _backend.set_precision(_backend.EXTENDED)
-        assert mpmath.mp.dps == _backend.EXTENDED_DPS
-        _backend.set_precision(_backend.STD)
+        with _backend.precision(_backend.EXTENDED):
+            with _backend.precision(_backend.EXTENDED):
+                assert mpmath.mp.dps == _backend.EXTENDED_DPS
+            assert mpmath.mp.dps == _backend.EXTENDED_DPS
         assert mpmath.mp.dps == 20
+    assert _backend.get_precision() == _backend.STD
+
+
+def test_mode_restored_after_an_error():
+    with pytest.raises(TruncationFailure):
+        with _backend.precision(_backend.EXTENDED):
+            with _backend.precision(_backend.STD):
+                assert _backend.get_precision() == _backend.STD
+                theta(0.4 + 0.1j, 0.993)
+    assert _backend.get_precision() == _backend.STD
+    with pytest.raises(ValueError, match="unknown precision mode"):
+        with _backend.precision("quad"):
+            pass
 
 
 def test_std_mode_leaves_mpmath_unimported():
-    code = "import sys, ehv.cli; print('mpmath' in sys.modules)"
+    # importing the command line and running a command in standard mode
+    code = ("import sys, ehv.cli\n"
+            "ehv.cli.main(['eval', 'theta', '--z', '0.5', '--p', '0.2'])\n"
+            "print('mpmath' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "False"

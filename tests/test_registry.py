@@ -42,11 +42,8 @@ def test_rows_do_not_depend_on_earlier_calls():
                            text=True, check=True, env=env)
     run_check("ident", CheckOptions(seed=0))
     run_check("bailey", CheckOptions(seed=0))
-    _backend.set_precision(_backend.EXTENDED)
-    try:
+    with _backend.precision(_backend.EXTENDED):
         run_check("degeneration_p0", CheckOptions(seed=0))
-    finally:
-        _backend.set_precision(_backend.STD)
     after = run_check("id1", CheckOptions(seed=0))
     assert ([repr(dataclasses.replace(r, runtime_ms=0.0)) for r in after]
             == json.loads(fresh.stdout))
