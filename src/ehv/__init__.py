@@ -20,15 +20,9 @@ from .gamma import (
     elliptic_gamma_multi,
     modified_gamma_G,
 )
-from .series import (
-    SeriesSpec,
-    VSpec,
-    frenkel_turaev_rhs,
-    sum_E,
-    sum_V,
-)
+from .series import VSpec, frenkel_turaev_rhs, sum_V
 from .integrands import Family, IntegrandSpec, ParamSet, rhs_closed_form, validate_domain
-from .quadrature import QuadratureConfig, QuadratureResult, circle_integral, torus_integral
+from .quadrature import QuadratureConfig, QuadratureResult, torus_integral
 from .biorthogonal import RahmanParams, R_n, T_n, biorth_integral, contour_check
 from .report import VerificationReport
 
@@ -45,10 +39,8 @@ __all__ = [
     "elliptic_gamma",
     "elliptic_gamma_multi",
     "modified_gamma_G",
-    "SeriesSpec",
     "VSpec",
     "frenkel_turaev_rhs",
-    "sum_E",
     "sum_V",
     "Family",
     "IntegrandSpec",
@@ -57,7 +49,6 @@ __all__ = [
     "validate_domain",
     "QuadratureConfig",
     "QuadratureResult",
-    "circle_integral",
     "torus_integral",
     "RahmanParams",
     "R_n",

@@ -5,11 +5,12 @@ R_n(z) is the terminating 12-parameter very-well-poised series
     V(t3/t4; q/(t0 t4), q/(t1 t4), q/(t2 t4), t3 z, t3/z, q^-n, A q^(n-1)/t4)
 
 with A = t0 t1 t2 t3 t4; T_n is its image under the involution
-t4 -> pq/A.  Two-index variants R_nm, T_nm multiply in the partner series
-with the two bases swapped.  Both families are rational in the gauge
-cross-ratio gamma(z) = theta(z xi, z/xi; p)/theta(z eta, z/eta; p), solve a
-generalized eigenvalue problem for a pair of theta-coefficient difference
-operators, and satisfy
+t4 -> pq/A.  The two-index variant R_nm multiplies in the partner series
+with the two bases swapped.  R_n is rational in the gauge cross-ratio
+gamma(z) = theta(z xi, z/xi; p)/theta(z eta, z/eta; p), obeys a three-term
+recurrence in n whose gauge drops out, and is annihilated by the
+theta-coefficient difference operator D_{q^n} (R_nm by both the q- and the
+p-base operator at mu = q^n p^m).  The two families satisfy
 
     (1/2 pi i) int T_n R_m Delta_E dz/z = h_n N_E delta_nm
 
@@ -65,9 +66,8 @@ class RahmanParams:
 
 @dataclass(frozen=True)
 class OperatorGauge:
-    """Spectral parameter mu and the auxiliary gauge pair (xi, eta)."""
+    """The auxiliary gauge pair (xi, eta) of the three-term recurrence."""
 
-    mu: complex
     xi: complex = 1.3
     eta: complex = 0.7 + 0.1j
 
@@ -124,12 +124,6 @@ def R_nm(z, n: int, m: int, rp: RahmanParams):
             * sum_V(_rn_vspec(z, m, rp.t, p, q, "R")))
 
 
-def T_nm(z, n: int, m: int, rp: RahmanParams):
-    q, p = rp.moduli.q, rp.moduli.p
-    return (sum_V(_rn_vspec(z, n, rp.t, q, p, "T"))
-            * sum_V(_rn_vspec(z, m, rp.t, p, q, "T")))
-
-
 def _family_nodes(z, n: int, t, q, p, kind: str) -> np.ndarray:
     """Vectorized terminating series over a node array z."""
     z = np.asarray(z, dtype=complex)
@@ -159,14 +153,6 @@ def _family_rows(z, indices, rp: RahmanParams, kind: str, base: str = "q"):
     q, p = _bases(rp, base)
     tables = {j: _family_nodes(z, j, rp.t, q, p, kind) for j in set(indices)}
     return np.stack([tables[j] for j in indices])
-
-
-def r_family_nodes(z, n: int, rp: RahmanParams, base_swapped=False) -> np.ndarray:
-    return _family_rows(z, [n], rp, "R", "p" if base_swapped else "q")[0]
-
-
-def t_family_nodes(z, n: int, rp: RahmanParams, base_swapped=False) -> np.ndarray:
-    return _family_rows(z, [n], rp, "T", "p" if base_swapped else "q")[0]
 
 
 # -- difference operator ---------------------------------------------------------
@@ -209,53 +195,13 @@ def apply_D(f, z, mu, rp: RahmanParams, base: str = "q"):
             + kappa_coeff(mu, rp, base) * fz)
 
 
-def weight_ratio_up(z, rp: RahmanParams):
-    """Delta_E(qz)/Delta_E(z) in exact theta form."""
-    q, p = rp.moduli.q, rp.moduli.p
-    A = rp.A
-    num = theta_multi([1.0 / (z * z * q * q), 1.0 / (z * z * q), A / (q * z)], p)
-    den = theta_multi([z * z, q * z * z, A * z], p)
-    for tm in rp.t:
-        num *= theta(tm * z, p)
-        den *= theta(tm / (q * z), p)
-    return num / den
-
-
-def weight_ratio_down(z, rp: RahmanParams):
-    """Delta_E(z/q)/Delta_E(z)."""
-    return 1.0 / weight_ratio_up(z / rp.moduli.q, rp)
-
-
-def apply_D_adjoint(f, z, xi, rp: RahmanParams):
-    """Adjoint operator action with respect to the weight Delta_E."""
-    q = rp.moduli.q
-    fz = f(z)
-    return (weight_ratio_up(z, rp) * V_coeff(1.0 / (q * z), xi, rp) * f(q * z)
-            + weight_ratio_down(z, rp) * V_coeff(z / q, xi, rp) * f(z / q)
-            - (V_coeff(z, xi, rp) + V_coeff(1.0 / z, xi, rp)) * fz
-            + kappa_coeff(xi, rp) * fz)
-
-
-def lambda_gevp(mu, gauge: OperatorGauge, rp: RahmanParams):
-    """Generalized eigenvalue attached to mu for the gauge pair."""
-    p = rp.moduli.p
-    q = rp.moduli.q
-    t4 = rp.t[4]
-    return (theta_multi([mu * rp.A * gauge.eta / (q * t4), mu / gauge.eta], p)
-            / theta_multi([mu * rp.A * gauge.xi / (q * t4), mu / gauge.xi], p))
-
-
-def g_function(z, mu, rp: RahmanParams):
-    """Conjugating factor between the operator and its adjoint."""
-    from .gamma import elliptic_gamma_multi
-
-    q = rp.moduli.q
-    t4 = rp.t[4]
-    A = rp.A
-    num = [q * mu * z / t4, mu * q / (t4 * z), A * z, A / z]
-    den = [q * q * z / t4, q * q / (t4 * z), A * mu * z / q, A * mu / (q * z)]
-    return (elliptic_gamma_multi(num, rp.moduli)
-            / elliptic_gamma_multi(den, rp.moduli))
+def eigen_residual(f, z, mu, rp: RahmanParams, base: str = "q") -> float:
+    """|D_mu f(z)| over the size of its terms, max(|V(z)|, |V(1/z)|,
+    |kappa|) max(1, |f(z)|); 0 where D_mu annihilates f."""
+    scale = max(abs(V_coeff(z, mu, rp, base)),
+                abs(V_coeff(1 / z, mu, rp, base)),
+                abs(kappa_coeff(mu, rp, base))) * max(1.0, abs(f(z)))
+    return abs(apply_D(f, z, mu, rp, base)) / scale
 
 
 def recurrence_next(R_prev, R_curr, n: int, z, rp: RahmanParams,
@@ -266,7 +212,7 @@ def recurrence_next(R_prev, R_curr, n: int, z, rp: RahmanParams,
     valid gauge gives the same value.
     """
     if gauge is None:
-        gauge = OperatorGauge(mu=1.0)
+        gauge = OperatorGauge()
     q, p = rp.moduli.q, rp.moduli.p
     t0, t1, t2, t3, t4 = rp.t
     A = rp.A
@@ -342,11 +288,6 @@ def norm_h(n: int, rp: RahmanParams, base: str = "q"):
         [1.0 / (t3 * t4), t0 * t3, t1 * t3, t2 * t3, A / (q * t3), A / (q * t4)],
         p, q, n)
     return head * num / den * cpow(q, -n)
-
-
-def norm_h2(n: int, l: int, rp: RahmanParams):
-    """Two-index normalization: the q-base factor times the p-base factor."""
-    return norm_h(n, rp, "q") * norm_h(l, rp, "p")
 
 
 def _gram(rp: RahmanParams, tables, cfg: QuadratureConfig | None):

@@ -8,7 +8,8 @@
                           [--params FILE] [--tol X] [--seed N] [--nodes N]
                           [--n N] [--precision std|extended]
 
-Each subcommand takes only the flags it reads; any other exits 2.
+Each subcommand takes only the flags it reads, and each check of ``verify``
+only the options it reads (see ``registry.run_check``); any other exits 2.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 invalid input or a
 gated precondition (unknown name, domain violation, inadmissible contour).

@@ -25,10 +25,6 @@ class PoleHit(EHVError):
     """Evaluation point is within guard distance of a pole lattice."""
 
 
-class NonTerminatingWithoutBound(EHVError):
-    """A series is neither terminating nor supplied with a certified bound."""
-
-
 class NotTerminating(EHVError):
     """No parameter of a sum matches the required q^(-N) termination form."""
 

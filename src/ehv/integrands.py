@@ -11,7 +11,6 @@ Families (n is the torus dimension actually integrated over):
     AN_I      n+1 t's and n+2 f's on the constrained torus z_1...z_{n+1} = 1
     AN_II     coupling pair (t, s) + 5 parameters, constrained torus
     AN_III    coupling t + n+4 parameters, constrained torus
-    GENERIC_VWP / MINUS_A   single-variable families without closed forms
 
 All integrands are returned "bare": the 1/(2 pi i)^n prefactors and the
 dz/z measure live in the quadrature module, which evaluates the plain
@@ -34,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._backend import cexp, clog, cpow
+from ._backend import cpow
 from .core import Moduli, theta
 from .errors import DomainViolation, UnsupportedFamily
 from .gamma import elliptic_gamma, elliptic_gamma_multi, elliptic_gamma_reciprocal
@@ -49,8 +48,6 @@ class Family(Enum):
     AN_I = "An_I"
     AN_II = "An_II"
     AN_III = "An_III"
-    GENERIC_VWP = "generic_vwp"
-    MINUS_A = "minus_A"
 
 
 @dataclass(frozen=True)
@@ -111,17 +108,6 @@ class IntegrandSpec:
                 raise ValueError(f"{fam.value} needs the scalar extra 't'")
         if fam is Family.AN_II and "s" not in ps.extras:
             raise ValueError("An_II needs the scalar extra 's'")
-        if fam in (Family.GENERIC_VWP, Family.MINUS_A):
-            if n != 1:
-                raise ValueError(f"{fam.value} is single-variable")
-            order = ps.extras.get("m")
-            if order is None:
-                raise ValueError(f"{fam.value} needs the integer extra 'm'")
-            need = order - 8 if fam is Family.GENERIC_VWP else order - 6
-            if len(ps.t) != need:
-                raise ValueError(
-                    f"{fam.value} at m={order} needs {need} t-parameters"
-                )
 
     # -- derived products ---------------------------------------------------
 
@@ -135,12 +121,6 @@ class IntegrandSpec:
             return ps.extras["t"] * _prod(ps.t) * cpow(m.q, n - 1)
         if fam is Family.AN_III:
             return cpow(ps.extras["t"], n + 2) * _prod(ps.t)
-        if fam is Family.GENERIC_VWP:
-            order = ps.extras["m"]
-            return cpow(m.p * m.q, (13 - order) / 2.0) * _prod(ps.t)
-        if fam is Family.MINUS_A:
-            order = ps.extras["m"]
-            return cpow(m.p * m.q, (11 - order) / 2.0) * _prod(ps.t)
         raise UnsupportedFamily(f"no product A for {fam.value}")
 
     @property
@@ -245,9 +225,6 @@ def validate_domain(spec: IntegrandSpec) -> ValidationResult:
     elif fam is Family.AN_III:
         lt1(ps.t, "t")
         checks.append(InequalityCheck("|t| < 1", abs(ps.extras["t"]), 1.0))
-        checks.append(InequalityCheck("|pq| < |A|", pq, abs(spec.product_A)))
-    elif fam in (Family.GENERIC_VWP, Family.MINUS_A):
-        lt1(ps.t, "t")
         checks.append(InequalityCheck("|pq| < |A|", pq, abs(spec.product_A)))
     return ValidationResult(tuple(checks))
 
@@ -380,7 +357,7 @@ def _add(e1, e2):
 
 
 def make_integrand(spec: IntegrandSpec) -> FactorIntegrand:
-    """Bare integrand for the quadrature families (not GENERIC_VWP/MINUS_A)."""
+    """Bare integrand of the family spec."""
     fam, n, ps, m = spec.family, spec.n, spec.params, spec.moduli
     fs = []
     one = 1.0 + 0.0j
@@ -500,9 +477,7 @@ def make_integrand(spec: IntegrandSpec) -> FactorIntegrand:
                                  _add(_minus(evecs[i]), evecs[j])))
         return FactorIntegrand(n, m, fs)
 
-    raise UnsupportedFamily(
-        f"{fam.value} has no torus-quadrature integrand; evaluate pointwise"
-    )
+    raise UnsupportedFamily(f"no integrand for {fam.value}")
 
 
 # -- closed-form right-hand sides ----------------------------------------------
@@ -517,8 +492,6 @@ def _pochs(m: Moduli):
 def rhs_closed_form(spec: IntegrandSpec):
     """The family's exact integral value (bare-measure convention)."""
     fam, n, ps, m = spec.family, spec.n, spec.params, spec.moduli
-    if fam in (Family.GENERIC_VWP, Family.MINUS_A):
-        raise UnsupportedFamily(f"{fam.value} has no closed form")
     pp, qq = _pochs(m)
     G = lambda *args: elliptic_gamma_multi(args, m)
 
@@ -686,74 +659,6 @@ def _rhs_an3(spec: IntegrandSpec):
     for tj in tail:
         val /= G(cpow(tc, ll + 1) * tj * head)
     return val
-
-
-# -- single-variable families without closed forms ------------------------------
-
-
-@dataclass(frozen=True)
-class GenericVWP:
-    """Well-poised single-variable integrand with free balancing constant.
-
-    rho = pq collapses the doubled reflection factors and reproduces the
-    symmetric form; gamma multiplies in exp(gamma * y) with z = q^y.
-    """
-
-    order: int
-    t: tuple
-    rho: complex
-    gamma: complex
-    moduli: Moduli
-
-    @property
-    def A(self):
-        return cpow(self.moduli.p * self.moduli.q,
-                    (13 - self.order) / 2.0) * _prod(self.t)
-
-    def __call__(self, z):
-        m = self.moduli
-        q, p = m.q, m.p
-        rho = self.rho
-        mo = self.order
-        num = []
-        den = []
-        for tj in self.t:
-            num.append(tj * z)
-            den.append(rho / tj * z)
-        num.append(cpow(rho, (mo + 1) / 2.0) * cpow(p * q, -6.0)
-                   / _prod(self.t) * z)
-        den.extend([1.0 / z ** 2, (rho / (p * q)) ** 2 * z ** 2,
-                    cpow(rho, (1 - mo) / 2.0) * cpow(p * q, 6.0)
-                    * _prod(self.t) * z])
-        val = elliptic_gamma_multi(num, m) / elliptic_gamma_multi(den, m)
-        if self.gamma != 0:
-            y = clog(z) / clog(q)
-            val = val * cexp(self.gamma * y)
-        return val
-
-
-@dataclass(frozen=True)
-class MinusA:
-    """The sign-flipped variant: same shape, -A in the reflection slots,
-    no known closed form."""
-
-    order: int
-    t: tuple
-    moduli: Moduli
-
-    @property
-    def A(self):
-        return cpow(self.moduli.p * self.moduli.q,
-                    (11 - self.order) / 2.0) * _prod(self.t)
-
-    def __call__(self, z):
-        m = self.moduli
-        A = self.A
-        num = []
-        for tj in self.t:
-            num.extend([tj * z, tj / z])
-        den = [z ** 2, 1.0 / z ** 2, -A * z, -A / z]
-        return elliptic_gamma_multi(num, m) / elliptic_gamma_multi(den, m)
 
 
 def make_an1_spec(t, f, m: Moduli) -> IntegrandSpec:

@@ -5,7 +5,7 @@ File format: a JSON object; each command reads the fields it needs.
     {"family": "Cn_III", "n": 2,
      "q": [re, im], "p": [re, im],
      "t": [[re, im], ...], "f": [...], "x": [...],
-     "extras": {"t": [re, im], "s": [re, im], "m": 13, "N": 4, ...},
+     "extras": {"t": [re, im], "s": [re, im], "N": 4, ...},
      "N": 4,
      "z": [re, im] or [[re, im], ...]}
 
@@ -21,7 +21,6 @@ from .core import Moduli
 from .integrands import Family, IntegrandSpec, ParamSet
 
 _SEQUENCES = ("t", "f", "x")
-_INT_EXTRAS = ("m", "N")
 
 
 def decode_complex(v):
@@ -39,8 +38,8 @@ def encode_complex(v):
 
 def load_params(path: str) -> dict:
     """The decoded parameter file at ``path``: complex q, p; tuples of
-    complex t, f, x; extras as complex numbers, except the integers m and
-    N; z as a tuple of points; family as given; integer n and N."""
+    complex t, f, x; extras as complex numbers, except the integer N; z as
+    a tuple of points; family as given; integer n and N."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -50,7 +49,7 @@ def load_params(path: str) -> dict:
         if key in raw:
             out[key] = tuple(decode_complex(v) for v in raw[key])
     if "extras" in raw:
-        out["extras"] = {key: int(v) if key in _INT_EXTRAS else decode_complex(v)
+        out["extras"] = {key: int(v) if key == "N" else decode_complex(v)
                          for key, v in raw["extras"].items()}
     if "z" in raw:
         zs = raw["z"]

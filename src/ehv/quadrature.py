@@ -138,23 +138,10 @@ def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):
         est_error=est, nodes_used=N ** n, converged=converged)
 
 
-def circle_integral(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:
-    """(1/2 pi i) closed-contour integral of f(z) dz/z over the unit circle.
-
-    f may be a plain callable or carry a vectorized mesh_eval(N).
-    """
-    return torus_integral(f if hasattr(f, "mesh_eval") else
-                          (lambda zs: f(zs[0])), 1, cfg)
-
-
 def torus_integral(f, n: int, cfg: QuadratureConfig | None = None) -> QuadratureResult:
-    """Tensor-product rule over T^n with doubling control.
-
-    f may carry a vectorized mesh_eval(N); otherwise it is called pointwise
-    as f((z_1, ..., z_n)) on every grid node, in C order.
-    """
-    if hasattr(f, "mesh_eval"):
-        return integrate_mesh_fn(f.mesh_eval, n, cfg)
+    """Tensor-product rule over T^n with doubling control, f called
+    pointwise as f((z_1, ..., z_n)) on every grid node, in C order: the
+    reference the vectorized mesh path is tested against."""
 
     def mesh(N):
         z1d = np.exp(2j * np.pi * np.arange(N) / N)

@@ -1,14 +1,15 @@
 """Named verification checks behind `ehv verify`.
 
 Every entry is a generator ``fn(opts, tol)`` registered once, with its
-default tolerance, by ``@_check(name, tol=...)``.  It draws seeded
-admissible parameters (rejection sampling against the domain/contour gates,
-rejection count tracked), runs its identity at ``tol`` and yields
-VerificationReport rows in a deterministic order.  A parameter file
+default tolerance and the options it reads, by ``@_check(name, tol=...,
+reads=...)``.  It draws seeded admissible parameters (rejection sampling
+against the domain/contour gates, rejection count tracked), runs its
+identity at ``tol`` and yields VerificationReport rows in a deterministic
+order.  Every check reads ``seed`` and ``tol``; ``run_check`` refuses any
+other option that is set and the check does not read.  A parameter file
 replaces the draws of a family check by the one spec it gives
-(``file_spec``) and supplies ``biorth``'s parameters; every other check
-draws its own and refuses one.  ``run_check`` resolves the tolerance and
-times the rows.
+(``file_spec``) and supplies ``biorth``'s parameters.  ``run_check`` also
+resolves the tolerance and times the rows.
 """
 
 from __future__ import annotations
@@ -49,10 +50,15 @@ from .integrands import (
     validate_domain,
 )
 from .biorthogonal import (
+    OperatorGauge,
+    R_n,
+    R_nm,
     RahmanParams,
     biorth_integral,
     contour_check,
+    eigen_residual,
     norm_h,
+    recurrence_next,
     shifted_beta_sides,
     twelveV_integral_rep_sides,
 )
@@ -61,6 +67,7 @@ from .quadrature import QuadratureConfig, integrate_spec
 from .report import VerificationReport
 from .series import (
     VSpec,
+    bailey_map,
     bailey_transform_check,
     contiguous_relative_residuals,
     frenkel_turaev_rhs,
@@ -84,14 +91,18 @@ class CheckOptions:
     params: dict | None = None      # a decoded file, see params.load_params
 
 
-# name -> (check generator fn(opts, tol), default tolerance); a default of
-# None leaves the tolerance to the rank, see _rank_tol
+# name -> (check generator fn(opts, tol), default tolerance, the options of
+# _OPTIONS it reads); a default of None leaves the tolerance to the rank, see
+# _rank_tol
 REGISTRY: dict = {}
 
+# the CheckOptions a check may read besides seed and tol
+_OPTIONS = ("nodes", "n", "m", "params")
 
-def _check(name: str, tol: float | None = None):
+
+def _check(name: str, tol: float | None = None, reads: tuple = ()):
     def register(fn):
-        REGISTRY[name] = (fn, tol)
+        REGISTRY[name] = (fn, tol, reads)
         return fn
 
     return register
@@ -269,7 +280,7 @@ def _file_check(opts, tol, name):
 # -- quadrature-family checks ----------------------------------------------------
 
 
-@_check("theorem1", tol=1e-9)
+@_check("theorem1", tol=1e-9, reads=("nodes", "params"))
 def check_theorem1(opts, tol):
     smp = Sampler(opts.seed)
     for i in range(20):
@@ -298,10 +309,13 @@ FAMILY_CHECKS = {"theorem1": (Family.E, 1), "cn1": (Family.CN_I, None),
                  "an3_even": (Family.AN_III, 2)}
 
 
+_FAMILY_READS = ("nodes", "n", "params")
+
+
 def _family_check(name, tol=None):
     family, rank = FAMILY_CHECKS[name]
-    _check(name, tol)(functools.partial(_check_family, name=name,
-                                        family=family, rank=rank))
+    _check(name, tol, _FAMILY_READS)(functools.partial(
+        _check_family, name=name, family=family, rank=rank))
 
 
 _family_check("cn1")
@@ -312,7 +326,7 @@ _family_check("an3_odd", 1e-6)
 _family_check("an3_even", 1e-6)
 
 
-@_check("cn3")
+@_check("cn3", reads=_FAMILY_READS)
 def check_cn3(opts, tol):
     yield from _check_family(opts, tol, "cn3", *FAMILY_CHECKS["cn3"])
     # q <-> p asymmetry of the integrand at a generic point, encoded so that
@@ -331,7 +345,7 @@ def check_cn3(opts, tol):
         params={"zs": list(zs)})
 
 
-@_check("an1")
+@_check("an1", reads=_FAMILY_READS)
 def check_an1(opts, tol):
     yield from _check_family(opts, tol, "an1 (conjecture support)",
                              *FAMILY_CHECKS["an1"])
@@ -410,23 +424,19 @@ def _draw_v12(smp: Sampler, m: Moduli, N: int, check_transform: bool = False):
 
     def ok(t):
         try:
-            s0 = q * t[0] ** 2 / (t[1] * t[2] * t[3])
-            if abs(s0) > 8.0:
+            s = bailey_map(t, q)
+            if abs(s[0]) > 8.0:
                 return False
             if not well_conditioned(t[0], t[1:]):
                 return False
-            if check_transform:
-                s123 = tuple(s0 * t[i] / t[0] for i in (1, 2, 3))
-                if not well_conditioned(s0, s123 + t[4:]):
-                    return False
-            return True
+            return not check_transform or well_conditioned(s[0], s[1:])
         except EHVError:
             return False
 
     return smp.accept(build, ok)
 
 
-@_check("bailey", tol=1e-11)
+@_check("bailey", tol=1e-11, reads=("n",))
 def check_bailey(opts, tol):
     m = DEFAULT_MODULI
     N = _given(opts.n, 3)
@@ -618,7 +628,7 @@ def _draw_an_tf(smp, n, m):
     return smp.accept(build, ok)
 
 
-@_check("an_diffeq", tol=1e-12)
+@_check("an_diffeq", tol=1e-12, reads=("nodes",))
 def check_an_diffeq(opts, tol):
     m = DEFAULT_MODULI
     for n in (1, 2, 3):
@@ -637,7 +647,7 @@ def check_an_diffeq(opts, tol):
         params={"t": list(t), "f": list(f)})
 
 
-@_check("an_transform", tol=1e-8)
+@_check("an_transform", tol=1e-8, reads=("nodes",))
 def check_an_transform(opts, tol):
     m = DEFAULT_MODULI
     smp = Sampler(opts.seed)
@@ -681,7 +691,7 @@ def default_rahman_params(seed: int = 0) -> RahmanParams:
                                   and _norms_healthy(rp, 3)))
 
 
-@_check("biorth", tol=1e-8)
+@_check("biorth", tol=1e-8, reads=("nodes", "n", "m", "params"))
 def check_biorth(opts, tol):
     """The 4x4 grid n, m <= 3, or the one cell given by both --n and --m."""
     if (opts.n is None) != (opts.m is None) or min(opts.n or 0, opts.m or 0) < 0:
@@ -697,6 +707,49 @@ def check_biorth(opts, tol):
     cells = ([(opts.n, opts.m, 0, 0)] if opts.n is not None
              else [(n, m, 0, 0) for n in range(4) for m in range(4)])
     yield from biorth_integral(cells, rp, cfg, tol)
+
+
+# the gauges the recurrence runs in; the first is the default one
+_GAUGES = (OperatorGauge(), OperatorGauge(0.9 + 0.2j, 1.4 - 0.1j),
+           OperatorGauge(2.0, 0.3 + 0.4j), OperatorGauge(0.8, 1.9 + 0.1j),
+           OperatorGauge(1.7 - 0.3j, 0.55 + 0.25j))
+
+
+@_check("operator", tol=1e-10)
+def check_operator(opts, tol):
+    """On biorth's parameters: D_{q^n} annihilates R_n (n < 5, 20 points on
+    the circle), both operators annihilate R_nm (n, m < 3), the three-term
+    recurrence gives R_2..R_5, and its gauge drops out to min(tol, 1e-12)."""
+    rp = default_rahman_params(opts.seed)
+    q, p = rp.moduli.q, rp.moduli.p
+    params = {"t": list(rp.t), "q": q, "p": p}
+
+    def row(label, worst, row_tol):
+        return VerificationReport.from_sides(f"operator[{label}]", worst, 0.0,
+                                             row_tol, params=params)
+
+    yield row("D R_n,n<5", max(
+        eigen_residual(functools.partial(R_n, n=n, rp=rp),
+                       cmath.exp(2j * cmath.pi * (k + 0.381) / 20), q ** n, rp)
+        for n in range(5) for k in range(20)), tol)
+    yield row("D R_nm,n,m<3", max(
+        eigen_residual(functools.partial(R_nm, n=n, m=m, rp=rp),
+                       cmath.exp(0.83j), q ** n * p ** m, rp, base)
+        for n in range(3) for m in range(3) for base in ("q", "p")), tol)
+    z = cmath.exp(0.42j)
+    series = [R_n(z, n, rp) for n in range(6)]
+    runs = []
+    for gauge in _GAUGES:
+        gauge.validate(rp)
+        rs = [1.0 + 0.0j, series[1]]
+        for n in range(1, 5):
+            rs.append(recurrence_next(rs[n - 1], rs[n], n, z, rp, gauge))
+        runs.append(rs)
+    yield row("recurrence,n<=5", max(
+        abs(runs[0][n] - series[n]) / abs(series[n]) for n in range(2, 6)), tol)
+    yield row("gauge", max(abs(runs[0][n] - rs[n]) / max(1.0, abs(runs[0][n]))
+                           for rs in runs[1:] for n in range(6)),
+              min(tol, 1e-12))
 
 
 def biorth2_param_sets(seed: int = 0):
@@ -725,7 +778,7 @@ def biorth2_param_sets(seed: int = 0):
     return smp.accept(build, ok)
 
 
-@_check("biorth2", tol=1e-8)
+@_check("biorth2", tol=1e-8, reads=("nodes",))
 def check_biorth2(opts, tol):
     set_a, set_b = biorth2_param_sets(opts.seed)
     cfg = _cfg(opts.nodes, 1024, 2, 1e-11)
@@ -753,7 +806,7 @@ def _weight_shift_cases(opts):
         (rp_q, [(0, 0), (1, 0), (2, 0)]), (rp_p, [(0, 1), (0, 2)])]
 
 
-@_check("intrep", tol=1e-8)
+@_check("intrep", tol=1e-8, reads=("nodes",))
 def check_intrep(opts, tol):
     cfg, sets = _weight_shift_cases(opts)
     smp = Sampler(opts.seed + 5)
@@ -767,7 +820,7 @@ def check_intrep(opts, tol):
                         "m": m_, "n": n_})
 
 
-@_check("shifted_beta", tol=1e-8)
+@_check("shifted_beta", tol=1e-8, reads=("nodes",))
 def check_shifted_beta(opts, tol):
     cfg, sets = _weight_shift_cases(opts)
     for rp, shifts in sets:
@@ -780,7 +833,7 @@ def check_shifted_beta(opts, tol):
                         "i": i_, "j": j_})
 
 
-@_check("degeneration_p0", tol=1e-6)
+@_check("degeneration_p0", tol=1e-6, reads=("nodes",))
 def check_degeneration_p0(opts, tol):
     smp = Sampler(opts.seed)
     q = 0.31
@@ -812,19 +865,21 @@ def check_degeneration_p0(opts, tol):
 def run_check(name: str, opts: CheckOptions) -> list[VerificationReport]:
     """The rows of check ``name`` at ``opts.tol`` or the check's default,
     which must be > 0 (else EHVError); each row's runtime_ms is the wall
-    time since the previous row (sampling included).  With ``opts.params``
-    a family check gives one row, at the file's spec; a check that draws
-    its own parameters raises EHVError.  Every call starts with theta's
-    memo empty, so no call's time depends on the calls before it."""
+    time since the previous row (sampling included).  An option of
+    _OPTIONS that is set and that the check does not read raises EHVError.
+    With ``opts.params`` a family check gives one row, at the file's spec.
+    Every call starts with theta's memo empty, so no call's time depends on
+    the calls before it."""
     if name not in REGISTRY:
         raise EHVError(f"unknown identity {name!r}; known: {sorted(REGISTRY)}")
-    fn, default_tol = REGISTRY[name]
-    if opts.params is not None:
-        if name in FAMILY_CHECKS:
-            fn = functools.partial(_file_check, name=name)
-        elif name != "biorth":
-            raise EHVError(f"{name} draws its own parameters; a parameter "
-                           f"file is for biorth and {', '.join(FAMILY_CHECKS)}")
+    fn, default_tol, reads = REGISTRY[name]
+    unread = [key for key in _OPTIONS
+              if getattr(opts, key) is not None and key not in reads]
+    if unread:
+        raise EHVError(f"{name} does not read --{', --'.join(unread)}; it "
+                       f"reads --{', --'.join(('seed', 'tol') + reads)}")
+    if opts.params is not None and name in FAMILY_CHECKS:
+        fn = functools.partial(_file_check, name=name)
     _reset_rejections()
     clear_memo()
     tol = _given(opts.tol, default_tol)

@@ -1,13 +1,6 @@
 """Theta hypergeometric series and all series-level identities.
 
-The general series is
-
-    sum_{n>=0} theta(t_0, ..., t_s; p; q)_n / theta(q, w_1, ..., w_r; p; q)_n
-               * exp(P3(n)),      P3(n) = a1 n + a2 n^2 + a3 n^3,
-
-balanced when s = r, a2 = a3 = 0 and prod t = q * prod w.  The
-very-well-poised specialization carries the extra prefactor
-theta(t_0 q^{2n}; p) / theta(t_0; p) and argument (q x)^n:
+The very-well-poised series is
 
     V(t_0; t_1, ..., t_{r-4}; q, p; x)
       = sum_n theta(t_0 q^{2n};p)/theta(t_0;p)
@@ -28,13 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._backend import cexp, cpow
+from ._backend import cpow
 from .core import (DENOMINATOR_EPS, POLE_EPS, Moduli, theta, theta_factorial,
                    theta_factorial_multi, theta_multi)
 from .errors import (
     BalancingViolation,
     ConstraintViolation,
-    NonTerminatingWithoutBound,
     NotTerminating,
     PoleHit,
 )
@@ -69,68 +61,6 @@ def match_qpow(t, q):
     return None
 
 
-def _match_qppow(t, q, p):
-    """Least-N (N, M) in [0, 64]^2 with t = q^-N p^-M to 1e-12, else None."""
-    if q == 0:
-        return None
-    for n in range(65):
-        if p == 0:
-            cand = cpow(q, -n)
-            if abs(t - cand) <= 1e-12 * abs(cand):
-                return (n, 0)
-            continue
-        for mth in range(65):
-            cand = cpow(q, -n) * cpow(p, -mth)
-            if abs(t - cand) <= 1e-12 * abs(cand):
-                return (n, mth)
-    return None
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    """General theta hypergeometric series data.
-
-    t: numerator parameters (t_0 .. t_s); w: denominator parameters
-    (w_1 .. w_r, the leading q-factorial is implicit); alpha: cubic
-    exponent coefficients (a1, a2, a3); n_max: explicit cap for
-    nonterminating sums, or None to require termination.
-    """
-
-    t: tuple
-    w: tuple
-    alpha: tuple
-    moduli: Moduli
-    n_max: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", tuple(self.t))
-        object.__setattr__(self, "w", tuple(self.w))
-        if len(self.alpha) != 3:
-            raise ValueError("alpha must be the cubic coefficient triple")
-
-    @property
-    def is_balanced(self) -> bool:
-        if len(self.t) != len(self.w) + 1:
-            return False
-        if self.alpha[1] != 0 or self.alpha[2] != 0:
-            return False
-        pt = 1.0 + 0.0j
-        for v in self.t:
-            pt *= v
-        pw = self.moduli.q
-        for v in self.w:
-            pw *= v
-        return abs(pt - pw) <= 1e-10 * abs(pw)
-
-    def termination_index(self):
-        best = None
-        for v in self.t:
-            nm = _match_qppow(v, self.moduli.q, self.moduli.p)
-            if nm is not None and (best is None or nm[0] < best):
-                best = nm[0]
-        return best
-
-
 class SeriesEval(tuple):
     """(value, last_term_mag, terms_used) with .value/.last_term/.terms."""
 
@@ -142,53 +72,6 @@ class SeriesEval(tuple):
     value = property(lambda s: s[0])
     last_term = property(lambda s: s[1])
     terms = property(lambda s: s[2])
-
-
-def _p3_step(alpha, n):
-    a1, a2, a3 = alpha
-    # P3(n+1) - P3(n)
-    return a1 + a2 * (2 * n + 1) + a3 * (3 * n * n + 3 * n + 1)
-
-
-def sum_E_info(spec: SeriesSpec) -> SeriesEval:
-    """Evaluate the general series; terminating, or capped with a
-    tail-decay certificate (|term ratio| < 0.9 over the final 10 steps)."""
-    m = spec.moduli
-    p, q = m.p, m.q
-    n_stop = spec.termination_index()
-    certified = n_stop is not None
-    if not certified:
-        if spec.n_max is None:
-            raise NonTerminatingWithoutBound(
-                "series is not terminating and no n_max was supplied"
-            )
-        n_stop = spec.n_max
-    terms = [1.0 + 0.0j]
-    coeff = 1.0 + 0.0j
-    ratios = []
-    for n in range(n_stop):
-        num = theta_multi([v * q ** n for v in spec.t], p)
-        den = theta(q ** (n + 1), p) * theta_multi([v * q ** n for v in spec.w], p)
-        if den == 0 or abs(den) < DENOMINATOR_EPS:
-            raise PoleHit(f"denominator factorial vanishes at term {n + 1}")
-        h = (num / den) * cexp(_p3_step(spec.alpha, n))
-        coeff = coeff * h
-        if coeff == 0:
-            break
-        terms.append(coeff)
-        ratios.append(abs(h))
-    if not certified:
-        window = ratios[-10:]
-        if len(window) < 10 or any(r >= 0.9 for r in window):
-            raise NonTerminatingWithoutBound(
-                "tail-decay certificate failed: term ratios not < 0.9 "
-                "over the last 10 terms"
-            )
-    return SeriesEval(tree_sum(terms), abs(terms[-1]), len(terms))
-
-
-def sum_E(spec: SeriesSpec):
-    return sum_E_info(spec).value
 
 
 @dataclass(frozen=True)
@@ -296,14 +179,6 @@ def frenkel_turaev_rhs(t0, t1, t4, t5, N: int, m: Moduli):
     return num / den
 
 
-def frenkel_turaev_lhs(t0, t1, t4, t5, N: int, m: Moduli):
-    """The matching 10-parameter vwp sum: t6 = q^(-N), t7 from balancing."""
-    q = m.q
-    t6 = cpow(q, -N)
-    t7 = q * t0 * t0 / (t1 * t4 * t5 * t6)
-    return sum_V(VSpec(t0=t0, t=(t1, t4, t5, t6, t7), x=1.0, moduli=m, N=N))
-
-
 def _check_v12_balance(t, m: Moduli):
     prod = 1.0 + 0.0j
     for v in t[1:]:
@@ -313,6 +188,14 @@ def _check_v12_balance(t, m: Moduli):
         raise BalancingViolation(
             f"12-parameter balancing violated: prod/target = {prod / target}"
         )
+
+
+def bailey_map(t, q):
+    """The transform's parameter map, an involution: s_0 = q t_0^2 / (t_1 t_2
+    t_3), s_i = s_0 t_i / t_0 for i = 1, 2, 3, and s_i = t_i for i >= 4."""
+    t0 = t[0]
+    s0 = q * t0 * t0 / (t[1] * t[2] * t[3])
+    return (s0,) + tuple(s0 * t[i] / t0 for i in (1, 2, 3)) + tuple(t[4:])
 
 
 def bailey_transform_check(t, N: int, m: Moduli,
@@ -333,8 +216,8 @@ def bailey_transform_check(t, N: int, m: Moduli,
     p, q = m.p, m.q
     t0 = t[0]
     lhs = twelveV(t0, t[1:], m)
-    s0 = q * t0 * t0 / (t[1] * t[2] * t[3])
-    s123 = tuple(s0 * t[i] / t0 for i in (1, 2, 3))
+    s = bailey_map(t, q)
+    s0 = s[0]
     tail = tuple(t[4 + i] for i in perm)
     pref_num = theta_factorial_multi(
         [q * t0, q * s0 / t[4], q * s0 / t[5], q * t0 / (t[4] * t[5])],
@@ -342,20 +225,9 @@ def bailey_transform_check(t, N: int, m: Moduli,
     pref_den = theta_factorial_multi(
         [q * s0, q * t0 / t[4], q * t0 / t[5], q * s0 / (t[4] * t[5])],
         p, q, N)
-    rhs = pref_num / pref_den * twelveV(s0, s123 + tail, m)
+    rhs = pref_num / pref_den * twelveV(s0, s[1:4] + tail, m)
     return VerificationReport.from_sides(
         name, lhs, rhs, tol, params={"t": list(t), "N": N, "perm": list(perm)})
-
-
-def bailey_involution(t, m: Moduli):
-    """Applying the transform's parameter map twice returns the input."""
-    t = tuple(t)
-    t0 = t[0]
-    s0 = m.q * t0 * t0 / (t[1] * t[2] * t[3])
-    s = (s0,) + tuple(s0 * t[i] / t0 for i in (1, 2, 3)) + t[4:]
-    u0 = m.q * s0 * s0 / (s[1] * s[2] * s[3])
-    u = (u0,) + tuple(u0 * s[i] / s0 for i in (1, 2, 3)) + s[4:]
-    return u
 
 
 def _contiguous_parts(t, m: Moduli):
@@ -410,11 +282,6 @@ def _contiguous_parts(t, m: Moduli):
              abs(coef_b) * (abs(e_up_dn) + abs(e_base)),
              abs(last))
     return (r1, r2, r3), (s1, s2, s3)
-
-
-def contiguous_residuals(t, m: Moduli):
-    """Raw residuals (LHS - RHS) of the three contiguous relations."""
-    return _contiguous_parts(t, m)[0]
 
 
 def contiguous_relative_residuals(t, m: Moduli):

@@ -15,25 +15,18 @@ from ehv.biorthogonal import (
     R_n,
     R_nm,
     T_n,
-    T_nm,
     V_coeff,
+    _family_rows,
     apply_D,
-    apply_D_adjoint,
     biorth_value,
     contour_check,
-    g_function,
+    eigen_residual,
     gauge_ratio,
     kappa_coeff,
-    lambda_gevp,
     norm_h,
-    norm_h2,
-    r_family_nodes,
     recurrence_next,
     shifted_beta_sides,
-    t_family_nodes,
     twelveV_integral_rep_sides,
-    weight_ratio_down,
-    weight_ratio_up,
 )
 from ehv.quadrature import QuadratureConfig
 
@@ -63,9 +56,9 @@ class TestFamilies:
     def test_node_array_matches_scalar(self, rp):
         z = np.array([cmath.exp(0.37j), cmath.exp(-1.1j)])
         for n in (1, 3):
-            vec = r_family_nodes(z, n, rp)
+            vec = _family_rows(z, [n], rp, "R")[0]
             assert abs(vec[0] - R_n(z[0], n, rp)) <= 1e-13 * abs(vec[0])
-            tvec = t_family_nodes(z, n, rp)
+            tvec = _family_rows(z, [n], rp, "T")[0]
             assert abs(tvec[1] - T_n(z[1], n, rp)) <= 1e-13 * abs(tvec[1])
 
     def test_dual_family_via_involution(self, rp):
@@ -82,7 +75,6 @@ class TestFamilies:
         assert R_nm(z, 0, 0, rp) == 1.0
         for n in (1, 2):
             assert R_nm(z, n, 0, rp) == pytest.approx(R_n(z, n, rp), rel=1e-13)
-            assert T_nm(z, n, 0, rp) == pytest.approx(T_n(z, n, rp), rel=1e-13)
 
     def test_two_index_base_swap(self, rp):
         z = cmath.exp(0.8j)
@@ -136,9 +128,9 @@ class TestRecurrence:
 
     def test_gauge_independence(self, rp):
         z = cmath.exp(0.42j)
-        gauges = [OperatorGauge(mu=1.0),
-                  OperatorGauge(mu=1.0, xi=0.9 + 0.2j, eta=1.4 - 0.1j),
-                  OperatorGauge(mu=1.0, xi=2.0, eta=0.3 + 0.4j)]
+        gauges = [OperatorGauge(),
+                  OperatorGauge(xi=0.9 + 0.2j, eta=1.4 - 0.1j),
+                  OperatorGauge(xi=2.0, eta=0.3 + 0.4j)]
         seqs = []
         for g in gauges:
             rs = [1.0 + 0.0j, R_n(z, 1, rp)]
@@ -170,6 +162,16 @@ class TestOperator:
             worst = max(worst, abs(val) / scale)
         assert worst <= 1e-10
 
+    def test_residual_separates_the_spectrum(self, rp):
+        # R_n is annihilated at mu = q^n and not at q^(n+1), so the
+        # operator check can fail
+        q = rp.moduli.q
+        z = cmath.exp(1.1j)
+        for n in (1, 2, 3):
+            f = lambda w: R_n(w, n, rp)
+            assert eigen_residual(f, z, q ** n, rp) <= 1e-13
+            assert eigen_residual(f, z, q ** (n + 1), rp) > 0.1
+
     @pytest.mark.parametrize("nm", [(1, 1), (2, 1), (2, 2)])
     def test_two_index_annihilated_by_both_operators(self, rp, nm):
         n, m = nm
@@ -184,43 +186,6 @@ class TestOperator:
                          abs(V_coeff(1 / z, mu, rp, base)),
                          abs(kappa_coeff(mu, rp, base))) * max(1.0, scale)
             assert abs(val) / vscale <= 1e-10
-
-    def test_weight_ratio_dual_route(self, rp):
-        # theta-form shift ratio vs direct weight evaluations
-        from ehv.integrands import make_integrand
-
-        w_ig = make_integrand(rp.weight_spec())
-        q = rp.moduli.q
-        z = cmath.exp(1.21j)
-        want_up = w_ig((q * z,)) / w_ig((z,))
-        got_up = weight_ratio_up(z, rp)
-        assert abs(got_up - want_up) <= 1e-12 * abs(want_up)
-        want_dn = w_ig((z / q,)) / w_ig((z,))
-        assert abs(weight_ratio_down(z, rp) - want_dn) <= 1e-12 * abs(want_dn)
-
-    def test_adjoint_on_constants_direct_transcription(self, rp):
-        xi = 1.3 + 0.0j
-        z = cmath.exp(0.64j)
-        got = apply_D_adjoint(lambda w: 1.0, z, xi, rp)
-        want = (weight_ratio_up(z, rp) * V_coeff(1 / (rp.moduli.q * z), xi, rp)
-                + weight_ratio_down(z, rp) * V_coeff(z / rp.moduli.q, xi, rp)
-                - V_coeff(z, xi, rp) - V_coeff(1 / z, xi, rp)
-                + kappa_coeff(xi, rp))
-        assert abs(got - want) <= 1e-13 * abs(want)
-
-    def test_conjugation_identity(self, rp):
-        mu = 0.77 * cmath.exp(0.9j)
-        gauge = OperatorGauge(mu=mu)
-        gauge.validate(rp)
-        lam = lambda_gevp(mu, gauge, rp)
-        f = lambda w: 1 + 0.3 * w + 0.2 / w
-        gf = lambda w: g_function(w, mu, rp) * f(w)
-        z = cmath.exp(1.21j)
-        lhs = (apply_D_adjoint(gf, z, gauge.eta, rp)
-               - lam * apply_D_adjoint(gf, z, gauge.xi, rp)) \
-            / g_function(z, mu, rp)
-        rhs = apply_D(f, z, gauge.eta, rp) - lam * apply_D(f, z, gauge.xi, rp)
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 class TestContour:
@@ -271,8 +236,10 @@ class TestBiorthogonality:
             assert abs(a - b) <= 1e-12 * abs(a)
 
     def test_norm_h2_zero_indices_match_single(self, rp):
+        # the two-index norm, q-base factor times p-base factor, at l = 0
         for n in (0, 1, 2):
-            assert norm_h2(n, 0, rp) == pytest.approx(norm_h(n, rp), rel=1e-13)
+            assert norm_h(n, rp, "q") * norm_h(0, rp, "p") \
+                == pytest.approx(norm_h(n, rp), rel=1e-13)
 
     def test_off_diagonal_cell_converges(self):
         # an exactly-zero cell stops at the rounding floor of the node sum
@@ -439,6 +406,6 @@ class TestWeightShiftGram:
 
 class TestGaugeValidation:
     def test_collision_detected(self, rp):
-        g = OperatorGauge(mu=1.0, xi=0.7 + 0.1j, eta=0.7 + 0.1j)
+        g = OperatorGauge(xi=0.7 + 0.1j, eta=0.7 + 0.1j)
         with pytest.raises(ValueError):
             g.validate(rp)

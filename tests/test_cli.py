@@ -122,9 +122,20 @@ class TestVerify:
         (("verify", "biorth", "--n", "0", "--m", "-2"), "both --n >= 0 and --m >= 0"),
         (("verify", "biorth", "--n", "2"), "both --n >= 0 and --m >= 0"),
         (("verify", "biorth", "--m", "1"), "both --n >= 0 and --m >= 0"),
+        # a check refuses every option it does not read
+        (("verify", "ident", "--n", "7"), "ident does not read --n;"),
+        (("verify", "ident", "--n", "7", "--m", "3", "--nodes", "9"),
+         "ident does not read --nodes, --n, --m;"),
+        (("verify", "theorem1", "--n", "2"), "theorem1 does not read --n;"),
+        (("verify", "ft_sum", "--nodes", "8"), "ft_sum does not read --nodes;"),
+        (("verify", "operator", "--nodes", "64"),
+         "operator does not read --nodes;"),
+        (("verify", "cn1", "--m", "1"), "cn1 does not read --m;"),
+        (("verify", "bailey", "--nodes", "64"), "bailey does not read --nodes;"),
     ])
     def test_zero_or_negative_option_exit_2(self, args, error):
-        # 0 is a value, not "unset": it reaches the option's own check
+        # 0 is a value, not "unset": it reaches the option's own check, and
+        # an option the check does not read exits 2
         out = run(*args)
         assert out.returncode == 2 and out.stdout == ""
         lines = out.stderr.splitlines()
@@ -255,10 +266,12 @@ class TestFlagSurface:
 
 
 def _seeded(name, seed, n):
-    """The check's first seeded spec and row at rank n."""
+    """The check's first seeded spec and row at rank n (theorem1 reads no
+    --n: it draws at rank 1)."""
     smp = Sampler(seed if name == "theorem1" else seed + n)
     spec = _draw_spec(smp, FAMILY_CHECKS[name][0], n)
-    row = run_check(name, CheckOptions(seed=seed, n=n))[0]
+    opts = CheckOptions(seed=seed, n=None if name == "theorem1" else n)
+    row = run_check(name, opts)[0]
     return spec, json.loads(row.to_json_line())
 
 
@@ -289,7 +302,7 @@ class TestFamilyParamsFile:
                 (("verify", "an2_odd", "--n", "2"), "--n 2 disagrees"),
                 (("sweep", "an2_odd", "--grid", "q=0.3:0.3:1", "--n", "3"),
                  "--n 3 disagrees"),
-                (("verify", "ident"), "ident draws its own parameters")]:
+                (("verify", "ident"), "ident does not read --params;")]:
             out = run(*args, "--params", str(f))
             assert out.returncode == 2 and out.stdout == ""
             assert error in json.loads(out.stderr)["error"]

@@ -27,6 +27,10 @@ from ehv.vec import gamma_vec
 REF_MODULI = ((0.31, 0.23), (0.8, 0.1), (0.1, 0.8), (0.5 + 0.3j, 0.2 - 0.1j))
 
 
+def on_circle(rng):
+    return cmath.exp(2j * cmath.pi * rng.random())
+
+
 def gamma_ref(z, q, p):
     """Gamma(z; q, p) as the 40-digit double product, independent of ehv."""
     return _gamma_ref(z, *sorted((q, p), key=abs, reverse=True))
@@ -194,6 +198,18 @@ class TestGammaMulti:
         got = elliptic_gamma_multi([0.4, 0.6], moduli)
         want = elliptic_gamma(0.4, moduli) * elliptic_gamma(0.6, moduli)
         assert got == pytest.approx(want, rel=1e-14)
+
+    def test_doubling_of_reflection_parameters(self, rng, arg, moduli):
+        # the eight distinguished parameters multiply to 1/Gamma(z^-2)
+        q, p = moduli.q, moduli.p
+        z = 0.9 * on_circle(rng)
+        pars = []
+        for s in (1, -1):
+            pars.extend([s * cmath.sqrt(p * q), s * cmath.sqrt(q) * p,
+                         s * cmath.sqrt(p) * q, s * p * q])
+        lhs = elliptic_gamma_multi([c * z for c in pars], moduli)
+        rhs = 1.0 / elliptic_gamma_multi([z ** -2], moduli)
+        assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
 
 
 class TestFactorialS:

@@ -7,13 +7,10 @@ import json
 import pytest
 
 from ehv.core import Moduli
-from ehv.errors import UnsupportedFamily
 from ehv.gamma import elliptic_gamma_multi
 from ehv.integrands import (
     Family,
-    GenericVWP,
     IntegrandSpec,
-    MinusA,
     ParamSet,
     make_integrand,
     rhs_closed_form,
@@ -84,14 +81,6 @@ class TestDeltaE:
         z = on_circle(rng)
         a, b = make_integrand(spec)((z,)), make_integrand(sw)((z,))
         assert abs(a - b) <= 1e-12 * abs(a)
-
-    def test_matches_generic_vwp_at_order_13(self, rng, arg, moduli):
-        spec = self.make(rng, arg, moduli)
-        z = on_circle(rng)
-        got = GenericVWP(order=13, t=spec.params.t, rho=moduli.p * moduli.q,
-                         gamma=0.0, moduli=moduli)(z)
-        want = make_integrand(spec)((z,))
-        assert abs(got - want) <= 1e-11 * abs(want)
 
     def test_mesh_agrees_with_scalar(self, rng, arg, moduli):
         spec = self.make(rng, arg, moduli)
@@ -292,56 +281,6 @@ class TestPointwiseShiftIdentity:
         assert abs(total - base) <= 1e-12 * abs(base)
 
 
-class TestGenericVWP:
-    def test_doubling_of_reflection_parameters(self, rng, arg, moduli):
-        # the eight distinguished parameters multiply to 1/Gamma(z^-2)
-        q, p = moduli.q, moduli.p
-        z = 0.9 * on_circle(rng)
-        pars = []
-        for s in (1, -1):
-            pars.extend([s * cmath.sqrt(p * q), s * cmath.sqrt(q) * p,
-                         s * cmath.sqrt(p) * q, s * p * q])
-        lhs = elliptic_gamma_multi([c * z for c in pars], moduli)
-        rhs = 1.0 / elliptic_gamma_multi([z ** -2], moduli)
-        assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
-
-    def test_gamma_exponent_scaling(self, rng, arg, moduli):
-        t = tuple(arg(rng, 0.4, 0.7) for _ in range(4))   # m = 12
-        g = 0.37 - 0.11j
-        base = GenericVWP(order=12, t=t, rho=moduli.p * moduli.q, gamma=0.0,
-                          moduli=moduli)
-        gam = GenericVWP(order=12, t=t, rho=moduli.p * moduli.q, gamma=g,
-                         moduli=moduli)
-        for _ in range(2):
-            z = 0.95 * on_circle(rng)
-            y = cmath.log(z) / cmath.log(moduli.q)
-            assert abs(gam(z) - base(z) * cmath.exp(g * y)) \
-                <= 1e-11 * abs(gam(z))
-
-    def test_exposes_product_A(self, moduli):
-        t = (0.5, 0.6, 0.55, 0.45, 0.52)
-        vwp = GenericVWP(order=13, t=t, rho=moduli.p * moduli.q, gamma=0.0,
-                         moduli=moduli)
-        assert vwp.A == pytest.approx(prod(t))
-
-    def test_minus_a_evaluates(self, rng, arg, moduli):
-        t = tuple(arg(rng, 0.4, 0.7) for _ in range(5))   # m = 11
-        fam = MinusA(order=11, t=t, moduli=moduli)
-        z = on_circle(rng)
-        v = fam(z)
-        assert v == v and v != 0      # finite, nonzero
-        # and the sign flip genuinely changes the value vs the plain family
-        espec = IntegrandSpec(Family.E, 1, ParamSet(t=t), moduli)
-        assert abs(v - make_integrand(espec)((z,))) > 1e-6 * abs(v)
-
-    def test_no_closed_form(self, moduli):
-        spec = IntegrandSpec(
-            Family.MINUS_A, 1,
-            ParamSet(t=(0.5,) * 5, extras={"m": 11}), moduli)
-        with pytest.raises(UnsupportedFamily):
-            rhs_closed_form(spec)
-
-
 class TestSerialization:
     def test_round_trip(self, rng, arg, moduli, tmp_path):
         spec = IntegrandSpec(
@@ -407,9 +346,6 @@ def _oracle_margins(spec):
         lt1(ps.t, "t")
         out.append(("|t| < 1", 1.0 - abs(ps.extras["t"])))
         out.append(("|pq| < |A|", abs(spec.product_A) - pq))
-    else:
-        lt1(ps.t, "t")
-        out.append(("|pq| < |A|", abs(spec.product_A) - pq))
     return out
 
 
@@ -439,7 +375,6 @@ def _oracle_radius(spec):
         tmod = abs(ps.extras["t"])
         return max([abs(v) for v in ps.t]
                    + [tmod, pq / abs(spec.product_A)])
-    return max([abs(v) for v in ps.t] + [pq / abs(spec.product_A)])
 
 
 class TestPoleTable:
@@ -482,16 +417,6 @@ class TestPoleTable:
                 assert vd.ok == all(mg > 0 for _, mg in margins)
                 verdicts.add(vd.ok)
         assert False in verdicts   # rejected draws are covered too
-
-    def test_rank1_vwp_families(self, moduli):
-        for fam, order in ((Family.GENERIC_VWP, 13), (Family.MINUS_A, 11)):
-            for t in ((0.5, 0.6, 0.55, 0.45, 0.52), (0.2,) * 5):
-                spec = IntegrandSpec(fam, 1, ParamSet(t=t, extras={"m": order}),
-                                     moduli)
-                vd = validate_domain(spec)
-                assert vd.radius == _oracle_radius(spec)
-                assert [(c.name, c.margin) for c in vd.checks] \
-                    == _oracle_margins(spec)
 
     def test_an_transform_margins(self, moduli):
         from ehv.integrands import an_trans_domain_check

@@ -17,7 +17,6 @@ from ehv.integrands import (
 )
 from ehv.quadrature import (
     QuadratureConfig,
-    circle_integral,
     default_config,
     integrate_mesh_fn,
     integrate_spec,
@@ -27,14 +26,14 @@ from ehv.quadrature import (
 
 class TestExactness:
     def test_constant_on_circle(self):
-        res = circle_integral(lambda z: 1.0,
-                              QuadratureConfig(nodes_per_dim=16,
-                                               max_doublings=1, rel_tol=1e-12))
+        res = torus_integral(lambda zs: 1.0, 1,
+                             QuadratureConfig(nodes_per_dim=16,
+                                              max_doublings=1, rel_tol=1e-12))
         assert res.value == 1.0 and res.converged
 
     def test_zero_valued_integral_converges(self):
         # the value is 0, so only the rounding floor can stop the doubling
-        res = circle_integral(lambda z: z)
+        res = torus_integral(lambda zs: zs[0], 1)
         assert res.converged
         assert res.nodes_used == 2 * default_config(1).nodes_per_dim
         assert abs(res.value) < 1e-15
@@ -42,7 +41,7 @@ class TestExactness:
     def test_pure_powers_vanish(self):
         cfg = QuadratureConfig(nodes_per_dim=32, max_doublings=0, rel_tol=1e-12)
         for k in (1, -1, 5, -9):
-            res = circle_integral(lambda z, k=k: z ** k, cfg)
+            res = torus_integral(lambda zs, k=k: zs[0] ** k, 1, cfg)
             assert abs(res.value) < 1e-14
 
     def test_constant_on_torus(self):
@@ -116,7 +115,7 @@ class TestDeterminism:
         ig = make_integrand(e_spec)
         cfg = QuadratureConfig(nodes_per_dim=64, max_doublings=1,
                                rel_tol=1e-10)
-        a = circle_integral(lambda z: ig((z,)), cfg)
+        a = torus_integral(lambda zs: ig(zs), 1, cfg)
         b = integrate_mesh_fn(ig.mesh_eval, 1, cfg)
         assert a.value == pytest.approx(b.value, rel=1e-13)
 

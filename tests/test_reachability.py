@@ -1,0 +1,78 @@
+"""Every top-level function and class of ``ehv`` is used by ``ehv`` itself.
+
+A definition that only tests reach is code that no check, command or
+benchmark runs: it is registered as a check or deleted.  A definition
+counts as used when its name is read anywhere in ``src/ehv`` outside its
+own body, or when it is a check registered with ``@_check``.  The
+package's re-exports in ``__init__.py`` do not count as uses.  The CLI
+handlers are used: ``build_parser`` names each one.
+"""
+
+import ast
+from pathlib import Path
+
+import ehv
+
+SRC = Path(ehv.__file__).resolve().parent
+
+# Kept although only tests call them, each for its reason:
+KEPT = {
+    # the pointwise rule over T^n: the reference the vectorized mesh path
+    # (integrate_mesh_fn over mesh_eval) is tested against
+    "torus_integral",
+    # the dual family summed as a series at one point: the reference the
+    # node tables of the biorthogonality integrals (_family_rows) are
+    # tested against
+    "T_n",
+    # Gamma(z q^s) / Gamma(z) for complex s, tested against theta_factorial;
+    # a traced target of the benchmark's gamma layer (perfbench/layers.py)
+    "elliptic_factorial_s",
+}
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _is_check(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "_check" for d in node.decorator_list)
+
+
+def _uses(modules) -> set:
+    """Names read in ``ehv`` outside ``__init__.py``, a definition's own
+    body not counting for its own name."""
+    used = set()
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id != owner:
+                used.add(child.id)
+            elif isinstance(child, ast.Attribute) and child.attr != owner:
+                used.add(child.attr)
+            walk(child, owner)
+
+    for name, tree in modules.items():
+        if name == "__init__.py":
+            continue
+        for node in tree.body:
+            walk(node, getattr(node, "name", None))
+    return used
+
+
+def _unused():
+    modules = _modules()
+    used = _uses(modules)
+    return {node.name for tree in modules.values() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in used and not _is_check(node)}
+
+
+def test_every_definition_is_used_by_ehv():
+    assert _unused() - KEPT == set()
+
+
+def test_each_kept_definition_is_only_tested():
+    # a kept name that ehv itself uses needs no exception
+    assert KEPT <= _unused()

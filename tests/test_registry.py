@@ -1,4 +1,5 @@
-"""run_check: the registry's row timing and its independence of history."""
+"""run_check: the registry's row timing, its independence of history and
+the options each check reads."""
 
 import dataclasses
 import json
@@ -8,9 +9,12 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import ehv
 from ehv import _backend
-from ehv.registry import CheckOptions, run_check
+from ehv.errors import EHVError
+from ehv.registry import REGISTRY, CheckOptions, run_check
 
 
 def test_every_row_carries_its_time():
@@ -47,3 +51,19 @@ def test_rows_do_not_depend_on_earlier_calls():
     after = run_check("id1", CheckOptions(seed=0))
     assert ([repr(dataclasses.replace(r, runtime_ms=0.0)) for r in after]
             == json.loads(fresh.stdout))
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_each_check_refuses_the_options_it_does_not_read(name):
+    # refused before any draw, whatever the value
+    reads = REGISTRY[name][2]
+    for key, value in (("nodes", 64), ("n", 1), ("m", 1), ("params", {})):
+        if key not in reads:
+            with pytest.raises(EHVError, match=f"does not read --{key};"):
+                run_check(name, CheckOptions(**{key: value}))
+
+
+def test_operator_passes_at_seed_0():
+    rows = run_check("operator", CheckOptions(seed=0))
+    assert [r.tol for r in rows] == [1e-10, 1e-10, 1e-10, 1e-12]
+    assert all(r.passed for r in rows)
