@@ -37,6 +37,7 @@ from .registry import (
     _family_report,
     _given,
     _rank_tol,
+    check_parity,
     check_tol,
     file_spec,
     rejection_count,
@@ -215,8 +216,10 @@ def cmd_sweep(args) -> int:
     try:
         pname, values = _parse_grid(args.grid)
         family, rank = FAMILY_CHECKS[args.name]
+        check_parity(args.name, args.n)
         if args.params:
             base = file_spec(load_params(args.params), family, args.n)
+            check_parity(args.name, base.n)
         else:
             base = _draw_spec(Sampler(args.seed), family,
                               _given(args.n, rank or 1))

@@ -334,7 +334,7 @@ def an_transformation_sides(tglob, f, s, m: Moduli, cfg=None):
     """Both sides of the parameter-swap symmetry of the constrained-product
     integral (n = len(f) - 2).  Each side is prefactor * quadrature."""
     from .integrands import make_an_trans_integrand, an_trans_domain_check
-    from .quadrature import integrate_mesh_fn
+    from .quadrature import integrate_factors
     from .errors import DomainViolation
     from .gamma import elliptic_gamma_multi
 
@@ -362,7 +362,7 @@ def an_transformation_sides(tglob, f, s, m: Moduli, cfg=None):
                      / elliptic_gamma_multi([tn1 * firstprod / v], m))
         mesh = make_an_trans_integrand(tglob, first, second, firstprod,
                                        secondprod, m)
-        res = integrate_mesh_fn(mesh.mesh_eval, n, cfg)
+        res = integrate_factors(mesh, cfg)
         return pref * res.value, res
 
     lhs, res_l = side(f, s, B, S)

@@ -20,9 +20,30 @@ Every family is described once as a list of atomic factors
 g(c * z^e) with g in {Gamma, 1/Gamma, theta, identity} and e an
 integer exponent vector over the free variables (the constrained variable
 z_{n+1} of the AN families contributes (-1, ..., -1)).  The scalar path
-evaluates atoms directly; the mesh path evaluates one table per distinct
-constant on the Fourier grid and combines tables by index arithmetic,
-which is what makes the n >= 2 acceptance runs cheap.
+evaluates atoms directly.  The node sums of the quadrature evaluate one
+table per distinct constant on the N roots of unity, multiply the tables of
+equal exponent vectors, and combine them on one of three paths, which
+FactorIntegrand.path selects from the exponent vectors alone:
+
+    mesh      n <= 2, and any list with no structure below: the full N^n
+              grid by index arithmetic (mesh_eval).  At n <= 2 the pair
+              matrix of the contraction is the grid itself (and the
+              contraction was no faster there), and keeping the mesh keeps
+              every rank-1 and rank-2 result bit for bit.
+    pairwise  n >= 3 with at most two nonzero entries in every exponent
+              vector (C_n): sum_k prod_i g_i(k_i) prod_{i<j} H_ij(k_i, k_j)
+              as one np.einsum over N x N pair matrices, its intermediates
+              capped at N^(n-1); N^n work in BLAS, no N^n array.
+    orbit     n >= 3 with the factor multiset proven invariant under
+              S_{n+1} acting on (k_1, ..., k_n, -sum k) (A_n): the sum over
+              the sorted (n+1)-tuples with sum = 0 mod N, each weighted by
+              its orbit size (n+1)!/prod mult!, enumerated directly; about
+              N^n/(n+1)! points.
+
+Determinism: the mesh is exact index arithmetic; the contraction's einsum
+path depends only on the shapes, so its bits repeat for a given numpy and
+BLAS at a given thread count; the orbit sum visits fixed blocks in a fixed
+order.  The paths agree with each other to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -258,13 +279,17 @@ class FactorIntegrand:
     """Product of atomic factors over n free torus variables.
 
     Callable on a point sequence (scalar path); mesh_eval(N) returns the
-    value array on the full N^n tensor grid of roots of unity.
+    value array on the full N^n tensor grid of roots of unity.  ``path`` is
+    the node-sum path the exponent vectors select (see the module
+    docstring); node_sums(N) runs it, and points(N) counts what it
+    evaluates or holds.
     """
 
     def __init__(self, n: int, moduli: Moduli, factors):
         self.n = n
         self.moduli = moduli
         self.factors = tuple(factors)
+        self.path = self._select_path()
 
     def __call__(self, zs):
         zs = tuple(zs)
@@ -287,7 +312,147 @@ class FactorIntegrand:
                 out = out * w
         return out
 
-    def mesh_eval(self, N: int) -> np.ndarray:
+    # -- node-sum paths ------------------------------------------------------
+
+    def _select_path(self) -> str:
+        if self.n <= 2:
+            return "mesh"
+        if all(sum(1 for e in f.evec if e) <= 2 for f in self.factors):
+            return "pairwise"
+        if self._weyl_invariant():
+            return "orbit"
+        return "mesh"
+
+    def _weyl_invariant(self) -> bool:
+        """Whether the multiset of (kind, c, exponent vector) is mapped to
+        itself by every adjacent transposition of (k_1, ..., k_n, -sum k),
+        which generate S_{n+1}; then so is the integrand on the A_n torus.
+
+        An exponent vector e is lifted to (e, 0) on the n+1 coordinates,
+        permuted, and brought back by subtracting its last entry: on the
+        nodes, sum k = 0 mod N, so e . k only sees e modulo (1, ..., 1).
+        """
+        def multiset(image):
+            out: dict = {}
+            for f in self.factors:
+                key = (f.kind, f.c, image(f.evec))
+                out[key] = out.get(key, 0) + 1
+            return out
+
+        def swap(i):
+            def image(evec):
+                lift = list(evec) + [0]
+                lift[i], lift[i + 1] = lift[i + 1], lift[i]
+                return tuple(v - lift[-1] for v in lift[:-1])
+            return image
+
+        same = multiset(lambda evec: evec)
+        return all(multiset(swap(i)) == same for i in range(self.n))
+
+    def points(self, N: int) -> int:
+        """What the path evaluates or holds at N nodes per axis: the N^n grid
+        (mesh); the pair matrices and their moduli plus the largest
+        intermediate the contraction may form, N^(n-1) (pairwise); the orbit
+        representatives (orbit)."""
+        if self.path == "pairwise":
+            pairs = {tuple(i for i, e in enumerate(f.evec) if e)
+                     for f in self.factors}
+            return 2 * sum(len(s) == 2 for s in pairs) * N * N + N ** (self.n - 1)
+        if self.path == "orbit":
+            return orbit_count(self.n, N)
+        return N ** self.n
+
+    def node_sums(self, N: int):
+        """(node averages, |f| sums, cell shape ()) of the pairwise or orbit
+        path, the contract of quadrature._reduce_array for one cell."""
+        if self.path == "pairwise":
+            total, abs_total = self._pairwise_sums(N)
+        elif self.path == "orbit":
+            total, abs_total = self._orbit_sums(N)
+        else:
+            raise ValueError("the mesh path has no node_sums; use mesh_eval")
+        return [complex(total) / N ** self.n], [float(abs_total)], ()
+
+    def _pairwise_sums(self, N: int):
+        """sum_k prod_i g_i(k_i) prod_{i<j} H_ij(k_i, k_j) as one einsum over
+        the pair matrices (each variable's vector folded into the first
+        matrix on it), its intermediates capped at N^(n-1)."""
+        k = np.arange(N)
+        vecs: dict = {}
+        mats: dict = {}
+        const = 1.0 + 0.0j
+        for evec, tab in self._tables(N).items():
+            sup = tuple(i for i, e in enumerate(evec) if e)
+            if not sup:
+                const = const * tab[0]
+                continue
+            if len(sup) == 1:
+                idx = evec[sup[0]] * k
+                store = vecs
+            else:
+                idx = evec[sup[0]] * k[:, None] + evec[sup[1]] * k[None, :]
+                store = mats
+            val = tab[np.mod(idx, N)]
+            store[sup] = store[sup] * val if sup in store else val
+        for (i,), vec in vecs.items():
+            pair = next((s for s in mats if i in s), None)
+            if pair is not None:
+                mats[pair] = mats[pair] * (vec[:, None] if pair[0] == i
+                                           else vec[None, :])
+        held = set().union(*mats)
+        ops = [(np.asarray(const), [])] + [(m, list(s)) for s, m in mats.items()]
+        ops += [(vecs.get((i,), np.ones(N)), [i])
+                for i in range(self.n) if i not in held]
+        cap = ("greedy", N ** (self.n - 1))
+
+        def contract(arrays):
+            args = [x for a, (_, sub) in zip(arrays, ops) for x in (a, sub)]
+            return np.einsum(*args, [], optimize=cap)
+
+        return (contract([a for a, _ in ops]),
+                contract([np.abs(a) for a, _ in ops]))
+
+    def _orbit_sums(self, N: int):
+        """sum over the sorted (n+1)-tuples with sum = 0 mod N of the orbit
+        size times f, block by block.  Each exponent vector is lifted to its
+        sparsest form v on the n+1 coordinates (e . k = v . k on the nodes),
+        signed so that its first entry is positive, and the tables of equal
+        lifts are multiplied into one: one gather per lift and node."""
+        k = np.arange(N)
+        const = 1.0 + 0.0j
+        lifts: dict = {}
+        for evec, tab in self._tables(N).items():
+            lift = list(evec) + [0]
+            shift = max(set(lift), key=lift.count)
+            terms = tuple((j, v - shift) for j, v in enumerate(lift) if v != shift)
+            if not terms:
+                const = const * tab[0]
+                continue
+            if terms[0][1] < 0:
+                terms = tuple((j, -v) for j, v in terms)
+                tab = tab[np.mod(-k, N)]
+            lifts[terms] = lifts[terms] * tab if terms in lifts else tab
+        # v . k lies in (-sN, sN), s = sum |v|: a table tiled s times is read
+        # there without a mod, a negative index counting from its end
+        tiled = [(terms, np.tile(tab, sum(abs(v) for _, v in terms)))
+                 for terms, tab in lifts.items()]
+        parts, abs_parts = [], []
+        for reps, weights in _orbit_blocks(self.n, N):
+            vals = np.full(len(weights), const)
+            for ((j, v), *rest), tab in tiled:
+                idx = reps[j] if v == 1 else v * reps[j]
+                for j, v in rest:
+                    idx = idx + v * reps[j]
+                vals *= tab[idx]
+            parts.append(np.sum(weights * vals))
+            abs_parts.append(np.sum(weights * np.abs(vals)))
+        return np.sum(parts), np.sum(abs_parts)
+
+    # -- mesh path -------------------------------------------------------------
+
+    def _tables(self, N: int) -> dict:
+        """exponent vector -> the product of its factors' tables on the N
+        roots of unity, one table per distinct constant and kind."""
         m = self.moduli
         z1d = np.exp(2j * np.pi * np.arange(N) / N)
         gamma_cache: dict = {}
@@ -317,11 +482,13 @@ class FactorIntegrand:
                 per_evec[f.evec] = per_evec[f.evec] * tab
             else:
                 per_evec[f.evec] = tab.copy()
+        return per_evec
 
+    def mesh_eval(self, N: int) -> np.ndarray:
         axes = [np.arange(N).reshape([N if d == i else 1 for d in range(self.n)])
                 for i in range(self.n)]
         out = np.ones((N,) * self.n, dtype=complex)
-        for evec, tab in per_evec.items():
+        for evec, tab in self._tables(N).items():
             idx = None
             for e, ax in zip(evec, axes):
                 if e:
@@ -331,6 +498,67 @@ class FactorIntegrand:
             else:
                 out = out * tab[np.mod(idx, N)]
         return out
+
+
+# -- Weyl-orbit representatives of the A_n torus ---------------------------------
+
+# representatives per block of the orbit sum: bounds the index and value
+# arrays it holds at once
+_ORBIT_BLOCK = 1 << 16
+
+
+def orbit_count(n: int, N: int) -> int:
+    """The number of sorted (n+1)-tuples over Z_N with sum = 0 mod N, i.e. of
+    S_{n+1}-orbits of the N^n nodes: by a roots-of-unity filter,
+    (1/N) sum_{d | gcd(N, n+1)} phi(d) C(N/d + (n+1)/d - 1, (n+1)/d)."""
+    k = n + 1
+    g = math.gcd(N, k)
+    total = 0
+    for d in (d for d in range(1, g + 1) if g % d == 0):
+        phi = sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
+        total += phi * math.comb(N // d + k // d - 1, k // d)
+    return total // N
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray):
+    """Every integer of every range [lo_r, hi_r], range by range in
+    increasing order, and the count of each range (np.repeat spreads a
+    per-range value by it); a range with hi_r < lo_r is empty."""
+    counts = np.maximum(hi - lo + 1, 0)
+    offset = np.cumsum(counts) - counts - lo
+    return np.arange(counts.sum()) - np.repeat(offset, counts), counts
+
+
+def _orbit_blocks(n: int, N: int):
+    """Yield (reps, weights): reps[j] is coordinate j of sorted (n+1)-tuples
+    k_0 <= ... <= k_n over Z_N with sum = 0 mod N, and weights their orbit
+    sizes (n+1)!/prod mult!; over all blocks every orbit appears once, so
+    the weights add up to N^n.  The first n-1 coordinates run over sorted
+    prefixes; with r = -(prefix sum) mod N, k_{n-1} = c then runs over
+    [last, r/2] with k_n = r - c, and over [max(last, r+1), (r+N)/2] with
+    k_n = r - c + N, which are the c with c <= k_n."""
+    prefix = [np.arange(N)]
+    for _ in range(n - 2):
+        val, counts = _ranges(prefix[-1], np.full(len(prefix[-1]), N - 1))
+        prefix = [np.repeat(p, counts) for p in prefix] + [val]
+    last = prefix[-1]
+    r = np.mod(-sum(prefix), N)
+    branches = ((last, r // 2, r), (np.maximum(last, r + 1), (r + N) // 2, r + N))
+    counts = sum(np.maximum(hi - lo + 1, 0) for lo, hi, _ in branches)
+    block = (np.cumsum(counts) - counts) // _ORBIT_BLOCK
+    starts = list(np.flatnonzero(np.diff(block, prepend=-1))) + [len(last)]
+    fact = math.factorial(n + 1)
+    for a, b in zip(starts, starts[1:]):
+        for lo, hi, top in branches:
+            c, counts = _ranges(lo[a:b], hi[a:b])
+            reps = [np.repeat(p[a:b], counts) for p in prefix]
+            reps += [c, np.repeat(top[a:b], counts) - c]
+            run = np.ones(len(c), dtype=np.int64)
+            mults = run
+            for j in range(1, n + 1):
+                run = np.where(reps[j] == reps[j - 1], run + 1, 1)
+                mults = mults * run
+            yield reps, fact / mults
 
 
 # -- family factor lists ------------------------------------------------------

@@ -273,6 +273,7 @@ def file_spec(params: dict, family: Family, n: int | None) -> IntegrandSpec:
 def _file_check(opts, tol, name):
     """One row, ``name[n=<n>]``, at the spec of the parameter file."""
     spec = file_spec(opts.params, FAMILY_CHECKS[name][0], opts.n)
+    check_parity(name, spec.n)
     yield _family_report(f"{name}[n={spec.n}]", spec,
                          _given(tol, _rank_tol(spec.n)), opts.nodes)
 
@@ -290,6 +291,7 @@ def check_theorem1(opts, tol):
 
 def _check_family(opts, tol, name, family, rank=None):
     """Two seeded draws at each rank: opts.n, else ``rank``, else 1 and 2."""
+    check_parity(name, opts.n)
     rank = _given(opts.n, rank)
     for n_run in ([1, 2] if rank is None else [rank]):
         rank_tol = _given(tol, _rank_tol(n_run))
@@ -307,6 +309,21 @@ FAMILY_CHECKS = {"theorem1": (Family.E, 1), "cn1": (Family.CN_I, None),
                  "an1": (Family.AN_I, None), "an2_odd": (Family.AN_II, 1),
                  "an2_even": (Family.AN_II, 2), "an3_odd": (Family.AN_III, 1),
                  "an3_even": (Family.AN_III, 2)}
+
+
+# The fixed-rank A_n checks test the closed form of one parity of n, which
+# their names give; an n of the other parity is refused.
+_PARITY_CHECKS = ("an2_odd", "an2_even", "an3_odd", "an3_even")
+
+
+def check_parity(name: str, n: int | None) -> None:
+    """EHVError when ``name`` is a parity check and n (--n or a parameter
+    file's n) has the other parity."""
+    if name in _PARITY_CHECKS and n is not None:
+        rank = FAMILY_CHECKS[name][1]
+        if (n - rank) % 2:
+            raise EHVError(f"{name} takes an {('even', 'odd')[rank % 2]} n; "
+                           f"got n = {n}")
 
 
 _FAMILY_READS = ("nodes", "n", "params")

@@ -311,3 +311,36 @@ class TestFamilyParamsFile:
         out = run("verify", "bailey", "--n", "6")
         assert out.returncode == 2
         assert "from 1 to 5, got 6" in json.loads(out.stderr)["error"]
+
+
+class TestParityChecks:
+    """an2_odd, an2_even, an3_odd and an3_even test the closed form of one
+    parity of n: --n or a file of the other parity exits 2."""
+
+    @pytest.mark.parametrize("args, parity", [
+        (("verify", "an2_odd", "--n", "2"), "odd"),
+        (("verify", "an3_odd", "--n", "4"), "odd"),
+        (("verify", "an2_even", "--n", "1"), "even"),
+        (("verify", "an3_even", "--n", "3"), "even"),
+        (("sweep", "an2_even", "--grid", "q=0.3:0.3:1", "--n", "3"), "even")])
+    def test_parity_checks_refuse_the_other_parity(self, args, parity):
+        # an2_odd --n 2 used to print an2_even's rows under another name
+        out = run(*args)
+        assert out.returncode == 2 and out.stdout == ""
+        assert (f"{args[1]} takes an {parity} n; got n = {args[-1]}"
+                in json.loads(out.stderr)["error"])
+
+    def test_parity_check_runs_at_its_own_parity(self):
+        rows = run_check("an2_odd", CheckOptions(seed=0, n=3))
+        assert [r.name for r in rows] == ["an2_odd[n=3,0]", "an2_odd[n=3,1]"]
+        assert all(r.passed for r in rows)
+
+    def test_parity_check_refuses_a_file_of_the_other_parity(self, tmp_path):
+        spec, _ = _seeded("an2_even", 4, 2)
+        f = tmp_path / "an2.json"
+        f.write_text(json.dumps(spec_to_params(spec)))
+        out = run("verify", "an2_odd", "--params", str(f))
+        assert out.returncode == 2
+        assert "an2_odd takes an odd n; got n = 2" in \
+            json.loads(out.stderr)["error"]
+

@@ -4,13 +4,16 @@ import cmath
 import functools
 import json
 
+import numpy as np
 import pytest
 
 from ehv.core import Moduli
 from ehv.gamma import elliptic_gamma_multi
 from ehv.integrands import (
+    FactorIntegrand,
     Family,
     IntegrandSpec,
+    Kind,
     ParamSet,
     make_integrand,
     rhs_closed_form,
@@ -228,17 +231,38 @@ class TestWeylInvariance:
     def _spec(rng, arg, moduli, family, n):
         from ehv.registry import Sampler, _draw_spec
 
-        return _draw_spec(Sampler(rng.randint(0, 10 ** 6)), family, n)
+        if n <= 2:
+            return _draw_spec(Sampler(rng.randint(0, 10 ** 6)), family, n)
+        # the rank-3 samplers reject most draws, and a symmetry of the
+        # integrand needs no admissible parameters
+        draw = lambda k: tuple(arg(rng, 0.6, 0.9) for _ in range(k))
+        t = {Family.AN_I: n + 1, Family.AN_II: 5, Family.AN_III: n + 4}[family]
+        return IntegrandSpec(family, n, ParamSet(
+            t=draw(t), f=draw(n + 2) if family is Family.AN_I else (),
+            extras={"t": arg(rng, 0.6, 0.9), "s": arg(rng, 0.6, 0.9)}), moduli)
+
+    @staticmethod
+    def _transposed(ig, z):
+        """The integrand at z with each pair of the n+1 constrained
+        variables (z_1, ..., z_n, 1/(z_1...z_n)) swapped."""
+        full = list(z) + [1 / np.prod(z)]
+        for i in range(len(full)):
+            for j in range(i + 1, len(full)):
+                w = list(full)
+                w[i], w[j] = w[j], w[i]
+                yield ig(tuple(w[:-1]))
 
     @pytest.mark.parametrize("family,n", [
         (Family.CN_I, 2), (Family.CN_II, 2), (Family.CN_III, 2),
         (Family.AN_I, 2), (Family.AN_II, 2), (Family.AN_III, 2),
+        (Family.AN_I, 3), (Family.AN_II, 3), (Family.AN_III, 3),
     ])
     def test_invariance_100_points(self, rng, arg, moduli, family, n):
         # the manifest action per display: full hyperoctahedral for the
         # plain C_n types; inversions only for the determinant-derived type
         # (its theta prefactor and per-axis x_i are order-attached);
-        # permutations of the n+1 constrained variables for the A_n types
+        # permutations of the n+1 constrained variables for the A_n types,
+        # which is what the factor-multiset check proves from the factors
         spec = self._spec(rng, arg, moduli, family, n)
         ig = make_integrand(spec)
         worst = 0.0
@@ -253,11 +277,25 @@ class TestWeylInvariance:
                             abs(ig((z[0], 1 / z[1])) - v) / abs(v),
                             abs(ig((1 / z[0], 1 / z[1])) - v) / abs(v))
             else:
-                z3 = 1.0 / (z[0] * z[1])
-                worst = max(worst, abs(ig((z[1], z[0])) - v) / abs(v),
-                            abs(ig((z3, z[1])) - v) / abs(v),
-                            abs(ig((z[0], z3)) - v) / abs(v))
+                worst = max([worst] + [abs(w - v) / abs(v)
+                                       for w in self._transposed(ig, z)])
         assert worst <= 1e-12, (family, worst)
+        if family in (Family.AN_I, Family.AN_II, Family.AN_III):
+            assert ig._weyl_invariant()
+
+    def test_multiset_check_refuses_a_broken_symmetry(self, rng, arg, moduli):
+        # one cross factor fewer: the oracle sees the symmetry broken, and
+        # the multiset check does not claim it
+        ig = make_integrand(self._spec(rng, arg, moduli, Family.AN_I, 3))
+        cross = next(f for f in ig.factors
+                     if f.kind is Kind.IGAMMA and f.c == 1)
+        broken = FactorIntegrand(3, moduli, [f for f in ig.factors
+                                             if f is not cross])
+        assert not broken._weyl_invariant() and broken.path == "mesh"
+        z = tuple(on_circle(rng) for _ in range(3))
+        v = broken(z)
+        assert max(abs(w - v) / abs(v)
+                   for w in self._transposed(broken, z)) > 1e-3
 
 
 class TestPointwiseShiftIdentity:

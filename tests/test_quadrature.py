@@ -17,7 +17,9 @@ from ehv.integrands import (
 )
 from ehv.quadrature import (
     QuadratureConfig,
+    _reduce_array,
     default_config,
+    integrate_factors,
     integrate_mesh_fn,
     integrate_spec,
     torus_integral,
@@ -176,7 +178,121 @@ class TestCellAxis:
             assert both.value[i] == one.value
 
 
+def _rank3_spec(rng, arg, family):
+    """A rank-3 spec of ``family`` built by hand: the rank-3 samplers reject
+    most draws (CN_III's every draw), and the node sums need no admissible
+    parameters."""
+    draw = lambda k: tuple(arg(rng, 0.6, 0.85) for _ in range(k))
+    n = 3
+    sizes = {Family.CN_I: (2 * n + 3, 0, 0), Family.CN_II: (5, 0, 0),
+             Family.CN_III: (3, 0, n), Family.AN_I: (n + 1, n + 2, 0),
+             Family.AN_II: (5, 0, 0), Family.AN_III: (n + 4, 0, 0)}
+    t, f, x = sizes[family]
+    return IntegrandSpec(family, n, ParamSet(
+        t=draw(t), f=draw(f), x=draw(x),
+        extras={"t": arg(rng, 0.3, 0.5), "s": arg(rng, 0.6, 0.85)}),
+        Moduli(0.31, 0.23))
+
+
+_RANK3_PATHS = {Family.CN_I: "pairwise", Family.CN_II: "pairwise",
+                Family.CN_III: "pairwise", Family.AN_I: "orbit",
+                Family.AN_II: "orbit", Family.AN_III: "orbit"}
+
+
+class TestNodeSumPaths:
+    """The pairwise contraction (C_n) and the Weyl-orbit sum (A_n) against
+    the chunk-tree sum of the full rank-3 grid."""
+
+    @pytest.mark.parametrize("family", list(_RANK3_PATHS))
+    def test_rank3_sums_equal_the_mesh(self, rng, arg, family):
+        ig = make_integrand(_rank3_spec(rng, arg, family))
+        assert ig.path == _RANK3_PATHS[family]
+        for N in (16, 24):
+            (value,), (abs_sum,), cells = ig.node_sums(N)
+            (mesh_value,), (mesh_abs,), mesh_cells = _reduce_array(
+                ig.mesh_eval(N), 3)
+            assert cells == mesh_cells == ()
+            assert abs(value - mesh_value) <= 1e-14 * abs(mesh_value)
+            assert abs(abs_sum - mesh_abs) <= 1e-14 * mesh_abs
+
+    def test_pairwise_with_loose_and_absent_variables(self):
+        # z_1 only in a one-variable factor, z_4 in none, one constant
+        ig = FactorIntegrand(4, Moduli(0.31, 0.23), [
+            Factor(Kind.THETA, 0.4 + 0.1j, (1, 0, 0, 0)),
+            Factor(Kind.THETA, 0.5, (0, 1, -1, 0)),
+            Factor(Kind.GAMMA, 0.3 - 0.2j, (0, -1, 0, 0)),
+            Factor(Kind.MONO, 2.0, (0, 0, 0, 0)),
+        ])
+        assert ig.path == "pairwise"
+        for N in (8, 12):
+            (value,), (abs_sum,), _ = ig.node_sums(N)
+            (mesh_value,), (mesh_abs,), _ = _reduce_array(ig.mesh_eval(N), 4)
+            assert abs(value - mesh_value) <= 1e-14 * abs(mesh_value)
+            assert abs(abs_sum - mesh_abs) <= 1e-14 * mesh_abs
+
+    @pytest.mark.parametrize("family", [Family.CN_I, Family.AN_III])
+    def test_repeated_calls_give_identical_bits(self, rng, arg, family):
+        ig = make_integrand(_rank3_spec(rng, arg, family))
+        assert ig.node_sums(24) == ig.node_sums(24)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_orbit_weights_add_up_to_the_grid(self, n):
+        import itertools
+
+        from ehv.integrands import _orbit_blocks, orbit_count
+
+        for N in (1, 2, 5, 12, 16):
+            blocks = list(_orbit_blocks(n, N))
+            reps = np.concatenate([np.array(r) for r, _ in blocks], axis=1)
+            weights = np.concatenate([w for _, w in blocks])
+            assert weights.sum() == N ** n
+            assert np.all(np.diff(reps, axis=0) >= 0)
+            assert np.all(reps.sum(axis=0) % N == 0)
+            sorted_tuples = {t for t in itertools.combinations_with_replacement(
+                range(N), n + 1) if sum(t) % N == 0}
+            assert set(map(tuple, reps.T.tolist())) == sorted_tuples
+            assert len(weights) == len(sorted_tuples) == orbit_count(n, N)
+
+    def test_asymmetric_an_list_falls_back_to_the_mesh(self, rng, arg):
+        ig = make_integrand(_rank3_spec(rng, arg, Family.AN_I))
+        cross = next(f for f in ig.factors
+                     if f.kind is Kind.IGAMMA and f.c == 1)
+        broken = FactorIntegrand(3, ig.moduli,
+                                 [f for f in ig.factors if f is not cross])
+        assert broken.path == "mesh"
+        cfg = QuadratureConfig(nodes_per_dim=16, max_doublings=1,
+                               rel_tol=1e-12)
+        assert integrate_factors(broken, cfg) == \
+            integrate_mesh_fn(broken.mesh_eval, 3, cfg)
+
+    @pytest.mark.parametrize("family,n", [(Family.E, 1)] + [
+        (family, n) for family in _RANK3_PATHS for n in (1, 2)])
+    def test_ranks_one_and_two_keep_the_mesh(self, rng, arg, family, n):
+        from ehv.registry import Sampler, _draw_spec
+
+        spec = _draw_spec(Sampler(rng.randint(0, 10 ** 6)), family, n)
+        cfg = QuadratureConfig(nodes_per_dim=16, max_doublings=1,
+                               rel_tol=1e-12)
+        ig = make_integrand(spec)
+        assert ig.path == "mesh"
+        assert integrate_spec(spec, cfg) == integrate_mesh_fn(ig.mesh_eval,
+                                                              n, cfg)
+
+
 class TestBudget:
+    def test_budget_counts_the_points_a_path_holds(self, rng, arg, monkeypatch):
+        # 32^3 = 32768 grid nodes, but the contraction holds 2*3*32^2 pair
+        # entries plus a 32^2 intermediate: 7168 points
+        ig = make_integrand(_rank3_spec(rng, arg, Family.CN_I))
+        assert ig.points(32) == 7168
+        monkeypatch.setenv("EHV_MAX_NODES", "8000")
+        res = integrate_factors(ig, QuadratureConfig(
+            nodes_per_dim=16, max_doublings=1, rel_tol=1e-30))
+        assert res.nodes_used == 32 ** 3
+        with pytest.raises(ResourceLimit):
+            integrate_mesh_fn(ig.mesh_eval, 3, QuadratureConfig(
+                nodes_per_dim=32, max_doublings=0, rel_tol=1e-8))
+
     def test_initial_grid_over_budget(self, e_spec, monkeypatch):
         monkeypatch.setenv("EHV_MAX_NODES", "100")
         ig = make_integrand(e_spec)

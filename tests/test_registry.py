@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ehv
-from ehv import _backend
+from ehv import _backend, registry
 from ehv.errors import EHVError
 from ehv.registry import REGISTRY, CheckOptions, run_check
 
@@ -67,3 +67,31 @@ def test_operator_passes_at_seed_0():
     rows = run_check("operator", CheckOptions(seed=0))
     assert [r.tol for r in rows] == [1e-10, 1e-10, 1e-10, 1e-12]
     assert all(r.passed for r in rows)
+
+
+@pytest.mark.parametrize("name,seed", [("cn1", 0), ("cn1", 1009), ("cn2", 0),
+                                       ("cn2", 1009), ("an1", 0)])
+def test_rank3_integrals_converge(name, seed, monkeypatch):
+    # at the default config: 96^3, then at most two doublings to 384^3,
+    # which the contraction and the orbit sum fit in the node budget
+    results = []
+    integrate = registry.integrate_spec
+
+    def recording(spec, cfg=None):
+        results.append(integrate(spec, cfg))
+        return results[-1]
+
+    monkeypatch.setattr(registry, "integrate_spec", recording)
+    rows = run_check(name, CheckOptions(seed=seed, n=3))
+    assert len(results) == 2
+    assert all(res.converged and res.nodes_used <= 384 ** 3
+               for res in results)
+    assert all(r.passed for r in rows)
+
+
+def test_cn2_rank3_passes_at_seed_7063():
+    # row [n=3,1] failed with rel_err 2.6e-6 when 192^3 was the largest
+    # grid in the budget; its pole radius is 0.923, and 384^3 now fits
+    rows = run_check("cn2", CheckOptions(seed=7063, n=3))
+    assert [r.name for r in rows] == ["cn2[n=3,0]", "cn2[n=3,1]"]
+    assert all(r.passed and r.nodes == 384 ** 3 for r in rows)
