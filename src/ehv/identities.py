@@ -17,10 +17,22 @@ from enum import Enum
 from ._backend import cpow
 from .core import (DEGENERATE_EPS, Moduli, theta, theta_multi,
                    theta_factorial_multi)
-from .errors import DegenerateConfiguration, PoleHit
+from .errors import DegenerateConfiguration, DomainViolation, PoleHit
+from .gamma import elliptic_gamma_multi
+from .integrands import (an_trans_domain_check, make_an1_spec,
+                         make_an_trans_integrand, rhs_closed_form,
+                         validate_domain)
+from .quadrature import integrate_factors, integrate_spec
 from .series import tree_sum
 
 _COLLISION = 1e-12
+
+
+def _riemann_terms(x, y, z, w, p):
+    """The three products of the addition rule, each with its coefficient."""
+    return (theta_multi([x * w, x / w, y * z, y / z], p),
+            theta_multi([x * z, x / z, y * w, y / w], p),
+            y / w * theta_multi([x * y, x / y, w * z, w / z], p))
 
 
 def riemann_identity_residual(x, y, z, w, p):
@@ -29,17 +41,12 @@ def riemann_identity_residual(x, y, z, w, p):
     theta(xw, x/w, yz, y/z; p) - theta(xz, x/z, yw, y/w; p)
         = (y/w) theta(xy, x/y, wz, w/z; p).
     """
-    lhs = (theta_multi([x * w, x / w, y * z, y / z], p)
-           - theta_multi([x * z, x / z, y * w, y / w], p))
-    rhs = y / w * theta_multi([x * y, x / y, w * z, w / z], p)
-    return lhs - rhs
+    first, second, rhs = _riemann_terms(x, y, z, w, p)
+    return (first - second) - rhs
 
 
 def riemann_identity_scale(x, y, z, w, p) -> float:
-    terms = (abs(theta_multi([x * w, x / w, y * z, y / z], p)),
-             abs(theta_multi([x * z, x / z, y * w, y / w], p)),
-             abs(y / w * theta_multi([x * y, x / y, w * z, w / z], p)))
-    return max(terms)
+    return max(abs(v) for v in _riemann_terms(x, y, z, w, p))
 
 
 def _partial_fraction_parts(a, b, t, p):
@@ -300,9 +307,6 @@ def an_difference_residual(t, f, m: Moduli, side: DiffSide = DiffSide.CLOSED_FOR
     quadrature (n <= 2).  Returns the residual normalized by the largest
     participating term (theta coefficients can dwarf the value itself).
     """
-    from .integrands import make_an1_spec, rhs_closed_form, validate_domain
-    from .errors import DomainViolation
-
     t = tuple(t)
     f = tuple(f)
     n = len(t) - 1
@@ -316,7 +320,6 @@ def an_difference_residual(t, f, m: Moduli, side: DiffSide = DiffSide.CLOSED_FOR
             )
         if side is DiffSide.CLOSED_FORM:
             return rhs_closed_form(spec)
-        from .quadrature import integrate_spec
         return integrate_spec(spec, cfg).value
 
     base = value(t)
@@ -333,11 +336,6 @@ def an_difference_residual(t, f, m: Moduli, side: DiffSide = DiffSide.CLOSED_FOR
 def an_transformation_sides(tglob, f, s, m: Moduli, cfg=None):
     """Both sides of the parameter-swap symmetry of the constrained-product
     integral (n = len(f) - 2).  Each side is prefactor * quadrature."""
-    from .integrands import make_an_trans_integrand, an_trans_domain_check
-    from .quadrature import integrate_factors
-    from .errors import DomainViolation
-    from .gamma import elliptic_gamma_multi
-
     f = tuple(f)
     s = tuple(s)
     if len(f) != len(s):

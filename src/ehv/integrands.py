@@ -16,13 +16,18 @@ All integrands are returned "bare": the 1/(2 pi i)^n prefactors and the
 dz/z measure live in the quadrature module, which evaluates the plain
 grid average of these values.
 
-Every family is described once as a list of atomic factors
-g(c * z^e) with g in {Gamma, 1/Gamma, theta, identity} and e an
-integer exponent vector over the free variables (the constrained variable
-z_{n+1} of the AN families contributes (-1, ..., -1)).  The scalar path
-evaluates atoms directly.  The node sums of the quadrature evaluate one
-table per distinct constant on the N roots of unity, multiply the tables of
-equal exponent vectors, and combine them on one of three paths, which
+Every family is described once as a list of atomic factors g(c * z^e) with g
+in {Gamma, 1/Gamma, theta, identity} and e an integer exponent vector over
+the free variables (the constrained variable z_{n+1} of the AN families
+contributes (-1, ..., -1)).  Two emitters write every list: _cn (per axis
+Gamma(c z_j^{+-1}), 1/Gamma(z_j^{+-2}) and 1/Gamma(A z_j^{+-1}), then the
+factors of each pair in z_j^{+-1} z_k^{+-1}) and _an (per-variable factors
+of the n+1 constrained variables, the factors of each pair in z_i^{+-1}
+z_j^{+-1}, then 1/Gamma(z_i/z_j) for i != j); a family or the an_transform
+integrand only names its constants.  The scalar path evaluates atoms
+directly.  The node sums of the quadrature evaluate one table per distinct
+constant on the N roots of unity, multiply the tables of equal exponent
+vectors, and combine them on one of three paths, which
 FactorIntegrand.path selects from the exponent vectors alone:
 
     mesh      n <= 2, and any list with no structure below: the full N^n
@@ -48,6 +53,7 @@ order.  The paths agree with each other to rounding, not bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -92,7 +98,7 @@ class ParamSet:
 
 
 _COUNTS = {
-    # family -> (t_len as function of n, other requirements description)
+    # family -> the number of t-parameters at rank n
     Family.E: lambda n: 5,
     Family.CN_I: lambda n: 2 * n + 3,
     Family.CN_II: lambda n: 5,
@@ -563,148 +569,80 @@ def _orbit_blocks(n: int, N: int):
 
 # -- family factor lists ------------------------------------------------------
 
+_ONE = 1.0 + 0.0j
 
-def _unit(n, i, scale=1):
-    e = [0] * n
-    e[i] = scale
-    return tuple(e)
-
-
-def _an_evecs(n):
-    """Exponent vectors of z_1..z_{n+1} on the constrained A_n torus: the
-    constrained variable z_{n+1} has (-1, ..., -1)."""
-    return [_unit(n, k) for k in range(n)] + [tuple([-1] * n)]
+# (a, b) of the four C_n pair factors in z_j^a z_k^b
+_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _minus(e):
-    return tuple(-v for v in e)
+def _lin(coeffs, vecs):
+    """The exponent vector sum_r coeffs[r] * vecs[r]."""
+    return tuple(sum(a * v[d] for a, v in zip(coeffs, vecs))
+                 for d in range(len(vecs[0])))
 
 
-def _add(e1, e2):
-    return tuple(a + b for a, b in zip(e1, e2))
+def _cn(n, m: Moduli, consts, A, pair) -> FactorIntegrand:
+    """C_n integrand: for each axis j, Gamma(c z_j^{+-1}) for c in consts[j],
+    then 1/Gamma(z_j^{+-2}) and 1/Gamma(A z_j^{+-1}); after that, for each
+    pair j < k, g(c z_j^a z_k^b) for every (g, c, (a, b)) of pair."""
+    units = [tuple(int(d == j) for d in range(n)) for j in range(n)]
+    fs = []
+    for u, axis in zip(units, consts):
+        fs += [Factor(Kind.GAMMA, c, _lin((s,), (u,)))
+               for c in axis for s in (1, -1)]
+        fs += [Factor(Kind.IGAMMA, c, _lin((s,), (u,)))
+               for c, s in ((_ONE, 2), (_ONE, -2), (A, 1), (A, -1))]
+    fs += [Factor(kind, c, _lin(ab, (units[j], units[k])))
+           for j, k in itertools.combinations(range(n), 2)
+           for kind, c, ab in pair]
+    return FactorIntegrand(n, m, fs)
+
+
+def _an(n, m: Moduli, per_var, pair) -> FactorIntegrand:
+    """A_n integrand on the constrained torus z_1...z_{n+1} = 1, z_{n+1}
+    having the exponent vector (-1, ..., -1): g(c z_k^s) for every (g, c, s)
+    of per_var and each k; g(c z_i^a z_j^b) for every (g, c, (a, b)) of pair
+    and each pair i < j; then 1/Gamma(z_i/z_j) for each i != j."""
+    vecs = [tuple(int(d == k) for d in range(n)) for k in range(n)]
+    vecs.append((-1,) * n)
+    fs = [Factor(kind, c, _lin((s,), (v,)))
+          for v in vecs for kind, c, s in per_var]
+    fs += [Factor(kind, c, _lin(ab, (vecs[i], vecs[j])))
+           for i, j in itertools.combinations(range(n + 1), 2)
+           for kind, c, ab in pair]
+    fs += [Factor(Kind.IGAMMA, _ONE, _lin((1, -1), (vi, vj)))
+           for vi, vj in itertools.permutations(vecs, 2)]
+    return FactorIntegrand(n, m, fs)
 
 
 def make_integrand(spec: IntegrandSpec) -> FactorIntegrand:
     """Bare integrand of the family spec."""
     fam, n, ps, m = spec.family, spec.n, spec.params, spec.moduli
-    fs = []
-    one = 1.0 + 0.0j
-
+    t, tc = ps.t, ps.extras.get("t")
+    G, IG = Kind.GAMMA, Kind.IGAMMA
     if fam in (Family.E, Family.CN_I):
-        A = spec.product_A
-        for j in range(n):
-            for tr in ps.t:
-                fs.append(Factor(Kind.GAMMA, tr, _unit(n, j)))
-                fs.append(Factor(Kind.GAMMA, tr, _unit(n, j, -1)))
-            for c, sc in ((one, 2), (one, -2), (A, 1), (A, -1)):
-                fs.append(Factor(Kind.IGAMMA, c, _unit(n, j, sc)))
-        for j in range(n):
-            for k in range(j + 1, n):
-                for ej, ek in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                    e = [0] * n
-                    e[j], e[k] = ej, ek
-                    fs.append(Factor(Kind.IGAMMA, one, tuple(e)))
-        return FactorIntegrand(n, m, fs)
-
+        return _cn(n, m, [t] * n, spec.product_A,
+                   [(IG, _ONE, ab) for ab in _SIGNS])
     if fam is Family.CN_II:
-        B = spec.product_B
-        tc = ps.extras["t"]
-        for j in range(n):
-            for tr in ps.t:
-                fs.append(Factor(Kind.GAMMA, tr, _unit(n, j)))
-                fs.append(Factor(Kind.GAMMA, tr, _unit(n, j, -1)))
-            for c, sc in ((one, 2), (one, -2), (B, 1), (B, -1)):
-                fs.append(Factor(Kind.IGAMMA, c, _unit(n, j, sc)))
-        for j in range(n):
-            for k in range(j + 1, n):
-                for ej, ek in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                    e = [0] * n
-                    e[j], e[k] = ej, ek
-                    fs.append(Factor(Kind.GAMMA, tc, tuple(e)))
-                    fs.append(Factor(Kind.IGAMMA, one, tuple(e)))
-        return FactorIntegrand(n, m, fs)
-
+        return _cn(n, m, [t] * n, spec.product_B,
+                   [(kind, c, ab) for ab in _SIGNS
+                    for kind, c in ((G, tc), (IG, _ONE))])
     if fam is Family.CN_III:
-        A = spec.product_A
-        tc = ps.extras["t"]
-        t1, t2, t3 = ps.t
-        for i in range(n):
-            per_axis = (ps.x[i], t1, t2, t3, tc / ps.x[i])
-            for c in per_axis:
-                fs.append(Factor(Kind.GAMMA, c, _unit(n, i)))
-                fs.append(Factor(Kind.GAMMA, c, _unit(n, i, -1)))
-            for sc in (2, -2):
-                fs.append(Factor(Kind.IGAMMA, one, _unit(n, i, sc)))
-            for sc in (1, -1):
-                fs.append(Factor(Kind.IGAMMA, A, _unit(n, i, sc)))
         # ordered prefactor prod_{i<j} z_j theta(z_i/z_j, 1/(z_i z_j); p)
-        for i in range(n):
-            for j in range(i + 1, n):
-                fs.append(Factor(Kind.MONO, one, _unit(n, j)))
-                e = [0] * n
-                e[i], e[j] = 1, -1
-                fs.append(Factor(Kind.THETA, one, tuple(e)))
-                e = [0] * n
-                e[i], e[j] = -1, -1
-                fs.append(Factor(Kind.THETA, one, tuple(e)))
-        return FactorIntegrand(n, m, fs)
-
-    if fam in (Family.AN_I, Family.AN_II, Family.AN_III):
-        evecs = _an_evecs(n)
-        if fam is Family.AN_I:
-            AB = spec.product_A * spec.product_B
-            for ek in evecs:
-                for ti in ps.t:
-                    fs.append(Factor(Kind.GAMMA, ti, _minus(ek)))
-                for fj in ps.f:
-                    fs.append(Factor(Kind.GAMMA, fj, ek))
-                fs.append(Factor(Kind.IGAMMA, AB, ek))
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    if i != j:
-                        fs.append(Factor(Kind.IGAMMA, one,
-                                         _add(evecs[i], _minus(evecs[j]))))
-            return FactorIntegrand(n, m, fs)
-
-        if fam is Family.AN_II:
-            tc, sc_ = ps.extras["t"], ps.extras["s"]
-            t1, t2, t3, t4, t5 = ps.t
-            C = spec.product_B
-            for ek in evecs:
-                for c in (t1, t2, t3):
-                    fs.append(Factor(Kind.GAMMA, c, ek))
-                for c in (t4, t5):
-                    fs.append(Factor(Kind.GAMMA, c, _minus(ek)))
-                fs.append(Factor(Kind.IGAMMA, C, ek))
-            for i in range(n + 1):
-                for j in range(i + 1, n + 1):
-                    fs.append(Factor(Kind.GAMMA, tc, _add(evecs[i], evecs[j])))
-                    fs.append(Factor(Kind.GAMMA, sc_,
-                                     _minus(_add(evecs[i], evecs[j]))))
-                    fs.append(Factor(Kind.IGAMMA, one,
-                                     _add(evecs[i], _minus(evecs[j]))))
-                    fs.append(Factor(Kind.IGAMMA, one,
-                                     _add(_minus(evecs[i]), evecs[j])))
-            return FactorIntegrand(n, m, fs)
-
-        # AN_III
-        A = spec.product_A
-        tc = ps.extras["t"]
-        for ek in evecs:
-            for tk in ps.t[: n + 1]:
-                fs.append(Factor(Kind.GAMMA, tk, _minus(ek)))
-            for tk in ps.t[n + 1:]:
-                fs.append(Factor(Kind.GAMMA, tc * tk, ek))
-            fs.append(Factor(Kind.IGAMMA, A, _minus(ek)))
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                fs.append(Factor(Kind.GAMMA, tc, _add(evecs[i], evecs[j])))
-                fs.append(Factor(Kind.IGAMMA, one,
-                                 _add(evecs[i], _minus(evecs[j]))))
-                fs.append(Factor(Kind.IGAMMA, one,
-                                 _add(_minus(evecs[i]), evecs[j])))
-        return FactorIntegrand(n, m, fs)
-
+        return _cn(n, m, [(x, *t, tc / x) for x in ps.x], spec.product_A,
+                   [(Kind.MONO, _ONE, (0, 1)), (Kind.THETA, _ONE, (1, -1)),
+                    (Kind.THETA, _ONE, (-1, -1))])
+    if fam is Family.AN_I:
+        return _an(n, m, [(G, c, -1) for c in t] + [(G, c, 1) for c in ps.f]
+                   + [(IG, spec.product_A * spec.product_B, 1)], [])
+    if fam is Family.AN_II:
+        return _an(n, m, [(G, c, 1) for c in t[:3]]
+                   + [(G, c, -1) for c in t[3:]] + [(IG, spec.product_B, 1)],
+                   [(G, tc, (1, 1)), (G, ps.extras["s"], (-1, -1))])
+    if fam is Family.AN_III:
+        return _an(n, m, [(G, c, -1) for c in t[:n + 1]]
+                   + [(G, tc * c, 1) for c in t[n + 1:]]
+                   + [(IG, spec.product_A, -1)], [(G, tc, (1, 1))])
     raise UnsupportedFamily(f"no integrand for {fam.value}")
 
 
@@ -921,19 +859,8 @@ def make_an_trans_integrand(tglob, first, second, firstprod, secondprod,
     i != j Gamma(z_i/z_j) cross terms and Gamma(t^{n+1} S z_k, t B / z_k).
     """
     n = len(first) - 2
-    evecs = _an_evecs(n)
-    one = 1.0 + 0.0j
-    tn1 = cpow(tglob, n + 1)
-    fs = []
-    for ek in evecs:
-        for fj in first:
-            fs.append(Factor(Kind.GAMMA, tglob * fj, _minus(ek)))
-        for sj in second:
-            fs.append(Factor(Kind.GAMMA, sj, ek))
-        fs.append(Factor(Kind.IGAMMA, tn1 * secondprod, ek))
-        fs.append(Factor(Kind.IGAMMA, tglob * firstprod, _minus(ek)))
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i != j:
-                fs.append(Factor(Kind.IGAMMA, one, _add(evecs[i], _minus(evecs[j]))))
-    return FactorIntegrand(n, m, fs)
+    G, IG = Kind.GAMMA, Kind.IGAMMA
+    return _an(n, m, [(G, tglob * c, -1) for c in first]
+               + [(G, c, 1) for c in second]
+               + [(IG, cpow(tglob, n + 1) * secondprod, 1),
+                  (IG, tglob * firstprod, -1)], [])

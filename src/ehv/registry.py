@@ -203,7 +203,7 @@ def _draw_spec(smp: Sampler, family: Family, n: int,
                moduli: Moduli = DEFAULT_MODULI) -> IntegrandSpec:
     def build():
         if family is Family.E:
-            return IntegrandSpec(family, 1, ParamSet(t=smp.args(5, 0.3, 0.85)),
+            return IntegrandSpec(family, n, ParamSet(t=smp.args(5, 0.3, 0.85)),
                                  moduli)
         if family is Family.CN_I:
             lo = 0.62 if n == 1 else 0.72

@@ -132,6 +132,9 @@ class TestVerify:
          "operator does not read --nodes;"),
         (("verify", "cn1", "--m", "1"), "cn1 does not read --m;"),
         (("verify", "bailey", "--nodes", "64"), "bailey does not read --nodes;"),
+        # theorem1's sweep draws E at the rank it is given, and E has rank 1
+        (("sweep", "theorem1", "--grid", "t0=0.5:0.5:1", "--n", "2"),
+         "E family is single-variable"),
     ])
     def test_zero_or_negative_option_exit_2(self, args, error):
         # 0 is a value, not "unset": it reaches the option's own check, and

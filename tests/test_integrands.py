@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from ehv.core import Moduli
+from ehv.core import Moduli, theta_multi
 from ehv.gamma import elliptic_gamma_multi
 from ehv.integrands import (
     FactorIntegrand,
@@ -15,6 +15,7 @@ from ehv.integrands import (
     IntegrandSpec,
     Kind,
     ParamSet,
+    make_an_trans_integrand,
     make_integrand,
     rhs_closed_form,
     validate_domain,
@@ -201,26 +202,115 @@ class TestAnFamilies:
         assert abs(ig((z3, z2)) - v) <= 1e-12 * abs(v)
         assert abs(ig((z1, z3)) - v) <= 1e-12 * abs(v)
 
-    def test_an1_against_independent_transcription(self, rng, arg, moduli):
-        # direct formula re-code, no shared factor engine
-        t3 = tuple(arg(rng, 0.5, 0.75) for _ in range(3))
-        f4 = tuple(arg(rng, 0.5, 0.75) for _ in range(4))
-        spec = IntegrandSpec(Family.AN_I, 2, ParamSet(t=t3, f=f4), moduli)
-        z1, z2 = on_circle(rng), on_circle(rng)
-        zs = (z1, z2, 1.0 / (z1 * z2))
-        AB = prod(t3) * prod(f4)
-        num = []
-        for zk in zs:
-            num.extend(ti / zk for ti in t3)
-            num.extend(fj * zk for fj in f4)
-        den = [AB * zk for zk in zs]
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    den.append(zs[i] / zs[j])
-        want = (elliptic_gamma_multi(num, moduli)
+
+def _cn_display(family, n, ps, z, m):
+    """(Gamma numerator, Gamma denominator, prefactor) of the C_n display:
+    prod_j prod_c Gamma(c z_j^{+-1}) / (Gamma(z_j^{+-2}) Gamma(A z_j^{+-1}))
+    times the pair factors in z_j^{+-1} z_k^{+-1} of each type."""
+    t, tc = ps.t, ps.extras.get("t")
+    if family is Family.CN_II:
+        A = tc ** (2 * n - 2) * prod(t)
+    elif family is Family.CN_III:
+        A = tc * prod(t) * m.q ** (n - 1)
+    else:
+        A = prod(t)
+    num, den, pre = [], [], 1.0
+    for j, w in enumerate(z):
+        axis = (ps.x[j], *t, tc / ps.x[j]) if family is Family.CN_III else t
+        num += [c * w for c in axis] + [c / w for c in axis]
+        den += [w * w, 1 / (w * w), A * w, A / w]
+    for j in range(n):
+        for k in range(j + 1, n):
+            if family is Family.CN_III:
+                # z_k theta(z_j/z_k, 1/(z_j z_k); p), the ordered prefactor
+                pre *= z[k] * theta_multi([z[j] / z[k], 1 / (z[j] * z[k])],
+                                          m.p)
+                continue
+            cross = [z[j] * z[k], z[j] / z[k], z[k] / z[j], 1 / (z[j] * z[k])]
+            den += cross
+            if family is Family.CN_II:
+                num += [tc * v for v in cross]
+    return num, den, pre
+
+
+def _an_display(family, n, ps, z):
+    """(Gamma numerator, Gamma denominator) of the A_n display on the torus
+    z_1...z_{n+1} = 1: the per-variable factors, the pair factors in
+    z_i z_j, and 1/Gamma(z_i/z_j) for i != j."""
+    zs = list(z) + [1 / prod(z)]
+    t, tc, s = ps.t, ps.extras.get("t"), ps.extras.get("s")
+    num = []
+    den = [zs[i] / zs[j] for i in range(n + 1) for j in range(n + 1) if i != j]
+    for w in zs:
+        if family is Family.AN_I:
+            num += [c / w for c in t] + [c * w for c in ps.f]
+            den.append(prod(t) * prod(ps.f) * w)
+        elif family is Family.AN_II:
+            num += [c * w for c in t[:3]] + [c / w for c in t[3:]]
+            den.append((tc * s) ** (n - 1) * prod(t) * w)
+        else:
+            num += [c / w for c in t[:n + 1]] + [tc * c * w for c in t[n + 1:]]
+            den.append(tc ** (n + 2) * prod(t) / w)
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            if family is Family.AN_II:
+                num += [tc * zs[i] * zs[j], s / (zs[i] * zs[j])]
+            elif family is Family.AN_III:
+                num.append(tc * zs[i] * zs[j])
+    return num, den
+
+
+def _an_transform_display(tg, f, s, z):
+    """(Gamma numerator, Gamma denominator) of one side of the f <-> s
+    transformation: Gamma(t f_j / z_k, s_j z_k) over
+    Gamma(z_i/z_j) (i != j) Gamma(t^{n+1} S z_k, t B / z_k)."""
+    n = len(z)
+    zs = list(z) + [1 / prod(z)]
+    num = [tg * c / w for w in zs for c in f] + [c * w for w in zs for c in s]
+    den = [zs[i] / zs[j] for i in range(n + 1) for j in range(n + 1) if i != j]
+    den += [tg ** (n + 1) * prod(s) * w for w in zs]
+    den += [tg * prod(f) / w for w in zs]
+    return num, den
+
+
+_TRANSCRIBED = ([(Family.E, 1)]
+                + [(fam, n) for fam in (Family.CN_I, Family.CN_II, Family.CN_III,
+                                        Family.AN_I, Family.AN_II, Family.AN_III)
+                   for n in (1, 2, 3)]
+                + [("an_transform", 1), ("an_transform", 2)])
+
+
+class TestTranscription:
+    """Every factor list at one torus point against a direct transcription
+    of its display in elliptic_gamma_multi and theta, no factor engine."""
+
+    @pytest.mark.parametrize(
+        "case,n", _TRANSCRIBED,
+        ids=[f"{getattr(c, 'value', c)}-{n}" for c, n in _TRANSCRIBED])
+    def test_against_independent_transcription(self, rng, arg, moduli, case, n):
+        draw = lambda k: tuple(arg(rng, 0.5, 0.75) for _ in range(k))
+        z = tuple(on_circle(rng) for _ in range(n))
+        pre = 1.0
+        if case == "an_transform":
+            tg, f, s = arg(rng, 0.5, 0.75), draw(n + 2), draw(n + 2)
+            got = make_an_trans_integrand(tg, f, s, prod(f), prod(s), moduli)(z)
+            num, den = _an_transform_display(tg, f, s, z)
+        else:
+            nt = {Family.E: 5, Family.CN_I: 2 * n + 3, Family.CN_II: 5,
+                  Family.CN_III: 3, Family.AN_I: n + 1, Family.AN_II: 5,
+                  Family.AN_III: n + 4}[case]
+            ps = ParamSet(t=draw(nt),
+                          f=draw(n + 2) if case is Family.AN_I else (),
+                          x=draw(n) if case is Family.CN_III else (),
+                          extras={"t": arg(rng, 0.3, 0.45),
+                                  "s": arg(rng, 0.5, 0.75)})
+            got = make_integrand(IntegrandSpec(case, n, ps, moduli))(z)
+            if case.value.startswith("Cn") or case is Family.E:
+                num, den, pre = _cn_display(case, n, ps, z, moduli)
+            else:
+                num, den = _an_display(case, n, ps, z)
+        want = (pre * elliptic_gamma_multi(num, moduli)
                 / elliptic_gamma_multi(den, moduli))
-        got = make_integrand(spec)((z1, z2))
         assert abs(got - want) <= 1e-11 * abs(want)
 
 

@@ -6,6 +6,11 @@ counts as used when its name is read anywhere in ``src/ehv`` outside its
 own body, or when it is a check registered with ``@_check``.  The
 package's re-exports in ``__init__.py`` do not count as uses.  The CLI
 handlers are used: ``build_parser`` names each one.
+
+Every factor list is built by one of the two emitters of
+``ehv.integrands``, ``_cn`` and ``_an``: the pairwise and orbit node-sum
+paths read the structure they write, so no other code constructs a
+``Factor``.
 """
 
 import ast
@@ -76,3 +81,21 @@ def test_every_definition_is_used_by_ehv():
 def test_each_kept_definition_is_only_tested():
     # a kept name that ehv itself uses needs no exception
     assert KEPT <= _unused()
+
+
+def _factor_builders(modules) -> set:
+    """(module, top-level definition) of every ``Factor(...)`` call in ehv."""
+    found = set()
+    for name, tree in modules.items():
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and "Factor" in (
+                        getattr(sub.func, "id", None),
+                        getattr(sub.func, "attr", None)):
+                    found.add((name, getattr(node, "name", None)))
+    return found
+
+
+def test_every_factor_comes_from_the_two_emitters():
+    assert _factor_builders(_modules()) == {("integrands.py", "_cn"),
+                                            ("integrands.py", "_an")}
