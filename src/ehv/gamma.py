@@ -75,15 +75,21 @@ def log_gamma_terms(w, q, p, policy: TruncationPolicy):
     """Terms A_m, B_m (m = 1..M) of log Gamma(w x) = sum A_m x^m - B_m x^-m.
 
     Holds for |x| = 1 when |pq| < |w| < 1; M is the module's truncation
-    rule.  Returns numpy arrays (of mpmath numbers in extended mode).
+    rule at rho = max(|w|, |pq|/|w|).  A list of K arguments w gives terms
+    of shape (M, K), one column each, M at the largest rho among them.
+    Returns numpy arrays (of mpmath numbers in extended mode).
     """
-    qa, pa, wa = float(abs(q)), float(abs(p)), float(abs(w))
+    ws = w if isinstance(w, list) else [w]
+    qa, pa = float(abs(q)), float(abs(p))
+    rho = max(max(float(abs(v)), qa * pa / float(abs(v))) for v in ws)
     M = policy.terms("elliptic gamma series", 1.0 / ((1.0 - qa) * (1.0 - pa)),
-                     max(wa, qa * pa / wa))
-    w_m, v_m, q_m, p_m = np.cumprod(np.full((M, 4), [w, q * p / w, q, p]),
-                                    axis=0).T
-    d = np.arange(1, M + 1) * (1.0 - q_m) * (1.0 - p_m)
-    return w_m / d, v_m / d
+                     rho)
+    k = len(ws)
+    pows = np.cumprod(np.full((M, 2 * k + 2),
+                              ws + [q * p / v for v in ws] + [q, p]), axis=0)
+    d = (np.arange(1, M + 1) * (1.0 - pows[:, -2]) * (1.0 - pows[:, -1]))[:, None]
+    A, B = pows[:, :k] / d, pows[:, k:2 * k] / d
+    return (A, B) if isinstance(w, list) else (A[:, 0], B[:, 0])
 
 
 def _zero_gap(x, o):

@@ -25,16 +25,21 @@ factors of each pair in z_j^{+-1} z_k^{+-1}) and _an (per-variable factors
 of the n+1 constrained variables, the factors of each pair in z_i^{+-1}
 z_j^{+-1}, then 1/Gamma(z_i/z_j) for i != j); a family or the an_transform
 integrand only names its constants.  The scalar path evaluates atoms
-directly.  The node sums of the quadrature evaluate one table per distinct
-constant on the N roots of unity, multiply the tables of equal exponent
-vectors, and combine them on one of three paths, which
-FactorIntegrand.path selects from the exponent vectors alone:
+directly.  The node sums of the quadrature evaluate the tables on the N
+roots of unity (one stacked gamma_vec call for every distinct Gamma and
+1/Gamma constant, one theta table per distinct constant), multiply the
+tables of equal exponent vectors, and combine them on one of three paths,
+which FactorIntegrand.path selects from the exponent vectors alone.  A
+table is read on the grid as tab[(e . k) mod N] through a read-only
+strided view of the table tiled sum |e_i| + 1 times (_grid_view), with no
+index array:
 
     mesh      n <= 2, and any list with no structure below: the full N^n
-              grid by index arithmetic (mesh_eval).  At n <= 2 the pair
-              matrix of the contraction is the grid itself (and the
-              contraction was no faster there), and keeping the mesh keeps
-              every rank-1 and rank-2 result bit for bit.
+              grid (mesh_eval), the outer product of one vector per axis
+              (the constant and the single-axis tables folded in) times the
+              views of the multi-axis tables.  At n <= 2 the pair matrix of
+              the contraction is the grid itself, and the contraction was no
+              faster there.
     pairwise  n >= 3 with at most two nonzero entries in every exponent
               vector (C_n): sum_k prod_i g_i(k_i) prod_{i<j} H_ij(k_i, k_j)
               as one np.einsum over N x N pair matrices, its intermediates
@@ -45,7 +50,7 @@ FactorIntegrand.path selects from the exponent vectors alone:
               its orbit size (n+1)!/prod mult!, enumerated directly; about
               N^n/(n+1)! points.
 
-Determinism: the mesh is exact index arithmetic; the contraction's einsum
+Determinism: the mesh multiplies in a fixed order; the contraction's einsum
 path depends only on the shapes, so its bits repeat for a given numpy and
 BLAS at a given thread count; the orbit sum visits fixed blocks in a fixed
 order.  The paths agree with each other to rounding, not bit for bit.
@@ -108,6 +113,17 @@ _COUNTS = {
     Family.AN_III: lambda n: n + 4,
 }
 
+_READS = {
+    # family -> (the sequences it reads besides t, the scalar extras it reads)
+    Family.E: ((), ()),
+    Family.CN_I: ((), ()),
+    Family.CN_II: ((), ("t",)),
+    Family.CN_III: (("x",), ("t",)),
+    Family.AN_I: (("f",), ()),
+    Family.AN_II: ((), ("t", "s")),
+    Family.AN_III: ((), ("t",)),
+}
+
 
 @dataclass(frozen=True)
 class IntegrandSpec:
@@ -130,11 +146,15 @@ class IntegrandSpec:
             raise ValueError(f"An_I needs {n + 2} f-parameters")
         if fam is Family.CN_III and len(ps.x) != n:
             raise ValueError(f"Cn_III needs {n} x-parameters")
-        if fam in (Family.CN_II, Family.CN_III, Family.AN_II, Family.AN_III):
-            if "t" not in ps.extras:
-                raise ValueError(f"{fam.value} needs the scalar extra 't'")
-        if fam is Family.AN_II and "s" not in ps.extras:
-            raise ValueError("An_II needs the scalar extra 's'")
+        seqs, extras = _READS[fam]
+        for key in extras:
+            if key not in ps.extras:
+                raise ValueError(f"{fam.value} needs the scalar extra {key!r}")
+        unread = [f"sequence {key}" for key in ("f", "x")
+                  if getattr(ps, key) and key not in seqs]
+        unread += [f"extra {key!r}" for key in ps.extras if key not in extras]
+        if unread:
+            raise ValueError(f"{fam.value} does not read {', '.join(unread)}")
 
     # -- derived products ---------------------------------------------------
 
@@ -383,7 +403,6 @@ class FactorIntegrand:
         """sum_k prod_i g_i(k_i) prod_{i<j} H_ij(k_i, k_j) as one einsum over
         the pair matrices (each variable's vector folded into the first
         matrix on it), its intermediates capped at N^(n-1)."""
-        k = np.arange(N)
         vecs: dict = {}
         mats: dict = {}
         const = 1.0 + 0.0j
@@ -392,13 +411,8 @@ class FactorIntegrand:
             if not sup:
                 const = const * tab[0]
                 continue
-            if len(sup) == 1:
-                idx = evec[sup[0]] * k
-                store = vecs
-            else:
-                idx = evec[sup[0]] * k[:, None] + evec[sup[1]] * k[None, :]
-                store = mats
-            val = tab[np.mod(idx, N)]
+            store = vecs if len(sup) == 1 else mats
+            val = _grid_view(tab, tuple(evec[i] for i in sup))
             store[sup] = store[sup] * val if sup in store else val
         for (i,), vec in vecs.items():
             pair = next((s for s in mats if i in s), None)
@@ -454,25 +468,25 @@ class FactorIntegrand:
             abs_parts.append(np.sum(weights * np.abs(vals)))
         return np.sum(parts), np.sum(abs_parts)
 
-    # -- mesh path -------------------------------------------------------------
+    # -- tables and the mesh path ------------------------------------------
 
     def _tables(self, N: int) -> dict:
         """exponent vector -> the product of its factors' tables on the N
-        roots of unity, one table per distinct constant and kind."""
+        roots of unity: one gamma_vec call for all distinct (constant,
+        inverse) pairs, one theta table per distinct constant."""
         m = self.moduli
         z1d = np.exp(2j * np.pi * np.arange(N) / N)
-        gamma_cache: dict = {}
+        keys = list(dict.fromkeys((f.c, f.kind is Kind.IGAMMA)
+                                  for f in self.factors
+                                  if f.kind in (Kind.GAMMA, Kind.IGAMMA)))
+        gamma = dict(zip(keys, gamma_vec([c for c, _ in keys], N, m.q, m.p,
+                                         inverse=[i for _, i in keys])
+                         if keys else ()))
         theta_cache: dict = {}
 
         def base_table(f: Factor) -> np.ndarray:
             if f.kind in (Kind.GAMMA, Kind.IGAMMA):
-                key = (f.c, f.kind is Kind.IGAMMA)
-                tab = gamma_cache.get(key)
-                if tab is None:
-                    tab = gamma_vec(f.c, N, m.q, m.p,
-                                    inverse=f.kind is Kind.IGAMMA)
-                    gamma_cache[key] = tab
-                return tab
+                return gamma[f.c, f.kind is Kind.IGAMMA]
             if f.kind is Kind.THETA:
                 tab = theta_cache.get(f.c)
                 if tab is None:
@@ -491,19 +505,39 @@ class FactorIntegrand:
         return per_evec
 
     def mesh_eval(self, N: int) -> np.ndarray:
-        axes = [np.arange(N).reshape([N if d == i else 1 for d in range(self.n)])
-                for i in range(self.n)]
-        out = np.ones((N,) * self.n, dtype=complex)
+        """The integrand on the full N^n grid: the constant and the
+        single-axis tables folded into one vector per axis, their outer
+        product, times the grid view of each multi-axis table."""
+        const = 1.0 + 0.0j
+        axes = [np.ones(N, dtype=complex) for _ in range(self.n)]
+        multi = []
         for evec, tab in self._tables(N).items():
-            idx = None
-            for e, ax in zip(evec, axes):
-                if e:
-                    idx = e * ax if idx is None else idx + e * ax
-            if idx is None:
-                out = out * tab[0]
+            sup = [i for i, e in enumerate(evec) if e]
+            if not sup:
+                const = const * tab[0]
+            elif len(sup) == 1:
+                axes[sup[0]] = axes[sup[0]] * _grid_view(tab, (evec[sup[0]],))
             else:
-                out = out * tab[np.mod(idx, N)]
+                multi.append(_grid_view(tab, evec))
+        out = const * axes[0]
+        for vec in axes[1:]:
+            out = np.multiply.outer(out, vec)
+        for view in multi:
+            out *= view
         return out
+
+
+def _grid_view(tab: np.ndarray, evec) -> np.ndarray:
+    """tab[(e . k) mod N] on the N^len(e) grid of k, as a read-only strided
+    view with no index array.  With s the sum of |e_i| and s- that of the
+    negative e_i, e . k lies in [-s- (N-1), (s - s-)(N-1)]; the table tiled
+    s + 1 times and entered at s- N holds every such entry."""
+    N = tab.size
+    neg = sum(-e for e in evec if e < 0)
+    tiled = np.tile(tab, sum(abs(e) for e in evec) + 1)
+    return np.lib.stride_tricks.as_strided(
+        tiled[neg * N:], shape=(N,) * len(evec),
+        strides=tuple(e * tiled.itemsize for e in evec), writeable=False)
 
 
 # -- Weyl-orbit representatives of the A_n torus ---------------------------------

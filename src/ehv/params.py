@@ -77,10 +77,7 @@ def spec_to_params(spec: IntegrandSpec) -> dict:
         if seq:
             out[key] = [encode_complex(v) for v in seq]
     if ps.extras:
-        enc = {}
-        for key, v in ps.extras.items():
-            enc[key] = v if isinstance(v, int) else encode_complex(v)
-        out["extras"] = enc
+        out["extras"] = {key: encode_complex(v) for key, v in ps.extras.items()}
     return out
 
 

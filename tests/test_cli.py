@@ -310,6 +310,26 @@ class TestFamilyParamsFile:
             assert out.returncode == 2 and out.stdout == ""
             assert error in json.loads(out.stderr)["error"]
 
+    def test_unread_parameters_exit_2(self, tmp_path):
+        """A file holding an extra or a sequence its family does not read is
+        refused by verify and by sweep: a sweep over it would print rows
+        that all evaluate the same integral."""
+        an1, _ = _seeded("an1", 4, 1)
+        an1 = spec_to_params(an1)
+        for name, d, unread in [
+                ("theorem1", {**BASE_E, "extras": {"t": [0.3, 0]}}, "extra 't'"),
+                ("theorem1", {**BASE_E, "extras": {"N": 4}}, "extra 'N'"),
+                ("an1", {**an1, "x": [[0.5, 0]]}, "sequence x"),
+                ("cn1", {**BASE_E, "family": "Cn_I", "f": [[0.5, 0]]},
+                 "sequence f")]:
+            f = tmp_path / "spec.json"
+            f.write_text(json.dumps(d))
+            for args in (("verify", name),
+                         ("sweep", name, "--grid", "t=0.2:0.6:3")):
+                out = run(*args, "--params", str(f))
+                assert out.returncode == 2 and out.stdout == ""
+                assert f"does not read {unread}" in json.loads(out.stderr)["error"]
+
     def test_bailey_beyond_its_largest_n_exits_2(self):
         out = run("verify", "bailey", "--n", "6")
         assert out.returncode == 2

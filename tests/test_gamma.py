@@ -185,6 +185,89 @@ class TestGammaTable:
                     assert _rel_err(gamma_vec(c, N, q, p)[k], ref) <= 1e-13
 
 
+class TestStackedGammaTable:
+    """gamma_vec on a sequence of constants: one (K, N) call."""
+
+    @staticmethod
+    def _stack(rng, q, p):
+        pq = abs(q * p)
+        mods = (1.0, 0.999, 0.45, 1.01 * pq, 1.3, 0.7)
+        cs = [1.0 if r == 1.0 else r * on_circle(rng) for r in mods]
+        return cs, [True, False, True, False, True, False]
+
+    @pytest.mark.parametrize("q, p", REF_MODULI)
+    def test_rows_match_scalar_kernels(self, q, p):
+        """Every row, mixed inverse flags, against the scalar kernels."""
+        rng = random.Random(8081)
+        cs, inv = self._stack(rng, q, p)
+        m, N = Moduli(q, p), 96
+        tabs = gamma_vec(cs, N, q, p, inverse=inv)
+        assert tabs.shape == (len(cs), N)
+        z = np.exp(2j * np.pi * np.arange(N) / N)
+        for c, i, row in zip(cs, inv, tabs):
+            for k in range(0, N, 7):
+                if c == 1.0 and k == 0:
+                    continue                 # 0 either way, tested below
+                kernel = elliptic_gamma_reciprocal if i else elliptic_gamma
+                assert _rel_err(row[k], kernel(complex(c * z[k]), m)) <= 1e-13
+
+    def test_scalar_constant_gives_one_row(self):
+        tab = gamma_vec(0.6 + 0.1j, 64, 0.31, 0.23)
+        assert tab.shape == (64,)
+        assert np.array_equal(tab, gamma_vec([0.6 + 0.1j], 64, 0.31, 0.23)[0])
+
+    @pytest.mark.parametrize("q, p", [(0.31, 0.0), (0.0, 0.23)])
+    def test_degenerate_base(self, q, p):
+        cs, inv = [0.6 + 0.1j, 0.8j, -0.5], [False, True, True]
+        tabs = gamma_vec(cs, 32, q, p, inverse=inv)
+        z = np.exp(2j * np.pi * np.arange(32) / 32)
+        m = Moduli(q, p)
+        for c, i, row in zip(cs, inv, tabs):
+            kernel = elliptic_gamma_reciprocal if i else elliptic_gamma
+            for k in (0, 5, 17):
+                assert _rel_err(row[k], kernel(complex(c * z[k]), m)) <= 1e-13
+
+    @pytest.mark.parametrize("q, p", REF_MODULI)
+    def test_unit_reciprocal_row_is_exactly_zero_at_z2_one(self, q, p):
+        """1/Gamma(z^2) reads the c = 1 row at 2k mod N: exactly 0 at the
+        nodes z = +-1, and only there."""
+        N = 64
+        row = gamma_vec([0.7, 1.0], N, q, p, inverse=[False, True])[1]
+        on_z2 = row[2 * np.arange(N) % N]
+        assert on_z2[0] == 0 and on_z2[N // 2] == 0
+        assert np.count_nonzero(on_z2 == 0) == 2
+
+    @pytest.mark.parametrize("q, p", REF_MODULI)
+    def test_one_pole_row_fails_the_stack(self, q, p):
+        with pytest.raises(PoleHit):
+            gamma_vec([0.7, 1.0, 0.5j], 64, q, p, inverse=[False, False, True])
+        with pytest.raises(PoleHit):
+            gamma_vec([0.7, 0.0], 64, q, p)
+
+    def test_tables_make_one_call_per_grid(self, monkeypatch):
+        """FactorIntegrand._tables(N) builds all its Gamma and 1/Gamma rows
+        in one gamma_vec call."""
+        from ehv import integrands
+        from ehv.registry import Sampler, _draw_spec
+
+        calls = []
+
+        def counted(c, *args, **kwargs):
+            calls.append(len(c))
+            return gamma_vec(c, *args, **kwargs)
+
+        monkeypatch.setattr(integrands, "gamma_vec", counted)
+        for family, n in ((integrands.Family.CN_II, 2),
+                          (integrands.Family.AN_I, 2),
+                          (integrands.Family.CN_III, 1)):
+            ig = integrands.make_integrand(_draw_spec(Sampler(3), family, n))
+            keys = {(f.c, f.kind) for f in ig.factors
+                    if f.kind in (integrands.Kind.GAMMA, integrands.Kind.IGAMMA)}
+            calls.clear()
+            ig._tables(48)
+            assert calls == [len(keys)]
+
+
 class TestGammaMulti:
     def test_empty(self, moduli):
         assert elliptic_gamma_multi([], moduli) == 1.0

@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from ehv.integrands import (
     IntegrandSpec,
     Kind,
     ParamSet,
+    _grid_view,
     make_an_trans_integrand,
     make_integrand,
     rhs_closed_form,
@@ -65,6 +67,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             ParamSet(t=(0.5, 0.0))
 
+    @pytest.mark.parametrize("family,n,params,unread", [
+        (Family.E, 1, dict(t=(0.5,) * 5, extras={"t": 0.3}), "extra 't'"),
+        (Family.CN_I, 1, dict(t=(0.5,) * 5, extras={"N": 4}), "extra 'N'"),
+        (Family.CN_II, 1, dict(t=(0.5,) * 5, extras={"t": 0.3, "s": 0.4}),
+         "extra 's'"),
+        (Family.AN_I, 1, dict(t=(0.5,) * 2, f=(0.6,) * 3, x=(0.7,)),
+         "sequence x"),
+        (Family.CN_III, 1, dict(t=(0.5,) * 3, x=(0.7,), f=(0.6,),
+                                extras={"t": 0.3}), "sequence f"),
+        (Family.AN_III, 1, dict(t=(0.5,) * 5, extras={"t": 0.3, "s": 0.4}),
+         "extra 's'"),
+    ])
+    def test_unread_parameters_rejected(self, moduli, family, n, params,
+                                        unread):
+        """An extra or a sequence the family's integrand never reads is
+        refused, so no sweep or file can vary a parameter that does not
+        enter the integral."""
+        with pytest.raises(ValueError, match=f"does not read {unread}"):
+            IntegrandSpec(family, n, ParamSet(**params), moduli)
+
 
 class TestDeltaE:
     def make(self, rng, arg, moduli):
@@ -93,6 +115,58 @@ class TestDeltaE:
         for k in (1, 5, 11):
             z = cmath.exp(2j * cmath.pi * k / 16)
             assert abs(vals[k] - ig((z,))) <= 1e-11 * abs(vals[k])
+
+
+def _gather(tab, evec):
+    """tab[(e . k) mod N] on the grid by an index array: the oracle of
+    _grid_view."""
+    N = tab.size
+    ks = np.meshgrid(*[np.arange(N)] * len(evec), indexing="ij")
+    return tab[np.mod(sum(e * k for e, k in zip(evec, ks)), N)]
+
+
+def _gathered_mesh(ig, N):
+    """The integrand on the N^n grid by one index gather per exponent
+    vector, multiplied in table order: the oracle of mesh_eval."""
+    out = np.ones((N,) * ig.n, dtype=complex)
+    for evec, tab in ig._tables(N).items():
+        out = out * _gather(tab, evec)
+    return out
+
+
+class TestGridView:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("N", [8, 12])
+    def test_equals_the_gather_bit_for_bit(self, n, N):
+        tab = np.exp(1j * np.arange(N)) * (1 + np.arange(N))
+        for evec in itertools.product(range(-2, 3), repeat=n):
+            view = _grid_view(tab, evec)
+            assert view.shape == (N,) * n and not view.flags.writeable
+            assert np.array_equal(view, _gather(tab, evec)), evec
+
+    @pytest.mark.parametrize("family,n", [
+        (Family.E, 1), (Family.CN_III, 1), (Family.AN_II, 1),
+        (Family.CN_I, 2), (Family.CN_III, 2), (Family.AN_I, 2),
+        (Family.AN_III, 2), (Family.CN_II, 3), (Family.AN_I, 3),
+    ])
+    def test_mesh_matches_the_gather(self, rng, arg, moduli, family, n):
+        from ehv.registry import Sampler, _draw_spec
+
+        if n <= 2:
+            spec = _draw_spec(Sampler(rng.randint(0, 10 ** 6)), family, n)
+        else:       # the rank-3 samplers reject most draws
+            t = {Family.CN_II: 5, Family.AN_I: n + 1}[family]
+            f = n + 2 if family is Family.AN_I else 0
+            extras = {"t": 0.4} if family is Family.CN_II else {}
+            spec = IntegrandSpec(family, n, ParamSet(
+                t=tuple(arg(rng, 0.6, 0.85) for _ in range(t)),
+                f=tuple(arg(rng, 0.6, 0.85) for _ in range(f)),
+                extras=extras), moduli)
+        ig = make_integrand(spec)
+        N = 12 if n == 3 else 48
+        got, want = ig.mesh_eval(N), _gathered_mesh(ig, N)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 class TestCnFamilies:
@@ -299,11 +373,13 @@ class TestTranscription:
             nt = {Family.E: 5, Family.CN_I: 2 * n + 3, Family.CN_II: 5,
                   Family.CN_III: 3, Family.AN_I: n + 1, Family.AN_II: 5,
                   Family.AN_III: n + 4}[case]
-            ps = ParamSet(t=draw(nt),
-                          f=draw(n + 2) if case is Family.AN_I else (),
-                          x=draw(n) if case is Family.CN_III else (),
-                          extras={"t": arg(rng, 0.3, 0.45),
-                                  "s": arg(rng, 0.5, 0.75)})
+            t, f = draw(nt), draw(n + 2) if case is Family.AN_I else ()
+            x = draw(n) if case is Family.CN_III else ()
+            extras = {"t": arg(rng, 0.3, 0.45), "s": arg(rng, 0.5, 0.75)}
+            reads = {Family.E: "", Family.CN_I: "", Family.AN_I: "",
+                     Family.AN_II: "ts"}.get(case, "t")
+            ps = ParamSet(t=t, f=f, x=x,
+                          extras={k: extras[k] for k in reads})
             got = make_integrand(IntegrandSpec(case, n, ps, moduli))(z)
             if case.value.startswith("Cn") or case is Family.E:
                 num, den, pre = _cn_display(case, n, ps, z, moduli)
@@ -327,9 +403,11 @@ class TestWeylInvariance:
         # integrand needs no admissible parameters
         draw = lambda k: tuple(arg(rng, 0.6, 0.9) for _ in range(k))
         t = {Family.AN_I: n + 1, Family.AN_II: 5, Family.AN_III: n + 4}[family]
+        t, f = draw(t), draw(n + 2) if family is Family.AN_I else ()
+        extras = {"t": arg(rng, 0.6, 0.9), "s": arg(rng, 0.6, 0.9)}
+        reads = {Family.AN_I: "", Family.AN_II: "ts", Family.AN_III: "t"}
         return IntegrandSpec(family, n, ParamSet(
-            t=draw(t), f=draw(n + 2) if family is Family.AN_I else (),
-            extras={"t": arg(rng, 0.6, 0.9), "s": arg(rng, 0.6, 0.9)}), moduli)
+            t=t, f=f, extras={k: extras[k] for k in reads[family]}), moduli)
 
     @staticmethod
     def _transposed(ig, z):

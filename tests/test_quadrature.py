@@ -188,9 +188,11 @@ def _rank3_spec(rng, arg, family):
              Family.CN_III: (3, 0, n), Family.AN_I: (n + 1, n + 2, 0),
              Family.AN_II: (5, 0, 0), Family.AN_III: (n + 4, 0, 0)}
     t, f, x = sizes[family]
+    t, f, x = draw(t), draw(f), draw(x)
+    extras = {"t": arg(rng, 0.3, 0.5), "s": arg(rng, 0.6, 0.85)}
+    reads = {Family.CN_I: "", Family.AN_I: "", Family.AN_II: "ts"}
     return IntegrandSpec(family, n, ParamSet(
-        t=draw(t), f=draw(f), x=draw(x),
-        extras={"t": arg(rng, 0.3, 0.5), "s": arg(rng, 0.6, 0.85)}),
+        t=t, f=f, x=x, extras={k: extras[k] for k in reads.get(family, "t")}),
         Moduli(0.31, 0.23))
 
 
