@@ -16,6 +16,10 @@ p-base operator at mu = q^n p^m).  The two families satisfy
 
 whenever the unit circle separates the integrand's pole sequences; the
 admissibility gate is contour_check and no contour is ever deformed.
+Every node table of a Gram integral, the family rows R_j/T_j and the
+theta-factorial rows theta(w; p; q)_k, is built in one pass of its
+recursion to the largest index or depth; R_n and T_n (through sum_V) stay
+the scalar oracles.
 """
 
 from __future__ import annotations
@@ -124,35 +128,35 @@ def R_nm(z, n: int, m: int, rp: RahmanParams):
             * sum_V(_rn_vspec(z, m, rp.t, p, q, "R")))
 
 
-def _family_nodes(z, n: int, t, q, p, kind: str) -> np.ndarray:
-    """Vectorized terminating series over a node array z."""
+def _family_rows(z, indices, rp: RahmanParams, kind: str, base: str = "q"):
+    """Node table (len(indices), N) of the family members with these
+    indices, in one pass of the series recursion to the largest index: the
+    z-dependent theta tables of term s are built once, and every index
+    j > s advances its own running term and sum with them."""
+    q, p = _bases(rp, base)
     z = np.asarray(z, dtype=complex)
-    head, scal = _rn_params(n, t, q, kind)
-    t3 = t[3]
+    t3 = rp.t[3]
+    head = _rn_params(0, rp.t, q, kind)[0]
     th0 = theta(head, p)
-    tot = np.ones_like(z)
-    fac = np.ones_like(z)
-    for s in range(n):
+    scal = {j: _rn_params(j, rp.t, q, kind)[1] for j in set(indices)}
+    fac = {j: np.ones_like(z) for j in scal}
+    tot = {j: np.ones_like(z) for j in scal}
+    for s in range(max(indices)):
         qs = cpow(q, s)
-        num = theta(head * qs, p)
-        den = theta(cpow(q, s + 1), p)
-        for v in scal:
-            num *= theta(v * qs, p)
-            den *= theta(q * head / v * qs, p)
         numv = theta_vec(t3 * z * qs, p) * theta_vec(t3 / z * qs, p)
         denv = (theta_vec(q * head / (t3 * z) * qs, p)
                 * theta_vec(q * head * z / t3 * qs, p))
-        fac = fac * (num / den) * (numv / denv)
-        tot = tot + theta(head * cpow(q, 2 * s + 2), p) / th0 * fac * cpow(q, s + 1)
-    return tot
-
-
-def _family_rows(z, indices, rp: RahmanParams, kind: str, base: str = "q"):
-    """Node table (len(indices), N) of the family members with these
-    indices, each distinct index evaluated once."""
-    q, p = _bases(rp, base)
-    tables = {j: _family_nodes(z, j, rp.t, q, p, kind) for j in set(indices)}
-    return np.stack([tables[j] for j in indices])
+        ratio = numv / denv
+        top = theta(head * cpow(q, 2 * s + 2), p) / th0
+        num0, den0 = theta(head * qs, p), theta(cpow(q, s + 1), p)
+        for j in [j for j in scal if j > s]:
+            num, den = num0, den0
+            for v in scal[j]:
+                num *= theta(v * qs, p)
+                den *= theta(q * head / v * qs, p)
+            fac[j] = fac[j] * (num / den) * ratio
+            tot[j] = tot[j] + top * fac[j] * cpow(q, s + 1)
+    return np.stack([tot[j] for j in indices])
 
 
 # -- difference operator ---------------------------------------------------------
@@ -357,21 +361,15 @@ def biorth_integral(cells, rp: RahmanParams,
 # -- integral representation and shifted-weight identities -------------------------
 
 
-def _theta_factorial_vec(z, p, q, k: int):
-    z = np.asarray(z, dtype=complex)
-    out = np.ones_like(z)
-    w = z.copy()
-    for _ in range(k):
-        out = out * theta_vec(w, p)
-        w = w * q
-    return out
-
-
 def _factorial_rows(w, p, q, depths):
-    """Table (len(depths), N) of theta(w; p; q)_k, one row per depth k,
-    each distinct depth built once."""
-    tables = {k: _theta_factorial_vec(w, p, q, k) for k in set(depths)}
-    return np.stack([tables[k] for k in depths])
+    """Table (len(depths), N) of theta(w; p; q)_k, one row per depth k: the
+    prefixes of one running product to the largest depth."""
+    w = np.asarray(w, dtype=complex)
+    rows = [np.ones_like(w)]
+    for _ in range(max(depths)):
+        rows.append(rows[-1] * theta_vec(w, p))
+        w = w * q
+    return np.stack([rows[k] for k in depths])
 
 
 def _shift_tables(a, b, cells, rp: RahmanParams):

@@ -695,17 +695,34 @@ def _norms_healthy(rp: RahmanParams, nmax: int, base: str = "q") -> bool:
     return min(hs) > 1e-3 * max(hs)
 
 
+def _draw_weight_t(smp: Sampler) -> tuple:
+    """t_0..t_3 of modulus 0.82-0.88, then t_4 of modulus 0.42-0.48."""
+    return smp.args(4, 0.82, 0.88) + (smp.arg(0.42, 0.48),)
+
+
 def default_rahman_params(seed: int = 0) -> RahmanParams:
     """Admissible for the whole single-index grid n, m <= 3."""
     smp = Sampler(seed)
 
     def build():
-        t = tuple(smp.arg(0.82, 0.88) for _ in range(4)) + (smp.arg(0.42, 0.48),)
-        return RahmanParams(t=t, moduli=Moduli(0.8, 0.1))
+        return RahmanParams(t=_draw_weight_t(smp), moduli=Moduli(0.8, 0.1))
 
     return smp.accept(build,
                       lambda rp: (contour_check(3, 3, 0, 0, rp).admissible
                                   and _norms_healthy(rp, 3)))
+
+
+def _file_rahman_params(params: dict) -> RahmanParams:
+    """The weight parameters of a decoded parameter file, which holds t, q
+    and p and nothing else; else EHVError."""
+    unread = sorted(set(params) - {"t", "q", "p"})
+    if unread:
+        raise EHVError(f"biorth does not read {', '.join(unread)} from a "
+                       f"parameter file; it reads t, q and p")
+    missing = [key for key in ("t", "q", "p") if key not in params]
+    if missing:
+        raise EHVError(f"biorth needs {', '.join(missing)} in its parameter file")
+    return RahmanParams(t=params["t"], moduli=Moduli(params["q"], params["p"]))
 
 
 @_check("biorth", tol=1e-8, reads=("nodes", "n", "m", "params"))
@@ -714,12 +731,8 @@ def check_biorth(opts, tol):
     if (opts.n is None) != (opts.m is None) or min(opts.n or 0, opts.m or 0) < 0:
         raise EHVError(f"biorth takes both --n >= 0 and --m >= 0, or neither; "
                        f"got n={opts.n}, m={opts.m}")
-    if opts.params is not None:
-        d = opts.params
-        rp = RahmanParams(t=tuple(d["t"]),
-                          moduli=Moduli(d.get("q", 0.8), d.get("p", 0.1)))
-    else:
-        rp = default_rahman_params(opts.seed)
+    rp = (default_rahman_params(opts.seed) if opts.params is None
+          else _file_rahman_params(opts.params))
     cfg = _cfg(opts.nodes, 512, 2, 1e-11)
     cells = ([(opts.n, opts.m, 0, 0)] if opts.n is not None
              else [(n, m, 0, 0) for n in range(4) for m in range(4)])
@@ -809,8 +822,7 @@ def check_biorth2(opts, tol):
 
 
 def intrep_param_sets(seed: int = 0):
-    smp = Sampler(seed)
-    t = (tuple(smp.arg(0.82, 0.88) for _ in range(4)) + (smp.arg(0.42, 0.48),))
+    t = _draw_weight_t(Sampler(seed))
     return (RahmanParams(t=t, moduli=Moduli(0.8, 0.1)),
             RahmanParams(t=t, moduli=Moduli(0.1, 0.8)))
 

@@ -16,6 +16,7 @@ from ehv.biorthogonal import (
     R_nm,
     T_n,
     V_coeff,
+    _factorial_rows,
     _family_rows,
     apply_D,
     biorth_value,
@@ -402,6 +403,59 @@ class TestWeightShiftGram:
                         list(t) + [t[0] * q ** m * p ** n, last])
                     seen.add(((m, n), chk.admissible))
         assert ((1, 1), False) in seen and ((0, 0), True) in seen
+
+
+class TestOnePassTables:
+    """Each Gram node table is built in one recursion to its largest index
+    or depth; every row keeps the bits of its own single-row recursion."""
+
+    Z = np.exp(2j * np.pi * (np.arange(16) + 0.37) / 16)
+
+    @pytest.mark.parametrize("kind", ["R", "T"])
+    @pytest.mark.parametrize("base", ["q", "p"])
+    def test_family_rows_equal_single_index_rows(self, rp, kind, base):
+        indices = [3, 0, 2, 3, 1]
+        rows = _family_rows(self.Z, indices, rp, kind, base)
+        assert rows.shape == (5, 16)
+        for j, row in zip(indices, rows):
+            single = _family_rows(self.Z, [j], rp, kind, base)[0]
+            assert row.tobytes() == single.tobytes()
+
+    def test_factorial_rows_equal_per_depth_products(self, rp):
+        from ehv.vec import theta_vec
+
+        def per_depth(w, p, q, k):
+            out = np.ones_like(w)
+            for _ in range(k):
+                out = out * theta_vec(w, p)
+                w = w * q
+            return out
+
+        w = rp.t[0] * self.Z
+        p, q = rp.moduli.p, rp.moduli.q
+        depths = [0, 2, 1, 2]
+        rows = _factorial_rows(w, p, q, depths)
+        assert rows.shape == (4, 16)
+        for k, row in zip(depths, rows):
+            assert row.tobytes() == per_depth(w, p, q, k).tobytes()
+
+    def test_theta_tables_built_once_per_step(self, rp, monkeypatch):
+        import ehv.biorthogonal as bo
+
+        calls = []
+        kernel = bo.theta_vec
+
+        def counting(z, p):
+            calls.append(1)
+            return kernel(z, p)
+
+        monkeypatch.setattr(bo, "theta_vec", counting)
+        _family_rows(self.Z, [3, 0, 2, 3, 1], rp, "T", "p")
+        assert len(calls) == 4 * 3
+        calls.clear()
+        _factorial_rows(rp.t[0] * self.Z, rp.moduli.p, rp.moduli.q,
+                        [0, 2, 1, 2])
+        assert len(calls) == 2
 
 
 class TestGaugeValidation:

@@ -98,6 +98,26 @@ class TestVerify:
         assert out.returncode == 2
         assert "inadmissible contour" in json.loads(out.stderr)["error"]
 
+    @pytest.mark.parametrize("fields, error", [
+        ({"n": 2, "f": [[0.5, 0]], "extras": {"t": 0.5}},
+         "does not read extras, f, n"),
+        ({"family": "E", "z": [1, 0], "x": [[0.5, 0]]},
+         "does not read family, x, z"),
+        ({"p": None}, "needs p"),
+        ({"q": None, "p": None}, "needs q, p"),
+    ])
+    def test_biorth_params_refuses_unread_and_missing_fields(
+            self, tmp_path, fields, error):
+        d = {"q": [0.8, 0], "p": [0.1, 0],
+             "t": [[0.85, 0], [0.83, 0], [0.86, 0], [0.84, 0], [0.45, 0]],
+             **fields}
+        f = tmp_path / "rp.json"
+        f.write_text(json.dumps({k: v for k, v in d.items() if v is not None}))
+        out = run("verify", "biorth", "--n", "1", "--m", "1",
+                  "--params", str(f))
+        assert out.returncode == 2 and out.stdout == ""
+        assert error in json.loads(out.stderr)["error"]
+
     def test_malformed_node_budget_exit_2(self):
         out = run("verify", "theorem1",
                   env={**os.environ, "EHV_MAX_NODES": "1e6"})
