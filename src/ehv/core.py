@@ -46,6 +46,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._backend import EXTENDED, cexp, clog, get_precision
 from .errors import DomainError, NonConvergent, PoleHit, TruncationFailure
 
@@ -103,6 +105,15 @@ class TruncationPolicy:
             raise TruncationFailure(
                 f"{what} needs {k} terms, policy allows {self.max_terms}")
         return k
+
+    def batch_terms(self, what: str, scales, base_mods) -> int:
+        """The largest terms() over paired float arrays of scales and base
+        moduli: that of the element whose cutoff formula reads largest."""
+        with np.errstate(divide="ignore"):
+            need = (np.log(self.eps * (1.0 - base_mods) / scales)
+                    / np.log(base_mods))
+        i = int(np.argmax(need))
+        return self.terms(what, float(scales.flat[i]), float(base_mods.flat[i]))
 
 
 DEFAULT_POLICY = TruncationPolicy(eps=1e-16, max_terms=4096)

@@ -5,14 +5,26 @@ multiple beta integral.
 Residual conventions: every *_residual operation returns LHS - RHS exactly
 as displayed, with no normalization; callers compare against the magnitude
 of the largest participating term (theta products span many orders of
-magnitude, so absolute thresholds are meaningless).  The *_relative helpers
-do that normalization.
+magnitude, so absolute thresholds are meaningless).  The *_scale functions
+give that magnitude.
+
+The addition rule, id1 (with an_shift_coefficients) and id3 take stacked
+draws: each argument carries the draws on its leading axes (none for one
+draw), and a parameter list such as t its own entries on the last axis.
+Their theta factors go through vec.theta_vec with one base per draw, and
+their residuals and scales are arrays over the draws.  A guard raises the
+DegenerateConfiguration or ValueError of the per-draw formula if any draw
+trips it; a theta counts as vanishing only where the product itself gives
+0 (for example at z = 1), as theta_vec has no exact-zero lattice test.
+The partial-fraction expansion (id2) takes one draw.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+
+import numpy as np
 
 from ._backend import cpow
 from .core import (DEGENERATE_EPS, Moduli, theta, theta_multi,
@@ -24,15 +36,50 @@ from .integrands import (an_trans_domain_check, make_an1_spec,
                          validate_domain)
 from .quadrature import integrate_factors, integrate_spec
 from .series import tree_sum
+from .vec import theta_vec
 
 _COLLISION = 1e-12
 
 
+def _thetas(p, *blocks):
+    """theta(z; p) of every block, in one theta_vec call.  p has the draw
+    axes; each block has them and then axes of its own, which it keeps."""
+    lead = np.shape(p)
+    flat = [np.reshape(b, lead + (-1,)) for b in blocks]
+    th = theta_vec(np.concatenate(flat, axis=-1),
+                   np.reshape(p, lead + (1,)) if lead else p)
+    cuts = np.cumsum([f.shape[-1] for f in flat])[:-1]
+    return [v.reshape(np.shape(b))
+            for v, b in zip(np.split(th, cuts, axis=-1), blocks)]
+
+
+def _others(k: int) -> np.ndarray:
+    """Row r lists the indices j != r of range(k)."""
+    return np.array([[j for j in range(k) if j != r] for r in range(k)],
+                    dtype=int).reshape(k, k - 1)
+
+
+def _cross(t):
+    """t_r/t_j for j != r, as (..., n+1, n) by the rows of _others."""
+    return t[..., :, None] / t[..., _others(t.shape[-1])]
+
+
+def _guard(th, what: str) -> None:
+    """DegenerateConfiguration(what) if any theta in th vanishes."""
+    if np.any(np.abs(th) < DEGENERATE_EPS):
+        raise DegenerateConfiguration(what)
+
+
 def _riemann_terms(x, y, z, w, p):
-    """The three products of the addition rule, each with its coefficient."""
-    return (theta_multi([x * w, x / w, y * z, y / z], p),
-            theta_multi([x * z, x / z, y * w, y / w], p),
-            y / w * theta_multi([x * y, x / y, w * z, w / z], p))
+    """The three products of the addition rule, each with its coefficient,
+    on a last axis."""
+    x, y, z, w = (np.asarray(v) for v in (x, y, z, w))
+    [th] = _thetas(p, np.stack([x * w, x / w, y * z, y / z, x * z, x / z,
+                                y * w, y / w, x * y, x / y, w * z, w / z],
+                               axis=-1))
+    terms = np.prod(th.reshape(th.shape[:-1] + (3, 4)), axis=-1)
+    terms[..., 2] *= y / w
+    return terms
 
 
 def riemann_identity_residual(x, y, z, w, p):
@@ -41,12 +88,12 @@ def riemann_identity_residual(x, y, z, w, p):
     theta(xw, x/w, yz, y/z; p) - theta(xz, x/z, yw, y/w; p)
         = (y/w) theta(xy, x/y, wz, w/z; p).
     """
-    first, second, rhs = _riemann_terms(x, y, z, w, p)
+    first, second, rhs = np.moveaxis(_riemann_terms(x, y, z, w, p), -1, 0)
     return (first - second) - rhs
 
 
-def riemann_identity_scale(x, y, z, w, p) -> float:
-    return max(abs(v) for v in _riemann_terms(x, y, z, w, p))
+def riemann_identity_scale(x, y, z, w, p):
+    return np.max(np.abs(_riemann_terms(x, y, z, w, p)), axis=-1)
 
 
 def _partial_fraction_parts(a, b, t, p):
@@ -104,24 +151,15 @@ def partial_fraction_scale(a, b, t, p) -> float:
 
 
 def _id1_terms(t, z, B, p):
-    t = tuple(t)
-    z = tuple(z)
-    if len(z) != len(t):
+    t, z, B = np.asarray(t), np.asarray(z), np.asarray(B)
+    if z.shape[-1] != t.shape[-1]:
         raise ValueError("need as many z entries as t entries")
-    prod_z = 1.0 + 0.0j
-    for v in z:
-        prod_z *= v
-    if abs(prod_z - 1.0) > 1e-12:
+    if np.any(np.abs(np.prod(z, axis=-1) - 1.0) > 1e-12):
         raise ValueError("constraint prod(z) = 1 violated")
-    A = 1.0 + 0.0j
-    for v in t:
-        A *= v
-    terms = []
-    for r, val in enumerate(an_shift_coefficients(t, B, p)):
-        for zk in z:
-            val *= theta(t[r] / zk, p) / theta(A * B * zk, p)
-        terms.append(val)
-    return terms
+    coeffs = an_shift_coefficients(t, B, p)
+    AB = (np.prod(t, axis=-1) * B)[..., None]
+    th_tz, th_abz = _thetas(p, t[..., :, None] / z[..., None, :], AB * z)
+    return coeffs * np.prod(th_tz / th_abz[..., None, :], axis=-1)
 
 
 def id1_residual(t, z, B, p):
@@ -132,41 +170,26 @@ def id1_residual(t, z, B, p):
 
     with prod z_k = 1 and A = prod t.
     """
-    return tree_sum(_id1_terms(t, z, B, p)) - 1.0
+    return tree_sum(np.moveaxis(_id1_terms(t, z, B, p), -1, 0)) - 1.0
 
 
-def id1_scale(t, z, B, p) -> float:
-    return max([1.0] + [abs(v) for v in _id1_terms(t, z, B, p)])
+def id1_scale(t, z, B, p):
+    return np.maximum(1.0, np.max(np.abs(_id1_terms(t, z, B, p)), axis=-1))
 
 
 def _id3_parts(t, f, p):
-    t = tuple(t)
-    f = tuple(f)
-    if len(f) != len(t) + 1:
+    t, f = np.asarray(t), np.asarray(f)
+    if f.shape[-1] != t.shape[-1] + 1:
         raise ValueError("need one more f entry than t entries")
-    A = 1.0 + 0.0j
-    for v in t:
-        A *= v
-    B = 1.0 + 0.0j
-    for v in f:
-        B *= v
-    AB = A * B
-    lhs_num = theta_multi([AB / fj for fj in f], p)
-    lhs_den = theta_multi([AB * tj for tj in t], p)
-    if abs(lhs_den) < DEGENERATE_EPS:
-        raise DegenerateConfiguration("theta(A B t_j; p) = 0")
-    terms = []
-    for r in range(len(t)):
-        num = theta_multi([t[r] * fj for fj in f], p)
-        den = theta(AB * t[r], p)
-        for j in range(len(t)):
-            if j != r:
-                d = theta(t[r] / t[j], p)
-                if abs(d) < DEGENERATE_EPS:
-                    raise DegenerateConfiguration("t_r/t_j collision")
-                den *= d
-        terms.append(num / den)
-    return lhs_num / lhs_den, terms
+    AB = (np.prod(t, axis=-1) * np.prod(f, axis=-1))[..., None]
+    th_abt, cross, th_abf, th_tf = _thetas(
+        p, AB * t, _cross(t), AB / f, t[..., :, None] * f[..., None, :])
+    lhs_den = np.prod(th_abt, axis=-1)
+    _guard(lhs_den, "theta(A B t_j; p) = 0")
+    _guard(cross, "t_r/t_j collision")
+    lhs = np.prod(th_abf, axis=-1) / lhs_den
+    return lhs, (np.prod(th_tf, axis=-1)
+                 / (th_abt * np.prod(cross, axis=-1)))
 
 
 def id3_residual(t, f, p):
@@ -179,12 +202,12 @@ def id3_residual(t, f, p):
     with A = prod t (n+1 entries) and B = prod f (n+2 entries).
     """
     lhs, terms = _id3_parts(t, f, p)
-    return lhs - tree_sum(terms)
+    return lhs - tree_sum(np.moveaxis(terms, -1, 0))
 
 
-def id3_scale(t, f, p) -> float:
+def id3_scale(t, f, p):
     lhs, terms = _id3_parts(t, f, p)
-    return max([abs(lhs)] + [abs(v) for v in terms])
+    return np.maximum(np.abs(lhs), np.max(np.abs(terms), axis=-1))
 
 
 def _det(mat):
@@ -276,26 +299,17 @@ def an_shift_coefficients(t, B, p):
 
         c_r = theta(B t_r)/theta(A) prod_{j != r} theta(A B t_j)/theta(t_r/t_j),
 
-    with A = prod t and B = prod f (id1's expansion takes any B).
+    with A = prod t and B = prod f (id1's expansion takes any B), on a
+    last axis.
     """
-    t = tuple(t)
-    A = 1.0 + 0.0j
-    for v in t:
-        A *= v
-    thA = theta(A, p)
-    if abs(thA) < DEGENERATE_EPS:
-        raise DegenerateConfiguration("theta(A; p) = 0")
-    coeffs = []
-    for r in range(len(t)):
-        val = theta(B * t[r], p) / thA
-        for j in range(len(t)):
-            if j != r:
-                d = theta(t[r] / t[j], p)
-                if abs(d) < DEGENERATE_EPS:
-                    raise DegenerateConfiguration("t_r/t_j collision")
-                val *= theta(A * B * t[j], p) / d
-        coeffs.append(val)
-    return coeffs
+    t, B = np.asarray(t), np.asarray(B)
+    A = np.prod(t, axis=-1)
+    th_a, cross, th_abt, th_bt = _thetas(
+        p, A, _cross(t), (A * B)[..., None] * t, B[..., None] * t)
+    _guard(th_a, "theta(A; p) = 0")
+    _guard(cross, "t_r/t_j collision")
+    return (th_bt / th_a[..., None]
+            * np.prod(th_abt[..., _others(t.shape[-1])] / cross, axis=-1))
 
 
 def an_difference_residual(t, f, m: Moduli, side: DiffSide = DiffSide.CLOSED_FORM,

@@ -21,6 +21,8 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._backend import coerce
 from .core import Moduli, clear_memo, qpochhammer
 from .errors import EHVError, PoleHit
@@ -561,73 +563,115 @@ def check_kratt(opts, tol):
             params={"a": a, "b": b, "c": c, "X": list(X)})
 
 
-def _identity_check(opts, tol, name, runner):
+# Draws of one rank evaluated together by an identity check: enough to
+# amortize the per-call cost of the array kernels, few enough that the
+# pending draws and their arrays stay small whatever the draw count.
+_BATCH = 128
+
+
+def _identity_check(opts, tol, name, draw, relative):
+    """The worst |residual| / scale over 1000 seeded draws.  draw(smp)
+    gives a draw's rank and its arguments; relative(rows) evaluates up to
+    _BATCH draws of one rank together.  Evaluation never touches the
+    sampler, so the draws are those of a per-draw loop."""
     smp = Sampler(opts.seed)
     draws = 1000
+    pending: dict = {}
     worst = 0.0
     for _ in range(draws):
-        worst = max(worst, runner(smp))
+        n, args = draw(smp)
+        rows = pending.setdefault(n, [])
+        rows.append(args)
+        if len(rows) == _BATCH:
+            worst = max(worst, *relative(pending.pop(n)))
+    for rows in pending.values():
+        worst = max(worst, *relative(rows))
     return VerificationReport.from_sides(
         f"{name} x{draws} (max relative residual)", worst, 0.0, tol,
         params={"seed": opts.seed, "draws": draws})
+
+
+def _stacked(fn):
+    """relative() of _identity_check from a function of stacked arguments,
+    one array per argument with the draws on the first axis."""
+    return lambda rows: fn(*(np.array(col) for col in zip(*rows)))
 
 
 def _rand_p(smp):
     return smp.arg(0.05, 0.5)
 
 
+def _ident_draw(smp):
+    p = _rand_p(smp)
+    x, y, z, w = smp.args(4, 0.2, 2.0)
+    return 1, (x, y, z, w, p)
+
+
+def _id1_draw(smp):
+    p = _rand_p(smp)
+    n = smp.rng.randint(1, 3)
+    t = smp.args(n + 1, 0.4, 1.6)
+    z = list(smp.args(n, 0.9, 1.1))
+    prod = 1.0 + 0.0j
+    for v in z:
+        prod *= v
+    z.append(1.0 / prod)
+    B = smp.arg(0.2, 2.0)
+    return n, (t, z, B, p)
+
+
+def _id2_draw(smp):
+    p = _rand_p(smp)
+    n = smp.rng.randint(1, 3)
+    a = smp.args(n, 0.2, 2.0)
+    b = smp.args(n, 0.2, 2.0)
+    t = smp.arg(0.2, 2.0)
+    return n, (a, b, t, p)
+
+
+def _id3_draw(smp):
+    p = _rand_p(smp)
+    n = smp.rng.randint(1, 3)
+    t = smp.args(n + 1, 0.4, 1.6)
+    f = smp.args(n + 2, 0.4, 1.6)
+    return n, (t, f, p)
+
+
 @_check("ident", tol=1e-12)
 def check_ident(opts, tol):
-    def run(smp):
-        p = _rand_p(smp)
-        x, y, z, w = smp.args(4, 0.2, 2.0)
-        return abs(riemann_identity_residual(x, y, z, w, p)) \
+    @_stacked
+    def relative(x, y, z, w, p):
+        return np.abs(riemann_identity_residual(x, y, z, w, p)) \
             / riemann_identity_scale(x, y, z, w, p)
 
-    yield _identity_check(opts, tol, "ident", run)
+    yield _identity_check(opts, tol, "ident", _ident_draw, relative)
 
 
 @_check("id1", tol=1e-12)
 def check_id1(opts, tol):
-    def run(smp):
-        p = _rand_p(smp)
-        n = smp.rng.randint(1, 3)
-        t = smp.args(n + 1, 0.4, 1.6)
-        z = list(smp.args(n, 0.9, 1.1))
-        prod = 1.0 + 0.0j
-        for v in z:
-            prod *= v
-        z.append(1.0 / prod)
-        B = smp.arg(0.2, 2.0)
-        return abs(id1_residual(t, z, B, p)) / id1_scale(t, z, B, p)
+    @_stacked
+    def relative(t, z, B, p):
+        return np.abs(id1_residual(t, z, B, p)) / id1_scale(t, z, B, p)
 
-    yield _identity_check(opts, tol, "id1", run)
+    yield _identity_check(opts, tol, "id1", _id1_draw, relative)
 
 
 @_check("id2", tol=1e-12)
 def check_id2(opts, tol):
-    def run(smp):
-        p = _rand_p(smp)
-        n = smp.rng.randint(1, 3)
-        a = smp.args(n, 0.2, 2.0)
-        b = smp.args(n, 0.2, 2.0)
-        t = smp.arg(0.2, 2.0)
-        return abs(partial_fraction_residual(a, b, t, p)) \
-            / partial_fraction_scale(a, b, t, p)
+    def relative(rows):     # one draw at a time
+        return [abs(partial_fraction_residual(*r))
+                / partial_fraction_scale(*r) for r in rows]
 
-    yield _identity_check(opts, tol, "id2", run)
+    yield _identity_check(opts, tol, "id2", _id2_draw, relative)
 
 
 @_check("id3", tol=1e-12)
 def check_id3(opts, tol):
-    def run(smp):
-        p = _rand_p(smp)
-        n = smp.rng.randint(1, 3)
-        t = smp.args(n + 1, 0.4, 1.6)
-        f = smp.args(n + 2, 0.4, 1.6)
-        return abs(id3_residual(t, f, p)) / id3_scale(t, f, p)
+    @_stacked
+    def relative(t, f, p):
+        return np.abs(id3_residual(t, f, p)) / id3_scale(t, f, p)
 
-    yield _identity_check(opts, tol, "id3", run)
+    yield _identity_check(opts, tol, "id3", _id3_draw, relative)
 
 
 def _draw_an_tf(smp, n, m):

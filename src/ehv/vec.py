@@ -2,6 +2,11 @@
 
 Products are cut by core.DEFAULT_POLICY, the float64 rule of the scalar
 evaluators, and raise TruncationFailure beyond its max_terms as they do.
+theta_vec also takes one base per element, broadcast against its
+arguments, and runs every element to the largest cutoff that any element
+needs; so a stack of identity draws, each with its own p, is one call.
+On an object array of mpmath numbers it runs the same loop at their
+precision, cut by the mode's policy (core.default_policy()).
 Inputs are assumed pre-validated (domain-checked integrands keep all pole
 lattices away from the evaluated circles), so there are no per-factor pole
 guards; a final finiteness check catches the rest.
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_POLICY
+from .core import DEFAULT_POLICY, default_policy
 from .errors import NonConvergent, PoleHit
 from .gamma import log_gamma_terms, shift_plan
 
@@ -60,21 +65,36 @@ def qpoch_vec(z: np.ndarray, b) -> np.ndarray:
 def theta_vec(z: np.ndarray, p) -> np.ndarray:
     """theta(z; p) = (z;p)_oo (p/z;p)_oo elementwise.
 
+    p is one base or an array of bases that broadcasts against z, one per
+    element; the product runs to the largest cutoff that any element
+    needs.  An object array of mpmath numbers runs the same loop in their
+    precision, cut by the mode's policy, with no log-space accumulation.
+
     The factor loops work in place: a stacked table's temporaries would
     otherwise be allocated and freed once per factor."""
-    pabs = abs(p)
-    if pabs >= 1.0:
+    z = _operand(z)
+    scalar = np.ndim(p) == 0
+    p = p if scalar else _operand(p)
+    pabs = abs(p) if scalar else np.abs(p).astype(float)
+    if np.any(pabs >= 1.0):
         raise NonConvergent("theta_vec requires |p| < 1")
-    z = np.asarray(z, dtype=complex)
-    if pabs == 0.0:
+    if scalar and pabs == 0.0:
         return 1.0 - z
     w2 = p / z
-    scale = float(max(np.max(np.abs(z)), np.max(np.abs(w2))))
-    kmax = DEFAULT_POLICY.terms("theta_vec", scale, pabs)
-    direct = scale < _DIRECT_SCALE
-    acc = np.ones_like(z) if direct else np.zeros_like(z)
-    w1 = z.copy()
-    f1, f2 = np.empty_like(z), np.empty_like(z)
+    mp = w2.dtype == object
+    policy = default_policy() if mp else DEFAULT_POLICY
+    if scalar:
+        scale = float(max(np.max(np.abs(z)), np.max(np.abs(w2))))
+        kmax = policy.terms("theta_vec", scale, pabs)
+    else:
+        pabs = np.broadcast_to(pabs, w2.shape)
+        sabs = np.maximum(np.abs(z), np.abs(w2)).astype(float)
+        scale = float(np.max(sabs))
+        kmax = policy.batch_terms("theta_vec", sabs, pabs)
+    direct = mp or scale < _DIRECT_SCALE
+    acc = np.ones_like(w2) if direct else np.zeros_like(w2)
+    w1 = np.broadcast_to(z, w2.shape).astype(w2.dtype)
+    f1, f2 = np.empty_like(w2), np.empty_like(w2)
     for _ in range(kmax):
         np.subtract(1.0, w1, out=f1)
         f1 *= np.subtract(1.0, w2, out=f2)
@@ -85,6 +105,12 @@ def theta_vec(z: np.ndarray, p) -> np.ndarray:
         w1 *= p
         w2 *= p
     return acc if direct else np.exp(acc)
+
+
+def _operand(x) -> np.ndarray:
+    """x as a complex array, or as given if it holds mpmath numbers."""
+    x = np.asarray(x)
+    return x if x.dtype == object else x.astype(complex, copy=False)
 
 
 def gamma_vec(c, N: int, q, p, *, inverse=False) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import cmath
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +168,42 @@ class TestThetaMemo:
         assert info.currsize == THETA_MEMO_SIZE
         clear_memo()
         assert _theta_memo.cache_info().currsize == 0
+
+
+class TestThetaVecBases:
+    """theta_vec with one base per element."""
+
+    def test_matches_scalar_theta(self, rng, arg):
+        z = np.array([arg(rng, 0.04, 25.0) for _ in range(400)])
+        p = np.array([arg(rng, 0.05, 0.5) for _ in range(400)])
+        got = theta_vec(z, p)
+        want = np.array([theta(a, b) for a, b in zip(z.tolist(), p.tolist())])
+        rel = np.abs(got - want) / np.abs(want)
+        # a product of up to 2 x 59 factors: the scalar-base tables differ
+        # from scalar theta by up to ~3e-15 on the same ranges
+        assert np.median(rel) <= 1e-15 and rel.max() <= 1e-14
+
+    @pytest.mark.parametrize("p", [0.23, 0.45 - 0.1j, -0.2j, 0.05])
+    def test_full_base_array_gives_the_scalar_bits(self, rng, arg, p):
+        # |z| up to 60 also takes the log-space branch
+        for hi in (25.0, 60.0):
+            z = np.array([arg(rng, 0.04, hi) for _ in range(300)])
+            got = theta_vec(z, np.full(z.shape, p))
+            assert np.array_equal(got.view(float), theta_vec(z, p).view(float))
+
+    def test_one_slow_base_fails_the_stack(self):
+        with pytest.raises(TruncationFailure) as scalar:
+            theta(0.4 + 0j, 0.99999 + 0j)
+        need = str(scalar.value).split()[2]
+        with pytest.raises(TruncationFailure, match=f"theta_vec needs {need} "):
+            theta_vec([0.4, 0.5], np.array([0.99999, 0.3]))
+
+    def test_mpmath_elements(self, rng, arg, extended):
+        z = [mpmath.mpc(arg(rng, 0.04, 25.0)) for _ in range(8)]
+        p = [mpmath.mpc(arg(rng, 0.05, 0.5)) for _ in range(8)]
+        got = theta_vec(np.array(z), np.array(p))
+        for g, a, b in zip(got, z, p):
+            assert abs(g - theta(a, b)) <= 1e-34 * abs(theta(a, b))
 
 
 class TestThetaMulti:

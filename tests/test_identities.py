@@ -4,10 +4,12 @@ import cmath
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from ehv.core import theta_factorial_multi
+from ehv import core, identities, registry
+from ehv.core import DEGENERATE_EPS, theta, theta_factorial_multi, theta_multi
 from ehv.errors import DegenerateConfiguration, DomainViolation, EHVError
 from ehv.identities import (
     DiffSide,
@@ -25,6 +27,7 @@ from ehv.identities import (
     riemann_identity_scale,
 )
 from ehv.quadrature import QuadratureConfig
+from ehv.series import tree_sum
 
 
 def prod(seq):
@@ -109,6 +112,213 @@ class TestId1Id3:
         f = [arg(rng, 0.4, 1.5) for _ in range(n + 2)]
         r = id3_residual(t, f, p)
         assert abs(r) <= 1e-12 * id3_scale(t, f, p)
+
+
+# -- the per-draw scalar formulas, kept as the oracle of the stacked ones ------
+
+
+def oracle_riemann_terms(x, y, z, w, p):
+    return (theta_multi([x * w, x / w, y * z, y / z], p),
+            theta_multi([x * z, x / z, y * w, y / w], p),
+            y / w * theta_multi([x * y, x / y, w * z, w / z], p))
+
+
+def oracle_shift_coefficients(t, B, p):
+    A = prod(t)
+    thA = theta(A, p)
+    if abs(thA) < DEGENERATE_EPS:
+        raise DegenerateConfiguration("theta(A; p) = 0")
+    coeffs = []
+    for r in range(len(t)):
+        val = theta(B * t[r], p) / thA
+        for j in range(len(t)):
+            if j != r:
+                d = theta(t[r] / t[j], p)
+                if abs(d) < DEGENERATE_EPS:
+                    raise DegenerateConfiguration("t_r/t_j collision")
+                val *= theta(A * B * t[j], p) / d
+        coeffs.append(val)
+    return coeffs
+
+
+def oracle_id1_terms(t, z, B, p):
+    if abs(prod(z) - 1.0) > 1e-12:
+        raise ValueError("constraint prod(z) = 1 violated")
+    A = prod(t)
+    terms = []
+    for r, val in enumerate(oracle_shift_coefficients(t, B, p)):
+        for zk in z:
+            val *= theta(t[r] / zk, p) / theta(A * B * zk, p)
+        terms.append(val)
+    return terms
+
+
+def oracle_id3_parts(t, f, p):
+    AB = prod(t) * prod(f)
+    lhs_num = theta_multi([AB / fj for fj in f], p)
+    lhs_den = theta_multi([AB * tj for tj in t], p)
+    if abs(lhs_den) < DEGENERATE_EPS:
+        raise DegenerateConfiguration("theta(A B t_j; p) = 0")
+    terms = []
+    for r in range(len(t)):
+        num = theta_multi([t[r] * fj for fj in f], p)
+        den = theta(AB * t[r], p)
+        for j in range(len(t)):
+            if j != r:
+                d = theta(t[r] / t[j], p)
+                if abs(d) < DEGENERATE_EPS:
+                    raise DegenerateConfiguration("t_r/t_j collision")
+                den *= d
+        terms.append(num / den)
+    return lhs_num / lhs_den, terms
+
+
+def oracle_ident(x, y, z, w, p):
+    """(all terms, |residual| / scale) of one draw."""
+    first, second, rhs = terms = oracle_riemann_terms(x, y, z, w, p)
+    return list(terms), abs((first - second) - rhs) / max(map(abs, terms))
+
+
+def oracle_id1(t, z, B, p):
+    terms = oracle_id1_terms(t, z, B, p)
+    return terms, abs(tree_sum(terms) - 1.0) / max([1.0] + [abs(v) for v in terms])
+
+
+def oracle_id3(t, f, p):
+    lhs, terms = oracle_id3_parts(t, f, p)
+    return [lhs] + terms, (abs(lhs - tree_sum(terms))
+                           / max([abs(lhs)] + [abs(v) for v in terms]))
+
+
+def batched_ident(x, y, z, w, p):
+    return (identities._riemann_terms(x, y, z, w, p),
+            np.abs(riemann_identity_residual(x, y, z, w, p))
+            / riemann_identity_scale(x, y, z, w, p))
+
+
+def batched_id1(t, z, B, p):
+    return (identities._id1_terms(t, z, B, p),
+            np.abs(id1_residual(t, z, B, p)) / id1_scale(t, z, B, p))
+
+
+def batched_id3(t, f, p):
+    lhs, terms = identities._id3_parts(t, f, p)
+    return (np.concatenate([lhs[..., None], terms], axis=-1),
+            np.abs(id3_residual(t, f, p)) / id3_scale(t, f, p))
+
+
+CASES = {
+    "ident": (registry._ident_draw, batched_ident, oracle_ident),
+    "id1": (registry._id1_draw, batched_id1, oracle_id1),
+    "id3": (registry._id3_draw, batched_id3, oracle_id3),
+}
+
+
+def ranked_draws(draw, seed, count):
+    """The first count draws of a check's seeded sequence, by rank."""
+    smp = registry.Sampler(seed)
+    ranks = {}
+    for _ in range(count):
+        n, args = draw(smp)
+        ranks.setdefault(n, []).append(args)
+    return ranks
+
+
+def stack(rows):
+    return [np.array(col) for col in zip(*rows)]
+
+
+class TestStackedIdentities:
+    """ident, id1 and id3 evaluate their draws as stacked arrays."""
+
+    @pytest.mark.parametrize("seed", [0, 1009])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_batch_matches_per_draw_oracle(self, name, seed):
+        draw, batched, oracle = CASES[name]
+        for rows in ranked_draws(draw, seed, 200).values():
+            terms, rel = batched(*stack(rows))
+            for i, row in enumerate(rows):
+                want_terms, want_rel = oracle(*row)
+                for got, want in zip(terms[i], want_terms):
+                    assert abs(got - want) <= 1e-13 * abs(want)
+                assert abs(rel[i] - want_rel) <= 1e-13
+
+    def test_id3_collision_in_one_row(self):
+        rows = ranked_draws(registry._id3_draw, 0, 40)[2][:6]
+        t, f, p = rows[3]
+        rows[3] = ((t[0], t[0], t[2]), f, p)
+        with pytest.raises(DegenerateConfiguration) as scalar:
+            oracle_id3(*rows[3])
+        with pytest.raises(DegenerateConfiguration) as batch:
+            id3_residual(*stack(rows))
+        assert str(batch.value) == str(scalar.value) == "t_r/t_j collision"
+
+    def test_id1_vanishing_theta_a_in_one_row(self):
+        rows = ranked_draws(registry._id1_draw, 0, 40)[1][:6]
+        _, z, B, p = rows[2]
+        rows[2] = ((2.0 + 0j, 0.5 + 0j), z, B, p)      # A = 1 exactly
+        with pytest.raises(DegenerateConfiguration) as scalar:
+            oracle_id1(*rows[2])
+        with pytest.raises(DegenerateConfiguration) as batch:
+            id1_residual(*stack(rows))
+        assert str(batch.value) == str(scalar.value) == "theta(A; p) = 0"
+
+    def test_id1_broken_constraint_in_one_row(self):
+        rows = ranked_draws(registry._id1_draw, 0, 40)[3][:6]
+        t, z, B, p = rows[4]
+        rows[4] = (t, [z[0] * 1.01] + z[1:], B, p)
+        with pytest.raises(ValueError) as scalar:
+            oracle_id1(*rows[4])
+        with pytest.raises(ValueError) as batch:
+            id1_scale(*stack(rows))
+        assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_extended_batch_matches_scalar_path(self, extended, name):
+        draw, batched, oracle = CASES[name]
+        for rows in ranked_draws(draw, 0, 5).values():
+            assert isinstance(rows[0][-1], mpmath.mpc)
+            terms, rel = batched(*stack(rows))
+            for i, row in enumerate(rows):
+                want_terms, want_rel = oracle(*row)
+                for got, want in zip(terms[i], want_terms):
+                    assert abs(got - want) <= 1e-30 * abs(want)
+                assert abs(rel[i] - want_rel) <= 1e-30
+
+    def test_check_sees_every_draw_once_in_rank_batches(self):
+        def draw(smp):
+            n = smp.rng.randint(1, 3)
+            return n, (n, smp.rng.random())
+
+        seen = []
+
+        def relative(rows):
+            assert len({n for n, _ in rows}) == 1
+            assert len(rows) <= registry._BATCH
+            seen.extend(rows)
+            return [v for _, v in rows]
+
+        rep = registry._identity_check(registry.CheckOptions(seed=3), 1.0,
+                                       "x", draw, relative)
+        smp = registry.Sampler(3)
+        want = [draw(smp)[1] for _ in range(1000)]
+        assert sorted(seen) == sorted(want)
+        assert rep.lhs == max(v for _, v in want)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_checks_make_no_scalar_theta_call(self, monkeypatch, name):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(identities, "theta", counting(identities.theta))
+        monkeypatch.setattr(core, "theta", counting(core.theta))
+        rows = registry.run_check(name, registry.CheckOptions(seed=0))
+        assert rows[0].passed and calls == []
 
 
 class TestKrattenthaler:
