@@ -107,13 +107,26 @@ class TruncationPolicy:
         return k
 
     def batch_terms(self, what: str, scales, base_mods) -> int:
-        """The largest terms() over paired float arrays of scales and base
-        moduli: that of the element whose cutoff formula reads largest."""
-        with np.errstate(divide="ignore"):
-            need = (np.log(self.eps * (1.0 - base_mods) / scales)
-                    / np.log(base_mods))
-        i = int(np.argmax(need))
-        return self.terms(what, float(scales.flat[i]), float(base_mods.flat[i]))
+        """The largest terms() over a float array of scales, each paired
+        with its base modulus from a float array that broadcasts onto it.
+
+        cutoff() grows with the scale and with the base, so the pair of
+        largest scale needs at least the terms of every pair of a smaller
+        or equal base; the search goes on among the pairs of larger base.
+        """
+        base_mods = np.asarray(base_mods, dtype=float)
+        lead = scales.ndim - base_mods.ndim
+        spread = tuple(range(lead)) + tuple(
+            lead + i for i, n in enumerate(base_mods.shape) if n == 1)
+        s = scales.max(axis=spread, keepdims=True).ravel()
+        b = base_mods.ravel()
+        k = 0
+        while s.size:
+            i = s.argmax()
+            k = max(k, self.terms(what, float(s[i]), float(b[i])))
+            larger = b > b[i]
+            s, b = s[larger], b[larger]
+        return k
 
 
 DEFAULT_POLICY = TruncationPolicy(eps=1e-16, max_terms=4096)

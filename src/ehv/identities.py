@@ -14,8 +14,9 @@ draw), and a parameter list such as t its own entries on the last axis.
 Their theta factors go through vec.theta_vec with one base per draw, and
 their residuals and scales are arrays over the draws.  A guard raises the
 DegenerateConfiguration or ValueError of the per-draw formula if any draw
-trips it; a theta counts as vanishing only where the product itself gives
-0 (for example at z = 1), as theta_vec has no exact-zero lattice test.
+trips it.  theta_vec has no exact-zero lattice test, so a guarded theta
+counts as vanishing where its argument lies within _LATTICE (relative) of
+a zero p^k, k in Z, not only where scalar theta meets p^k bit for bit.
 The partial-fraction expansion (id2) takes one draw.
 """
 
@@ -39,6 +40,11 @@ from .series import tree_sum
 from .vec import theta_vec
 
 _COLLISION = 1e-12
+
+# A stacked guard's distance, relative to |z|, within which z counts as a
+# zero p^k of theta(z; p): a few thousand ulps, so that an argument built
+# as p**k rounds onto the lattice whatever the order of its operations.
+_LATTICE = 1e-13
 
 
 def _thetas(p, *blocks):
@@ -64,9 +70,17 @@ def _cross(t):
     return t[..., :, None] / t[..., _others(t.shape[-1])]
 
 
-def _guard(th, what: str) -> None:
-    """DegenerateConfiguration(what) if any theta in th vanishes."""
-    if np.any(np.abs(th) < DEGENERATE_EPS):
+def _guard(what: str, p, z, th) -> None:
+    """DegenerateConfiguration(what) if a theta(z; p) vanishes: if th, the
+    thetas or their product, underflows, or if a z lies within _LATTICE
+    (relative) of a zero p^k of theta, where scalar theta returns 0 and
+    theta_vec a rounding error.  p has the draw axes of z."""
+    p = np.reshape(p, np.shape(p) + (1,) * (np.ndim(z) - np.ndim(p)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.rint(np.log(np.asarray(np.abs(z), dtype=float))
+                    / np.log(np.asarray(np.abs(p), dtype=float)))
+    if (np.any(np.abs(th) < DEGENERATE_EPS)
+            or np.any(np.abs(z - p ** k) <= _LATTICE * np.abs(z))):
         raise DegenerateConfiguration(what)
 
 
@@ -157,7 +171,7 @@ def _id1_terms(t, z, B, p):
     if np.any(np.abs(np.prod(z, axis=-1) - 1.0) > 1e-12):
         raise ValueError("constraint prod(z) = 1 violated")
     coeffs = an_shift_coefficients(t, B, p)
-    AB = (np.prod(t, axis=-1) * B)[..., None]
+    AB = np.expand_dims(np.prod(t, axis=-1) * B, -1)
     th_tz, th_abz = _thetas(p, t[..., :, None] / z[..., None, :], AB * z)
     return coeffs * np.prod(th_tz / th_abz[..., None, :], axis=-1)
 
@@ -181,12 +195,13 @@ def _id3_parts(t, f, p):
     t, f = np.asarray(t), np.asarray(f)
     if f.shape[-1] != t.shape[-1] + 1:
         raise ValueError("need one more f entry than t entries")
-    AB = (np.prod(t, axis=-1) * np.prod(f, axis=-1))[..., None]
+    AB = np.expand_dims(np.prod(t, axis=-1) * np.prod(f, axis=-1), -1)
+    abt, tt = AB * t, _cross(t)
     th_abt, cross, th_abf, th_tf = _thetas(
-        p, AB * t, _cross(t), AB / f, t[..., :, None] * f[..., None, :])
+        p, abt, tt, AB / f, t[..., :, None] * f[..., None, :])
     lhs_den = np.prod(th_abt, axis=-1)
-    _guard(lhs_den, "theta(A B t_j; p) = 0")
-    _guard(cross, "t_r/t_j collision")
+    _guard("theta(A B t_j; p) = 0", p, abt, lhs_den)
+    _guard("t_r/t_j collision", p, tt, cross)
     lhs = np.prod(th_abf, axis=-1) / lhs_den
     return lhs, (np.prod(th_tf, axis=-1)
                  / (th_abt * np.prod(cross, axis=-1)))
@@ -304,10 +319,11 @@ def an_shift_coefficients(t, B, p):
     """
     t, B = np.asarray(t), np.asarray(B)
     A = np.prod(t, axis=-1)
+    tt = _cross(t)
     th_a, cross, th_abt, th_bt = _thetas(
-        p, A, _cross(t), (A * B)[..., None] * t, B[..., None] * t)
-    _guard(th_a, "theta(A; p) = 0")
-    _guard(cross, "t_r/t_j collision")
+        p, A, tt, np.expand_dims(A * B, -1) * t, B[..., None] * t)
+    _guard("theta(A; p) = 0", p, A, th_a)
+    _guard("t_r/t_j collision", p, tt, cross)
     return (th_bt / th_a[..., None]
             * np.prod(th_abt[..., _others(t.shape[-1])] / cross, axis=-1))
 

@@ -72,29 +72,19 @@ def theta_vec(z: np.ndarray, p) -> np.ndarray:
 
     The factor loops work in place: a stacked table's temporaries would
     otherwise be allocated and freed once per factor."""
-    z = _operand(z)
-    scalar = np.ndim(p) == 0
-    p = p if scalar else _operand(p)
-    pabs = abs(p) if scalar else np.abs(p).astype(float)
-    if np.any(pabs >= 1.0):
+    z, p = _operand(z), _operand(p)
+    pabs = np.asarray(np.abs(p), dtype=float)
+    if pabs.max() >= 1.0:
         raise NonConvergent("theta_vec requires |p| < 1")
-    if scalar and pabs == 0.0:
-        return 1.0 - z
-    w2 = p / z
+    w2 = np.asarray(p / z)
     mp = w2.dtype == object
     policy = default_policy() if mp else DEFAULT_POLICY
-    if scalar:
-        scale = float(max(np.max(np.abs(z)), np.max(np.abs(w2))))
-        kmax = policy.terms("theta_vec", scale, pabs)
-    else:
-        pabs = np.broadcast_to(pabs, w2.shape)
-        sabs = np.maximum(np.abs(z), np.abs(w2)).astype(float)
-        scale = float(np.max(sabs))
-        kmax = policy.batch_terms("theta_vec", sabs, pabs)
-    direct = mp or scale < _DIRECT_SCALE
+    sabs = np.asarray(np.maximum(np.abs(z), np.abs(w2)), dtype=float)
+    kmax = policy.batch_terms("theta_vec", sabs, pabs)
+    direct = mp or sabs.max() < _DIRECT_SCALE
     acc = np.ones_like(w2) if direct else np.zeros_like(w2)
-    w1 = np.broadcast_to(z, w2.shape).astype(w2.dtype)
-    f1, f2 = np.empty_like(w2), np.empty_like(w2)
+    w1, f1, f2 = np.empty_like(w2), np.empty_like(w2), np.empty_like(w2)
+    w1[...] = z
     for _ in range(kmax):
         np.subtract(1.0, w1, out=f1)
         f1 *= np.subtract(1.0, w2, out=f2)

@@ -198,6 +198,20 @@ class TestThetaVecBases:
         with pytest.raises(TruncationFailure, match=f"theta_vec needs {need} "):
             theta_vec([0.4, 0.5], np.array([0.99999, 0.3]))
 
+    @pytest.mark.parametrize("bshape", [(), (1, 1), (7, 1), (1, 5), (7, 5)])
+    def test_batch_terms_is_the_largest_elementwise_cutoff(self, rng, bshape):
+        scales = np.array([[rng.uniform(0.0, 30.0) for _ in range(5)]
+                           for _ in range(7)])
+        scales[0, 0] = 0.0                      # cutoff()'s own edge case
+        bases = np.array([rng.uniform(0.0, 0.6) for _ in range(35)])
+        bases = bases[:int(np.prod(bshape))].reshape(bshape)
+        if bases.size > 1:
+            bases.flat[1] = 0.0
+        want = max(DEFAULT_POLICY.terms("x", float(s), float(b))
+                   for s, b in zip(scales.ravel(),
+                                   np.broadcast_to(bases, scales.shape).ravel()))
+        assert DEFAULT_POLICY.batch_terms("x", scales, bases) == want
+
     def test_mpmath_elements(self, rng, arg, extended):
         z = [mpmath.mpc(arg(rng, 0.04, 25.0)) for _ in range(8)]
         p = [mpmath.mpc(arg(rng, 0.05, 0.5)) for _ in range(8)]

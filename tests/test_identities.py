@@ -14,6 +14,7 @@ from ehv.errors import DegenerateConfiguration, DomainViolation, EHVError
 from ehv.identities import (
     DiffSide,
     an_difference_residual,
+    an_shift_coefficients,
     an_transformation_sides,
     id1_residual,
     id1_scale,
@@ -203,7 +204,7 @@ def batched_id1(t, z, B, p):
 
 def batched_id3(t, f, p):
     lhs, terms = identities._id3_parts(t, f, p)
-    return (np.concatenate([lhs[..., None], terms], axis=-1),
+    return (np.concatenate([np.expand_dims(lhs, -1), terms], axis=-1),
             np.abs(id3_residual(t, f, p)) / id3_scale(t, f, p))
 
 
@@ -284,6 +285,47 @@ class TestStackedIdentities:
                 for got, want in zip(terms[i], want_terms):
                     assert abs(got - want) <= 1e-30 * abs(want)
                 assert abs(rel[i] - want_rel) <= 1e-30
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_extended_single_draw(self, extended, name):
+        # one unstacked draw: products of mpmath numbers are mpmath scalars
+        draw, batched, oracle = CASES[name]
+        row = next(iter(ranked_draws(draw, 0, 3).values()))[0]
+        terms, rel = batched(*row)
+        want_terms, want_rel = oracle(*row)
+        for got, want in zip(terms, want_terms):
+            assert abs(got - want) <= 1e-30 * abs(want)
+        assert abs(rel - want_rel) <= 1e-30
+
+    def test_extended_single_draw_shift_coefficients(self, extended):
+        t, _, B, p = ranked_draws(registry._id1_draw, 0, 3)[3][0]
+        got = an_shift_coefficients(t, B, p)
+        for g, w in zip(got, oracle_shift_coefficients(t, B, p)):
+            assert abs(g - w) <= 1e-30 * abs(w)
+
+    def test_id1_cross_ratio_on_the_zero_lattice(self):
+        # t_0/t_1 = p^-2, where theta vanishes; theta_vec gives a rounding
+        # error there, the argument test of the guard catches it
+        rows = ranked_draws(registry._id1_draw, 0, 40)[2][:6]
+        t, z, B, p = rows[1]
+        rows[1] = ((p ** -2, 1.0 + 0j, t[2]), z, B, p)
+        with pytest.raises(DegenerateConfiguration) as scalar:
+            oracle_id1(*rows[1])
+        for args in (rows[1], stack(rows)):
+            with pytest.raises(DegenerateConfiguration) as batch:
+                id1_residual(*args)
+            assert str(batch.value) == str(scalar.value) == "t_r/t_j collision"
+
+    def test_id3_theta_abt_on_the_zero_lattice(self):
+        rows = ranked_draws(registry._id3_draw, 0, 40)[1][:6]
+        t, f, p = rows[0]
+        # A B t_1 = p^3 exactly up to rounding: t_1 absorbs the difference
+        AB = prod(t) * prod(f)
+        t1 = cmath.sqrt(p ** 3 / (AB / t[1]))
+        rows[0] = ((t[0], t1), f, p)
+        with pytest.raises(DegenerateConfiguration) as batch:
+            id3_residual(*stack(rows))
+        assert str(batch.value) == "theta(A B t_j; p) = 0"
 
     def test_check_sees_every_draw_once_in_rank_batches(self):
         def draw(smp):
