@@ -18,8 +18,9 @@ whenever the unit circle separates the integrand's pole sequences; the
 admissibility gate is contour_check and no contour is ever deformed.
 Every node table of a Gram integral, the family rows R_j/T_j and the
 theta-factorial rows theta(w; p; q)_k, is built in one pass of its
-recursion to the largest index or depth; R_n and T_n (through sum_V) stay
-the scalar oracles.
+recursion to the largest index or depth, the R and T rows of one base in
+the same pass (they share their numerator theta tables); R_n and T_n
+(through sum_V) stay the scalar oracles.
 """
 
 from __future__ import annotations
@@ -128,35 +129,44 @@ def R_nm(z, n: int, m: int, rp: RahmanParams):
             * sum_V(_rn_vspec(z, m, rp.t, p, q, "R")))
 
 
-def _family_rows(z, indices, rp: RahmanParams, kind: str, base: str = "q"):
+def _family_rows(z, indices, rp: RahmanParams, kind, base: str = "q"):
     """Node table (len(indices), N) of the family members with these
-    indices, in one pass of the series recursion to the largest index: the
-    z-dependent theta tables of term s are built once, and every index
-    j > s advances its own running term and sum with them."""
+    indices, of kind "R" or "T" (one kind, or one per index), in one pass
+    of the series recursion to the largest index: the z-dependent theta
+    tables of term s are built once, the numerator pair theta(t3 z^{+-1}
+    q^s; p) for both kinds, and every member with index j > s advances its
+    own running term and sum with them."""
     q, p = _bases(rp, base)
     z = np.asarray(z, dtype=complex)
     t3 = rp.t[3]
-    head = _rn_params(0, rp.t, q, kind)[0]
-    th0 = theta(head, p)
-    scal = {j: _rn_params(j, rp.t, q, kind)[1] for j in set(indices)}
-    fac = {j: np.ones_like(z) for j in scal}
-    tot = {j: np.ones_like(z) for j in scal}
+    rows = list(zip(indices, [kind] * len(indices) if isinstance(kind, str)
+                    else kind))
+    heads = {k: _rn_params(0, rp.t, q, k)[0] for _, k in rows}
+    th0 = {k: theta(head, p) for k, head in heads.items()}
+    scal = {(j, k): _rn_params(j, rp.t, q, k)[1] for j, k in rows}
+    fac = {row: np.ones_like(z) for row in scal}
+    tot = {row: np.ones_like(z) for row in scal}
     for s in range(max(indices)):
         qs = cpow(q, s)
         numv = theta_vec(t3 * z * qs, p) * theta_vec(t3 / z * qs, p)
-        denv = (theta_vec(q * head / (t3 * z) * qs, p)
-                * theta_vec(q * head * z / t3 * qs, p))
-        ratio = numv / denv
-        top = theta(head * cpow(q, 2 * s + 2), p) / th0
-        num0, den0 = theta(head * qs, p), theta(cpow(q, s + 1), p)
-        for j in [j for j in scal if j > s]:
-            num, den = num0, den0
-            for v in scal[j]:
-                num *= theta(v * qs, p)
-                den *= theta(q * head / v * qs, p)
-            fac[j] = fac[j] * (num / den) * ratio
-            tot[j] = tot[j] + top * fac[j] * cpow(q, s + 1)
-    return np.stack([tot[j] for j in indices])
+        den0 = theta(cpow(q, s + 1), p)
+        for k, head in heads.items():
+            live = [(j, kk) for j, kk in scal if kk == k and j > s]
+            if not live:
+                continue
+            denv = (theta_vec(q * head / (t3 * z) * qs, p)
+                    * theta_vec(q * head * z / t3 * qs, p))
+            ratio = numv / denv
+            top = theta(head * cpow(q, 2 * s + 2), p) / th0[k]
+            num0 = theta(head * qs, p)
+            for row in live:
+                num, den = num0, den0
+                for v in scal[row]:
+                    num *= theta(v * qs, p)
+                    den *= theta(q * head / v * qs, p)
+                fac[row] = fac[row] * (num / den) * ratio
+                tot[row] = tot[row] + top * fac[row] * cpow(q, s + 1)
+    return np.stack([tot[row] for row in rows])
 
 
 # -- difference operator ---------------------------------------------------------
@@ -328,9 +338,15 @@ def biorth_value(cells, rp: RahmanParams, cfg: QuadratureConfig | None = None):
         _require_admissible(contour_check(m, n, k, l, rp),
                             f"indices (n={n},m={m},k={k},l={l})")
     ns, ms, ks, ls = (list(idx) for idx in zip(*cells))
-    factors = ((ms, "R", "q"), (ns, "T", "q"), (ks, "R", "p"), (ls, "T", "p"))
-    res = _gram(rp, lambda z: ([_family_rows(z, idx, rp, kind, base)
-                                for idx, kind, base in factors], []), cfg)
+
+    def rows(z, base, r_idx, t_idx):
+        """The R rows of r_idx and the T rows of t_idx, in one pass."""
+        tab = _family_rows(z, r_idx + t_idx, rp,
+                           ["R"] * len(r_idx) + ["T"] * len(t_idx), base)
+        return [tab[:len(r_idx)], tab[len(r_idx):]]
+
+    res = _gram(rp, lambda z: (rows(z, "q", ms, ns) + rows(z, "p", ks, ls),
+                               []), cfg)
     beta = rp.beta_value()
     h_q = [norm_h(j, rp) for j in range(max(ns + ms) + 1)]
     expected = [(h_q[n] * norm_h(k, rp, "p") if k else h_q[n]) * beta

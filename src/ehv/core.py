@@ -155,14 +155,6 @@ class Moduli:
         if abs(self.p) >= 1.0:
             raise ValueError(f"|p| must be < 1, got {abs(self.p)}")
 
-    @property
-    def q_degenerate(self) -> bool:
-        return self.q == 0
-
-    @property
-    def p_degenerate(self) -> bool:
-        return self.p == 0
-
     def swapped(self) -> "Moduli":
         return Moduli(q=self.p, p=self.q)
 

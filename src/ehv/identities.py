@@ -32,8 +32,8 @@ from .core import (DEGENERATE_EPS, Moduli, theta, theta_multi,
                    theta_factorial_multi)
 from .errors import DegenerateConfiguration, DomainViolation, PoleHit
 from .gamma import elliptic_gamma_multi
-from .integrands import (an_trans_domain_check, make_an1_spec,
-                         make_an_trans_integrand, rhs_closed_form,
+from .integrands import (an_trans_domain_check, closed_form_values,
+                         make_an1_spec, make_an_trans_integrand,
                          validate_domain)
 from .quadrature import integrate_factors, integrate_spec
 from .series import tree_sum
@@ -340,25 +340,21 @@ def an_difference_residual(t, f, m: Moduli, side: DiffSide = DiffSide.CLOSED_FOR
     t = tuple(t)
     f = tuple(f)
     n = len(t) - 1
-
-    def value(tt):
-        spec = make_an1_spec(tt, f, m)
+    specs = [make_an1_spec(t, f, m)] + [
+        make_an1_spec(t[:r] + (m.q * t[r],) + t[r + 1:], f, m)
+        for r in range(n + 1)]
+    for spec in specs:
         result = validate_domain(spec)
         if not result.ok:
             raise DomainViolation(
                 f"shifted parameter set leaves the domain: {result.failures()}"
             )
-        if side is DiffSide.CLOSED_FORM:
-            return rhs_closed_form(spec)
-        return integrate_spec(spec, cfg).value
-
-    base = value(t)
-    coeffs = an_shift_coefficients(t, make_an1_spec(t, f, m).product_B, m.p)
-    shifted = []
-    for r in range(n + 1):
-        tt = list(t)
-        tt[r] = m.q * tt[r]
-        shifted.append(coeffs[r] * value(tuple(tt)))
+    if side is DiffSide.CLOSED_FORM:
+        base, *values = closed_form_values(specs)
+    else:
+        base, *values = (integrate_spec(spec, cfg).value for spec in specs)
+    coeffs = an_shift_coefficients(t, specs[0].product_B, m.p)
+    shifted = [c * v for c, v in zip(coeffs, values)]
     scale = max([abs(base)] + [abs(v) for v in shifted])
     return (tree_sum(shifted) - base) / scale
 

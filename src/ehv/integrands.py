@@ -19,20 +19,26 @@ grid average of these values.
 Every family is described once as a list of atomic factors g(c * z^e) with g
 in {Gamma, 1/Gamma, theta, identity} and e an integer exponent vector over
 the free variables (the constrained variable z_{n+1} of the AN families
-contributes (-1, ..., -1)).  Two emitters write every list: _cn (per axis
-Gamma(c z_j^{+-1}), 1/Gamma(z_j^{+-2}) and 1/Gamma(A z_j^{+-1}), then the
-factors of each pair in z_j^{+-1} z_k^{+-1}) and _an (per-variable factors
-of the n+1 constrained variables, the factors of each pair in z_i^{+-1}
-z_j^{+-1}, then 1/Gamma(z_i/z_j) for i != j); a family or the an_transform
-integrand only names its constants.  The scalar path evaluates atoms
-directly.  The node sums of the quadrature evaluate the tables on the N
-roots of unity (one stacked gamma_vec call for every distinct Gamma and
-1/Gamma constant, one theta table per distinct constant), multiply the
-tables of equal exponent vectors, and combine them on one of three paths,
-which FactorIntegrand.path selects from the exponent vectors alone.  A
-table is read on the grid as tab[(e . k) mod N] through a read-only
-strided view of the table tiled sum |e_i| + 1 times (_grid_view), with no
-index array:
+contributes (-1, ..., -1)).  Two emitters write every integrand: _cn (per
+axis Gamma(c z_j^{+-1}), 1/Gamma(z_j^{+-2}) and 1/Gamma(A z_j^{+-1}), then
+the factors of each pair in z_j^{+-1} z_k^{+-1}) and _an (per-variable
+factors of the n+1 constrained variables, the factors of each pair in
+z_i^{+-1} z_j^{+-1}, then 1/Gamma(z_i/z_j) for i != j); a family or the
+an_transform integrand only names its constants.  A third, _closed, writes
+each family's closed form as a factor list on zero torus variables: a
+constant, Gamma, 1/Gamma and theta atoms with empty exponent vectors.  In
+float64 a closed form is the product of its tables at N = 1, one gamma_vec
+call for all its Gamma constants (closed_form_values stacks several closed
+forms into that one call); in extended mode it takes the scalar path.
+
+The scalar path evaluates atoms directly.  The node sums of the quadrature
+evaluate the tables on the N roots of unity (one stacked gamma_vec call for
+every distinct Gamma and 1/Gamma constant, one theta table per distinct
+constant), multiply the tables of equal exponent vectors, and combine them
+on one of three paths, which FactorIntegrand.path selects from the exponent
+vectors alone.  A table is read on the grid as tab[(e . k) mod N] through a
+read-only strided view of the table tiled sum |e_i| + 1 times (_grid_view),
+with no index array:
 
     mesh      n <= 2, and any list with no structure below: the full N^n
               grid (mesh_eval), the outer product of one vector per axis
@@ -65,10 +71,10 @@ from enum import Enum
 
 import numpy as np
 
-from ._backend import cpow
-from .core import Moduli, theta
+from ._backend import EXTENDED, cpow, get_precision
+from .core import Moduli, qpochhammer, theta
 from .errors import DomainViolation, UnsupportedFamily
-from .gamma import elliptic_gamma, elliptic_gamma_multi, elliptic_gamma_reciprocal
+from .gamma import elliptic_gamma, elliptic_gamma_reciprocal
 from .vec import gamma_vec, theta_vec
 
 
@@ -230,9 +236,6 @@ class ValidationResult:
     def failures(self):
         return [c.name for c in self.checks if not c.ok]
 
-    def worst(self):
-        return min(self.checks, key=lambda c: c.margin)
-
 
 def validate_domain(spec: IntegrandSpec) -> ValidationResult:
     """Per-family inequality table; strict throughout."""
@@ -302,7 +305,8 @@ class Factor:
 
 
 class FactorIntegrand:
-    """Product of atomic factors over n free torus variables.
+    """Product of atomic factors over n free torus variables (none for a
+    closed form).
 
     Callable on a point sequence (scalar path); mesh_eval(N) returns the
     value array on the full N^n tensor grid of roots of unity.  ``path`` is
@@ -470,34 +474,13 @@ class FactorIntegrand:
 
     # -- tables and the mesh path ------------------------------------------
 
-    def _tables(self, N: int) -> dict:
+    def _tables(self, N: int, atoms=None) -> dict:
         """exponent vector -> the product of its factors' tables on the N
-        roots of unity: one gamma_vec call for all distinct (constant,
-        inverse) pairs, one theta table per distinct constant."""
-        m = self.moduli
-        z1d = np.exp(2j * np.pi * np.arange(N) / N)
-        keys = list(dict.fromkeys((f.c, f.kind is Kind.IGAMMA)
-                                  for f in self.factors
-                                  if f.kind in (Kind.GAMMA, Kind.IGAMMA)))
-        gamma = dict(zip(keys, gamma_vec([c for c, _ in keys], N, m.q, m.p,
-                                         inverse=[i for _, i in keys])
-                         if keys else ()))
-        theta_cache: dict = {}
-
-        def base_table(f: Factor) -> np.ndarray:
-            if f.kind in (Kind.GAMMA, Kind.IGAMMA):
-                return gamma[f.c, f.kind is Kind.IGAMMA]
-            if f.kind is Kind.THETA:
-                tab = theta_cache.get(f.c)
-                if tab is None:
-                    tab = theta_vec(f.c * z1d, m.p)
-                    theta_cache[f.c] = tab
-                return tab
-            return f.c * z1d
-
+        roots of unity, read from atoms (by default _atoms of this list)."""
+        table = atoms or _atoms(self.factors, N, self.moduli)
         per_evec: dict = {}
         for f in self.factors:
-            tab = base_table(f)
+            tab = table(f)
             if f.evec in per_evec:
                 per_evec[f.evec] = per_evec[f.evec] * tab
             else:
@@ -525,6 +508,32 @@ class FactorIntegrand:
         for view in multi:
             out *= view
         return out
+
+
+def _atoms(factors, N: int, m: Moduli):
+    """factor -> the table of its atom g(c w^k), k < N, on the N roots of
+    unity: one gamma_vec call for all distinct (constant, inverse) pairs of
+    factors, one theta table per distinct constant."""
+    z1d = np.exp(2j * np.pi * np.arange(N) / N)
+    keys = list(dict.fromkeys((f.c, f.kind is Kind.IGAMMA) for f in factors
+                              if f.kind in (Kind.GAMMA, Kind.IGAMMA)))
+    gamma = dict(zip(keys, gamma_vec([c for c, _ in keys], N, m.q, m.p,
+                                     inverse=[i for _, i in keys])
+                     if keys else ()))
+    theta_cache: dict = {}
+
+    def table(f: Factor) -> np.ndarray:
+        if f.kind in (Kind.GAMMA, Kind.IGAMMA):
+            return gamma[f.c, f.kind is Kind.IGAMMA]
+        if f.kind is Kind.THETA:
+            tab = theta_cache.get(f.c)
+            if tab is None:
+                tab = theta_vec(f.c * z1d, m.p)
+                theta_cache[f.c] = tab
+            return tab
+        return f.c * z1d
+
+    return table
 
 
 def _grid_view(tab: np.ndarray, evec) -> np.ndarray:
@@ -683,182 +692,112 @@ def make_integrand(spec: IntegrandSpec) -> FactorIntegrand:
 # -- closed-form right-hand sides ----------------------------------------------
 
 
-def _pochs(m: Moduli):
-    from .core import qpochhammer
+def _closed(m: Moduli, const, num, den=(), thetas=()) -> FactorIntegrand:
+    """A closed form as a factor list on zero torus variables: const times
+    Gamma(c) for c in num, 1/Gamma(c) for c in den, theta(c; p) for c in
+    thetas."""
+    fs = [Factor(Kind.MONO, const, ())]
+    fs += [Factor(Kind.GAMMA, c, ()) for c in num]
+    fs += [Factor(Kind.IGAMMA, c, ()) for c in den]
+    fs += [Factor(Kind.THETA, c, ()) for c in thetas]
+    return FactorIntegrand(0, m, fs)
 
-    return qpochhammer(m.p, m.p), qpochhammer(m.q, m.q)
+
+def closed_form(spec: IntegrandSpec) -> FactorIntegrand:
+    """The family's exact integral value (bare-measure convention) as a
+    factor list on zero torus variables."""
+    fam, n, ps, m = spec.family, spec.n, spec.params, spec.moduli
+    t, tc = ps.t, ps.extras.get("t")
+    pw = lambda k: cpow(tc, k)
+    poch = (qpochhammer(m.p, m.p) * qpochhammer(m.q, m.q)) ** n
+    pairs = list(itertools.combinations(t, 2))
+    if fam in (Family.E, Family.CN_I):
+        return _closed(m, 2.0 ** n * math.factorial(n) / poch,
+                       [a * b for a, b in pairs],
+                       [spec.product_A / c for c in t])
+    if fam is Family.CN_II:
+        js = range(1, n + 1)
+        return _closed(m, 2.0 ** n * math.factorial(n) / poch,
+                       [pw(j) for j in js]
+                       + [pw(j - 1) * a * b for j in js for a, b in pairs],
+                       [tc] * n + [pw(1 - j) * spec.product_B / c
+                                   for j in js for c in t])
+    if fam is Family.CN_III:
+        x, A = ps.x, spec.product_A
+        ij = list(itertools.combinations(range(n), 2))
+        num, den = [tc] * n, []
+        for i, xi in enumerate(x):
+            num += [a * b * cpow(m.q, i) for a, b in pairs]
+            num += [xi * c for c in t] + [tc * c / xi for c in t]
+            den += [A / xi, A * xi / tc] + [A * cpow(m.q, -i) / c for c in t]
+        return _closed(m, 2.0 ** n / poch * _prod(x[j] for _, j in ij),
+                       num, den, [x[i] / x[j] for i, j in ij]
+                       + [tc / (x[i] * x[j]) for i, j in ij])
+    const = math.factorial(n + 1) / poch
+    if fam is Family.AN_I:
+        f, A, B = ps.f, spec.product_A, spec.product_B
+        return _closed(m, const,
+                       [A] + [B / c for c in f] + [a * b for a in t for b in f],
+                       [a * B for a in t] + [A * B / c for c in f])
+    if fam is Family.AN_II:
+        # n = 2h - 1 or n = 2h
+        sc, h = ps.extras["s"], (n + 1) // 2
+        lo, hi = t[:3], t[3:]
+        P3, P45 = _prod(lo), hi[0] * hi[1]
+        ab = [a * b for a, b in itertools.combinations(lo, 2)]
+        sp = lambda k: cpow(sc, k)
+        ts = lambda k: cpow(tc * sc, k)
+        # the factors both parities share, then those of each parity
+        num = [ts(j - 1) * a * b for j in range(1, h + 1) for a in lo for b in hi]
+        num += [v for j in range(1, n // 2 + 1)
+                for v in [ts(j), pw(j) * sp(j - 1) * P45]
+                + [pw(j - 1) * sp(j) * c for c in ab]]
+        den = [ts(k) * c * P45 for k in range(n // 2, n) for c in ab]
+        den += [pw(k) * sp(k + 1) * P3 * c
+                for k in range((n - 1) // 2, n - 1) for c in hi]
+        if n % 2:
+            num += [pw(h), sp(h), sp(h - 1) * P45] + [pw(h - 1) * c for c in ab]
+            den += [pw(n - 1) * sp(h - 1) * P3 * c for c in hi]
+        else:
+            num += [pw(h) * c for c in lo] + [sp(h) * c for c in hi]
+            num += [pw(h - 1) * P3]
+            den += [pw(n - 1) * sp(h - 1) * P3 * P45, pw(n - 1) * sp(h) * P3]
+        return _closed(m, const, num, den)
+    if fam is Family.AN_III:
+        # n = 2h - 1 or n = 2h; the last three parameters are the tail
+        head, tail, every = _prod(t[:n + 1]), t[n + 1:], _prod(t)
+        h = (n + 1) // 2
+        num = [tc * t[i] * t[j]
+               for i, j in itertools.combinations(range(n + 4), 2) if i <= n]
+        den = [pw(n + 2) * every / c for c in t[:n + 1]]
+        if n % 2:
+            num += [pw(h), head] + [pw(h + 1) * a * b
+                                    for a, b in itertools.combinations(tail, 2)]
+            den += [pw(h) * head] + [pw(h + 1) * every / c for c in tail]
+        else:
+            num += [head, pw(h + 2) * _prod(tail)] + [pw(h + 1) * c for c in tail]
+            den += [pw(h + 2) * every] + [pw(h + 1) * c * head for c in tail]
+        return _closed(m, const, num, den)
+    raise UnsupportedFamily(fam.value)
+
+
+def closed_form_values(specs) -> list:
+    """The closed forms of specs, which share one moduli.  In float64 each
+    is the product of its _tables(1) entries, and all of them read one atom
+    table call: one gamma_vec call over the distinct (c, inverse) keys of
+    all the lists, whose finiteness check is the pole guard.  In extended
+    mode each list takes the scalar path."""
+    forms = [closed_form(spec) for spec in specs]
+    if get_precision() == EXTENDED:
+        return [form(()) for form in forms]
+    atoms = _atoms([f for form in forms for f in form.factors], 1,
+                   forms[0].moduli)
+    return [complex(form._tables(1, atoms)[()][0]) for form in forms]
 
 
 def rhs_closed_form(spec: IntegrandSpec):
     """The family's exact integral value (bare-measure convention)."""
-    fam, n, ps, m = spec.family, spec.n, spec.params, spec.moduli
-    pp, qq = _pochs(m)
-    G = lambda *args: elliptic_gamma_multi(args, m)
-
-    if fam in (Family.E, Family.CN_I):
-        t = ps.t
-        A = spec.product_A
-        val = 2.0 ** n * math.factorial(n) / (pp * qq) ** n
-        for i in range(len(t)):
-            for j in range(i + 1, len(t)):
-                val *= G(t[i] * t[j])
-        for ti in t:
-            val /= G(A / ti)
-        return val
-
-    if fam is Family.CN_II:
-        t = ps.t
-        tc = ps.extras["t"]
-        B = spec.product_B
-        val = 2.0 ** n * math.factorial(n) / (pp * qq) ** n
-        for j in range(1, n + 1):
-            val *= G(cpow(tc, j)) / G(tc)
-            for r in range(5):
-                for s_ in range(r + 1, 5):
-                    val *= G(cpow(tc, j - 1) * t[r] * t[s_])
-            for r in range(5):
-                val /= G(cpow(tc, 1 - j) * B / t[r])
-        return val
-
-    if fam is Family.CN_III:
-        x = ps.x
-        t1, t2, t3 = ps.t
-        tc = ps.extras["t"]
-        A = spec.product_A
-        q = m.q
-        val = 2.0 ** n / (pp * qq) ** n * cpow(G(tc), n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                val *= x[j] * theta(x[i] / x[j], m.p) * theta(tc / (x[i] * x[j]), m.p)
-        for i in range(1, n + 1):
-            xi = x[i - 1]
-            for pair in (t1 * t2, t1 * t3, t2 * t3):
-                val *= G(pair * cpow(q, i - 1))
-            val /= G(A / xi) * G(A * xi / tc)
-            for tk in (t1, t2, t3):
-                val *= G(xi * tk) * G(tc * tk / xi)
-                val /= G(A * cpow(q, 1 - i) / tk)
-        return val
-
-    if fam is Family.AN_I:
-        t, f = ps.t, ps.f
-        A, B = spec.product_A, spec.product_B
-        val = math.factorial(n + 1) / (qq * pp) ** n
-        val *= G(A)
-        for fj in f:
-            val *= G(B / fj)
-        for tk in t:
-            for fj in f:
-                val *= G(tk * fj)
-        for tk in t:
-            val /= G(tk * B)
-        for fj in f:
-            val /= G(A * B / fj)
-        return val
-
-    if fam is Family.AN_II:
-        return _rhs_an2(spec)
-
-    if fam is Family.AN_III:
-        return _rhs_an3(spec)
-
-    raise UnsupportedFamily(fam.value)
-
-
-def _rhs_an2(spec: IntegrandSpec):
-    ps, m, n = spec.params, spec.moduli, spec.n
-    t1, t2, t3, t4, t5 = ps.t
-    tc, sc = ps.extras["t"], ps.extras["s"]
-    pp, qq = _pochs(m)
-    G = lambda *args: elliptic_gamma_multi(args, m)
-    P5 = t1 * t2 * t3 * t4 * t5
-    val = math.factorial(n + 1) / (qq * pp) ** n
-    if n % 2 == 1:                       # n = 2m - 1
-        mm = (n + 1) // 2
-        val *= G(cpow(tc, mm), cpow(sc, mm), cpow(sc, mm - 1) * t4 * t5)
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            val *= G(cpow(tc, mm - 1) * ps.t[i] * ps.t[j])
-        for k in (t4, t5):
-            val /= G(cpow(tc, 2 * mm - 2) * cpow(sc, mm - 1) * t1 * t2 * t3 * k)
-        for j in range(1, mm + 1):
-            for i in (t1, t2, t3):
-                for k in (t4, t5):
-                    val *= G(cpow(tc * sc, j - 1) * i * k)
-            for a, b in ((t1, t2), (t1, t3), (t2, t3)):
-                val /= G(cpow(tc * sc, mm + j - 2) * a * b * t4 * t5)
-        for j in range(1, mm):
-            val *= G(cpow(tc * sc, j), cpow(tc, j) * cpow(sc, j - 1) * t4 * t5)
-            for a, b in ((t1, t2), (t1, t3), (t2, t3)):
-                val *= G(cpow(tc, j - 1) * cpow(sc, j) * a * b)
-            for k in (t4, t5):
-                val /= G(cpow(tc, mm + j - 2) * cpow(sc, mm + j - 1)
-                         * t1 * t2 * t3 * k)
-        return val
-    mm = n // 2                          # n = 2m
-    val *= G(cpow(tc, mm) * t1, cpow(tc, mm) * t2, cpow(tc, mm) * t3)
-    val *= G(cpow(sc, mm) * t4, cpow(sc, mm) * t5)
-    val *= G(cpow(tc, mm - 1) * t1 * t2 * t3)
-    val /= G(cpow(tc, 2 * mm - 1) * cpow(sc, mm - 1) * P5,
-             cpow(tc, 2 * mm - 1) * cpow(sc, mm) * t1 * t2 * t3)
-    for j in range(1, mm + 1):
-        val *= G(cpow(tc * sc, j), cpow(tc, j) * cpow(sc, j - 1) * t4 * t5)
-        for i in (t1, t2, t3):
-            for k in (t4, t5):
-                val *= G(cpow(tc * sc, j - 1) * i * k)
-        for k in (t4, t5):
-            val /= G(cpow(tc, mm + j - 2) * cpow(sc, mm + j - 1) * P5 / k)
-        for a, b in ((t1, t2), (t1, t3), (t2, t3)):
-            val *= G(cpow(tc, j - 1) * cpow(sc, j) * a * b)
-            val /= G(cpow(tc * sc, mm + j - 1) * a * b * t4 * t5)
-    return val
-
-
-def _rhs_an3(spec: IntegrandSpec):
-    ps, m, n = spec.params, spec.moduli, spec.n
-    t = ps.t
-    tc = ps.extras["t"]
-    pp, qq = _pochs(m)
-    G = lambda *args: elliptic_gamma_multi(args, m)
-    val = math.factorial(n + 1) / (qq * pp) ** n
-    if n % 2 == 1:                       # n = 2l - 1, n + 4 = 2l + 3 parameters
-        ll = (n + 1) // 2
-        head = _prod(t[: 2 * ll])
-        tail = t[2 * ll:]                # 3 entries
-        val *= G(cpow(tc, ll), head) / G(cpow(tc, ll) * head)
-        for i in range(2 * ll):
-            for j in range(2 * ll, 2 * ll + 3):
-                val *= G(tc * t[i] * t[j])
-        for i in range(2 * ll):
-            for j in range(i + 1, 2 * ll):
-                val *= G(tc * t[i] * t[j])
-        for i in range(3):
-            for j in range(i + 1, 3):
-                val *= G(cpow(tc, ll + 1) * tail[i] * tail[j])
-        allprod = _prod(t)
-        for i in range(2 * ll):
-            val /= G(cpow(tc, 2 * ll + 1) * allprod / t[i])
-        for tj in tail:
-            val /= G(cpow(tc, ll + 1) * allprod / tj)
-        return val
-    ll = n // 2                          # n = 2l, n + 4 = 2l + 4 parameters
-    head = _prod(t[: 2 * ll + 1])
-    tail = t[2 * ll + 1:]                # 3 entries
-    val *= G(head, cpow(tc, ll + 2) * _prod(tail))
-    val /= G(cpow(tc, ll + 2) * _prod(t))
-    for i in range(2 * ll + 1):
-        for j in range(2 * ll + 1, 2 * ll + 4):
-            val *= G(tc * t[i] * t[j])
-    for i in range(2 * ll + 1):
-        for j in range(i + 1, 2 * ll + 1):
-            val *= G(tc * t[i] * t[j])
-    for tj in tail:
-        val *= G(cpow(tc, ll + 1) * tj)
-    allprod = _prod(t)
-    for i in range(2 * ll + 1):
-        val /= G(cpow(tc, 2 * ll + 2) * allprod / t[i])
-    for tj in tail:
-        val /= G(cpow(tc, ll + 1) * tj * head)
-    return val
+    return closed_form_values([spec])[0]
 
 
 def make_an1_spec(t, f, m: Moduli) -> IntegrandSpec:

@@ -421,6 +421,34 @@ class TestOnePassTables:
             single = _family_rows(self.Z, [j], rp, kind, base)[0]
             assert row.tobytes() == single.tobytes()
 
+    @pytest.mark.parametrize("base", ["q", "p"])
+    def test_mixed_kind_rows_equal_single_kind_rows(self, rp, base):
+        indices, kinds = [3, 0, 2, 1, 3], ["R", "T", "T", "R", "T"]
+        rows = _family_rows(self.Z, indices, rp, kinds, base)
+        for j, kind, row in zip(indices, kinds, rows):
+            single = _family_rows(self.Z, [j], rp, kind, base)[0]
+            assert row.tobytes() == single.tobytes()
+
+    def test_biorth_value_builds_each_theta_table_once(self, rp, monkeypatch):
+        import ehv.biorthogonal as bo
+
+        seen = []
+        kernel = bo.theta_vec
+
+        def recording(z, p):
+            seen.append((np.asarray(z).tobytes(), p))
+            return kernel(z, p)
+
+        monkeypatch.setattr(bo, "theta_vec", recording)
+        from ehv.registry import biorth2_param_sets
+
+        set_a, set_b = biorth2_param_sets(0)
+        for cells, params in (([(2, 1, 0, 0), (1, 3, 0, 0)], rp),
+                              ([(0, 0, 1, 0), (0, 0, 0, 1)], set_b)):
+            seen.clear()
+            biorth_value(cells, params, CFG)
+            assert seen and len(seen) == len(set(seen))
+
     def test_factorial_rows_equal_per_depth_products(self, rp):
         from ehv.vec import theta_vec
 

@@ -1,15 +1,19 @@
-"""Every top-level function and class of ``ehv`` is used by ``ehv`` itself.
+"""Every function, class, method and property of ``ehv`` is used by
+``ehv`` itself.
 
 A definition that only tests reach is code that no check, command or
-benchmark runs: it is registered as a check or deleted.  A definition
-counts as used when its name is read anywhere in ``src/ehv`` outside its
-own body, or when it is a check registered with ``@_check``.  The
+benchmark runs: it is registered as a check or deleted.  The definitions
+are the top-level functions and classes and the non-dunder methods and
+properties of those classes.  A definition counts as used when its name is
+read anywhere in ``src/ehv`` outside its own body (a method's body is also
+its class's), or when it is a check registered with ``@_check``.  The
 package's re-exports in ``__init__.py`` do not count as uses.  The CLI
 handlers are used: ``build_parser`` names each one.
 
-Every factor list is built by one of the two emitters of
-``ehv.integrands``, ``_cn`` and ``_an``: the pairwise and orbit node-sum
-paths read the structure they write, so no other code constructs a
+Every factor list is built by one of the three emitters of
+``ehv.integrands``: ``_cn`` and ``_an`` write the integrands, whose
+structure the pairwise and orbit node-sum paths read, and ``_closed`` writes
+the closed forms, on zero torus variables; no other code constructs a
 ``Factor``.
 """
 
@@ -45,33 +49,46 @@ def _is_check(node) -> bool:
                and d.func.id == "_check" for d in node.decorator_list)
 
 
+def _definitions(tree):
+    """The top-level functions and classes of a module, and the non-dunder
+    methods and properties of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (sub for sub in node.body
+                        if isinstance(sub, ast.FunctionDef)
+                        and not (sub.name.startswith("__")
+                                 and sub.name.endswith("__")))
+
+
 def _uses(modules) -> set:
     """Names read in ``ehv`` outside ``__init__.py``, a definition's own
     body not counting for its own name."""
     used = set()
 
-    def walk(node, owner):
+    def walk(node, owners):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Name) and child.id != owner:
+            if isinstance(child, ast.Name) and child.id not in owners:
                 used.add(child.id)
-            elif isinstance(child, ast.Attribute) and child.attr != owner:
+            elif isinstance(child, ast.Attribute) and child.attr not in owners:
                 used.add(child.attr)
-            walk(child, owner)
+            inner = owners | {child.name} if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else owners
+            walk(child, inner)
 
     for name, tree in modules.items():
-        if name == "__init__.py":
-            continue
-        for node in tree.body:
-            walk(node, getattr(node, "name", None))
+        if name != "__init__.py":
+            walk(tree, frozenset())
     return used
 
 
 def _unused():
     modules = _modules()
     used = _uses(modules)
-    return {node.name for tree in modules.values() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name not in used and not _is_check(node)}
+    return {node.name for tree in modules.values()
+            for node in _definitions(tree)
+            if node.name not in used and not _is_check(node)}
 
 
 def test_every_definition_is_used_by_ehv():
@@ -97,5 +114,7 @@ def _factor_builders(modules) -> set:
 
 
 def test_every_factor_comes_from_the_two_emitters():
+    # the two integrand emitters and the one closed-form emitter
     assert _factor_builders(_modules()) == {("integrands.py", "_cn"),
-                                            ("integrands.py", "_an")}
+                                            ("integrands.py", "_an"),
+                                            ("integrands.py", "_closed")}
