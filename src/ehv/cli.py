@@ -248,6 +248,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+_PRECISION_HELP = ("extended runs scalar functions, series and closed forms "
+                   "at 36 digits; quadrature node tables and node sums stay "
+                   "float64 (default std: float64 throughout)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ehv",
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("name")
         sp.add_argument("--params", help=params_help)
         sp.add_argument("--precision", choices=("std", "extended"),
-                        default="std")
+                        default="std", help=_PRECISION_HELP)
         sp.set_defaults(func=func)
         return sp
 

@@ -37,7 +37,8 @@ whose arithmetic depends on ``mp.dps``, bypass it.  Exceptions are never
 memoized.
 ``registry.run_check`` calls ``clear_memo()`` first, so the memo's scope
 is one check call.  The 16 powers p^(+-k), k <= 8, of theta's exact-zero
-test are built once per base.
+test are built once per base.  ``clear_memo`` also empties every
+``TableMemo``, the bounded memos other modules keep node tables in.
 """
 
 from __future__ import annotations
@@ -221,10 +222,30 @@ def _memoizable(x) -> bool:
     return t is float or (t is complex and x.real != 0 and x.imag != 0)
 
 
+class TableMemo(dict):
+    """A memo of at most maxsize entries (the oldest goes first) that
+    clear_memo empties."""
+
+    def __init__(self, maxsize: int):
+        super().__init__()
+        self.maxsize = maxsize
+        _TABLE_MEMOS.append(self)
+
+    def __setitem__(self, key, value):
+        if key not in self and len(self) >= self.maxsize:
+            del self[next(iter(self))]
+        super().__setitem__(key, value)
+
+
+_TABLE_MEMOS: list = []
+
+
 def clear_memo() -> None:
-    """Empty theta's memo and the per-base zero lattices."""
+    """Empty theta's memo, the per-base zero lattices and every TableMemo."""
     _theta_memo.cache_clear()
     _zero_lattice.cache_clear()
+    for table in _TABLE_MEMOS:
+        table.clear()
 
 
 def theta(z, p):

@@ -98,6 +98,21 @@ def _zero_gap(x, o):
     return abs(1.0 - x * cpow(o, -k))
 
 
+def pole_guard(z, q, p, inverse: bool = False):
+    """The shift plan (b, o, n) of z, after raising PoleHit if z lies within
+    POLE_EPS relative distance of a pole of Gamma(.; q, p) (of 1/Gamma with
+    inverse): of a theta zero of a shift factor that divides.  Both bases
+    are nonzero."""
+    b, o, n = shift_plan(abs(z), q, p)
+    if (n > 0) != inverse:
+        x = z * cpow(b, min(n, 0))
+        for _ in range(abs(n)):
+            if _zero_gap(x, o) < POLE_EPS:
+                raise PoleHit(f"z within {POLE_EPS} relative distance of a pole")
+            x = x * b
+    return b, o, n
+
+
 def _gamma_core(z, q, p, inverse: bool = False):
     """Gamma(z; q, p), or 1/Gamma with inverse=True: exactly 0 where a shift
     factor is, as at z = 1 (integrand denominators rely on this at z^2 = 1)."""
@@ -115,13 +130,11 @@ def _gamma_core(z, q, p, inverse: bool = False):
             raise PoleHit("z within guard distance of the degenerate pole lattice")
         return 1.0 / poch
 
-    b, o, n = shift_plan(abs(z), q, p)
+    b, o, n = pole_guard(z, q, p, inverse)
     divide = (n > 0) != inverse        # the shift factors divide the result
     shift = 1.0 + 0.0 * z
     x = z * cpow(b, min(n, 0))
     for _ in range(abs(n)):
-        if divide and _zero_gap(x, o) < POLE_EPS:
-            raise PoleHit(f"z within {POLE_EPS} relative distance of a pole")
         shift = shift * theta(x, o)
         x = x * b
     A, B = log_gamma_terms(z * cpow(b, n), q, p, default_policy())

@@ -34,8 +34,8 @@ from .errors import DegenerateConfiguration, DomainViolation, PoleHit
 from .gamma import elliptic_gamma_multi
 from .integrands import (an_trans_domain_check, closed_form_values,
                          make_an1_spec, make_an_trans_integrand,
-                         validate_domain)
-from .quadrature import integrate_factors, integrate_spec
+                         make_integrand, validate_domain)
+from .quadrature import integrate_factors
 from .series import tree_sum
 from .vec import theta_vec
 
@@ -352,7 +352,8 @@ def an_difference_residual(t, f, m: Moduli, side: DiffSide = DiffSide.CLOSED_FOR
     if side is DiffSide.CLOSED_FORM:
         base, *values = closed_form_values(specs)
     else:
-        base, *values = (integrate_spec(spec, cfg).value for spec in specs)
+        base, *values = (integrate_factors(make_integrand(spec), cfg).value
+                         for spec in specs)
     coeffs = an_shift_coefficients(t, specs[0].product_B, m.p)
     shifted = [c * v for c, v in zip(coeffs, values)]
     scale = max([abs(base)] + [abs(v) for v in shifted])

@@ -40,41 +40,62 @@ vectors alone.  A table is read on the grid as tab[(e . k) mod N] through a
 read-only strided view of the table tiled sum |e_i| + 1 times (_grid_view),
 with no index array:
 
-    mesh      n <= 2, and any list with no structure below: the full N^n
-              grid (mesh_eval), the outer product of one vector per axis
-              (the constant and the single-axis tables folded in) times the
-              views of the multi-axis tables.  At n <= 2 the pair matrix of
-              the contraction is the grid itself, and the contraction was no
-              faster there.
+    mesh      n <= 2 with no S_{n+1} symmetry, and any list with no
+              structure below: the N^n grid (mesh_eval), the outer product
+              of one vector per axis (the constant and the single-axis tables
+              folded in) times the views of the multi-axis tables.  At
+              n <= 2 the pair matrix of the contraction is the grid itself,
+              and the contraction was no faster there.
     pairwise  n >= 3 with at most two nonzero entries in every exponent
               vector (C_n): sum_k prod_i g_i(k_i) prod_{i<j} H_ij(k_i, k_j)
-              as one np.einsum over N x N pair matrices, its intermediates
-              capped at N^(n-1); N^n work in BLAS, no N^n array.
-    orbit     n >= 3 with the factor multiset proven invariant under
+              as one np.einsum over the pair matrices, its intermediates
+              capped at M^(n-1) (M below); M^n work in BLAS, no M^n array.
+    orbit     n >= 2 with the factor multiset proven invariant under
               S_{n+1} acting on (k_1, ..., k_n, -sum k) (A_n): the sum over
               the sorted (n+1)-tuples with sum = 0 mod N, each weighted by
               its orbit size (n+1)!/prod mult!, enumerated directly; about
               N^n/(n+1)! points.
 
+The fold: where negating any one coordinate of every exponent vector maps
+the multiset of (kind, c, exponent vector) to itself (sign_symmetric), the
+integrand is invariant under z_j -> 1/z_j for each j, so the nodes k and
+N - k of every axis carry one value.  At an even N the mesh and the
+pairwise sum then run over k_j in [0, N/2] only, M = N/2 + 1 entries per
+axis cut from the same views and pair matrices, with the weights
+1, 2, ..., 2, 1 multiplied into each axis vector: up to 2^n fewer points.
+At an odd N, or without the proof, M = N.  This folds E and the C_n
+families of types I and II at every rank, C_n type III at rank 1, and the
+A_n families at rank 1 (where S_2 is the sign flip).  C_n type III at rank
+>= 2 stays unfolded: its ordered prefactor z_j theta(z_i/z_j, 1/(z_i z_j); p)
+is symmetric in value but not as a multiset, and no exemption is made.
+
+The c = 1 reciprocal row 1/Gamma(w^k) of the Weyl denominators (C_n's
+1/Gamma(z_j^{+-2}), A_n's 1/Gamma(z_i/z_j)) depends on (N, q, p) alone: the
+first stack that needs it in a check call builds it, and later tables at
+the same (N, q, p) read it from a memo that core.clear_memo empties.
+
 Determinism: the mesh multiplies in a fixed order; the contraction's einsum
 path depends only on the shapes, so its bits repeat for a given numpy and
 BLAS at a given thread count; the orbit sum visits fixed blocks in a fixed
-order.  The paths agree with each other to rounding, not bit for bit.
+order.  The paths, folded or not, agree with each other to rounding, not
+bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from ._backend import EXTENDED, cpow, get_precision
-from .core import Moduli, qpochhammer, theta
+from .core import Moduli, TableMemo, qpochhammer, theta
 from .errors import DomainViolation, UnsupportedFamily
-from .gamma import elliptic_gamma, elliptic_gamma_reciprocal
+from .gamma import elliptic_gamma, elliptic_gamma_reciprocal, pole_guard
 from .vec import gamma_vec, theta_vec
 
 
@@ -345,30 +366,31 @@ class FactorIntegrand:
     # -- node-sum paths ------------------------------------------------------
 
     def _select_path(self) -> str:
-        if self.n <= 2:
-            return "mesh"
-        if all(sum(1 for e in f.evec if e) <= 2 for f in self.factors):
+        if self.n >= 3 and all(sum(1 for e in f.evec if e) <= 2
+                               for f in self.factors):
             return "pairwise"
-        if self._weyl_invariant():
+        if self.n >= 2 and self._weyl_invariant():
             return "orbit"
         return "mesh"
 
+    def _invariant(self, images) -> bool:
+        """Whether every map of exponent vectors in images sends the
+        multiset of (kind, c, exponent vector) to itself."""
+        def multiset(image):
+            return Counter((f.kind, f.c, image(f.evec)) for f in self.factors)
+
+        same = multiset(lambda evec: evec)
+        return all(multiset(image) == same for image in images)
+
     def _weyl_invariant(self) -> bool:
-        """Whether the multiset of (kind, c, exponent vector) is mapped to
-        itself by every adjacent transposition of (k_1, ..., k_n, -sum k),
-        which generate S_{n+1}; then so is the integrand on the A_n torus.
+        """Whether the factor multiset is invariant under every adjacent
+        transposition of (k_1, ..., k_n, -sum k), which generate S_{n+1};
+        then so is the integrand on the A_n torus.
 
         An exponent vector e is lifted to (e, 0) on the n+1 coordinates,
         permuted, and brought back by subtracting its last entry: on the
         nodes, sum k = 0 mod N, so e . k only sees e modulo (1, ..., 1).
         """
-        def multiset(image):
-            out: dict = {}
-            for f in self.factors:
-                key = (f.kind, f.c, image(f.evec))
-                out[key] = out.get(key, 0) + 1
-            return out
-
         def swap(i):
             def image(evec):
                 lift = list(evec) + [0]
@@ -376,37 +398,67 @@ class FactorIntegrand:
                 return tuple(v - lift[-1] for v in lift[:-1])
             return image
 
-        same = multiset(lambda evec: evec)
-        return all(multiset(swap(i)) == same for i in range(self.n))
+        return self._invariant([swap(i) for i in range(self.n)])
+
+    @functools.cached_property
+    def sign_symmetric(self) -> bool:
+        """Whether the mesh or pairwise path may fold: n >= 1, and the factor
+        multiset is invariant under negating any one coordinate of every
+        exponent vector; then the integrand is invariant under
+        z_j -> 1/z_j for each j, and the nodes k and N - k of any axis
+        carry the same value."""
+        def flip(i):
+            return lambda evec: evec[:i] + (-evec[i],) + evec[i + 1:]
+
+        return (self.path != "orbit" and self.n >= 1
+                and self._invariant([flip(i) for i in range(self.n)]))
+
+    def folded(self, N: int) -> bool:
+        """Whether the mesh or pairwise sum at N nodes per axis runs over
+        k_j in [0, N/2] only, with weights 1, 2, ..., 2, 1: a proven sign
+        symmetry and an even N."""
+        return self.sign_symmetric and N % 2 == 0
 
     def points(self, N: int) -> int:
-        """What the path evaluates or holds at N nodes per axis: the N^n grid
-        (mesh); the pair matrices and their moduli plus the largest
-        intermediate the contraction may form, N^(n-1) (pairwise); the orbit
+        """What the path evaluates or holds at N nodes per axis, with
+        M = N/2 + 1 nodes per axis where folded and M = N elsewhere: the
+        M^n grid (mesh); the pair matrices and their moduli plus the largest
+        intermediate the contraction may form, M^(n-1) (pairwise); the orbit
         representatives (orbit)."""
+        if self.path == "orbit":
+            return orbit_count(self.n, N)
+        M = N // 2 + 1 if self.folded(N) else N
         if self.path == "pairwise":
             pairs = {tuple(i for i, e in enumerate(f.evec) if e)
                      for f in self.factors}
-            return 2 * sum(len(s) == 2 for s in pairs) * N * N + N ** (self.n - 1)
-        if self.path == "orbit":
-            return orbit_count(self.n, N)
-        return N ** self.n
+            return 2 * sum(len(s) == 2 for s in pairs) * M * M + M ** (self.n - 1)
+        return M ** self.n
 
     def node_sums(self, N: int):
         """(node averages, |f| sums, cell shape ()) of the pairwise or orbit
-        path, the contract of quadrature._reduce_array for one cell."""
+        path, or of the folded mesh, the contract of quadrature._reduce_array
+        for one cell."""
         if self.path == "pairwise":
             total, abs_total = self._pairwise_sums(N)
         elif self.path == "orbit":
             total, abs_total = self._orbit_sums(N)
+        elif self.folded(N):
+            vals = self._mesh(N, _fold_weights(N))
+            total, abs_total = np.sum(vals), np.sum(np.abs(vals))
         else:
-            raise ValueError("the mesh path has no node_sums; use mesh_eval")
+            raise ValueError("an unfolded mesh has no node_sums; use mesh_eval")
         return [complex(total) / N ** self.n], [float(abs_total)], ()
 
     def _pairwise_sums(self, N: int):
         """sum_k prod_i g_i(k_i) prod_{i<j} H_ij(k_i, k_j) as one einsum over
         the pair matrices (each variable's vector folded into the first
-        matrix on it), its intermediates capped at N^(n-1)."""
+        matrix on it), its intermediates capped at M^(n-1).  Folded, every
+        vector and matrix is cut to its first M = N/2 + 1 entries per axis
+        and each variable's vector carries the fold weights."""
+        M, weights = N, None
+        if self.folded(N):
+            weights = _fold_weights(N)
+            M = weights.size
         vecs: dict = {}
         mats: dict = {}
         const = 1.0 + 0.0j
@@ -417,7 +469,11 @@ class FactorIntegrand:
                 continue
             store = vecs if len(sup) == 1 else mats
             val = _grid_view(tab, tuple(evec[i] for i in sup))
+            val = val[(slice(M),) * len(sup)]
             store[sup] = store[sup] * val if sup in store else val
+        if weights is not None:
+            for i in range(self.n):
+                vecs[(i,)] = vecs[(i,)] * weights if (i,) in vecs else weights
         for (i,), vec in vecs.items():
             pair = next((s for s in mats if i in s), None)
             if pair is not None:
@@ -425,9 +481,9 @@ class FactorIntegrand:
                                            else vec[None, :])
         held = set().union(*mats)
         ops = [(np.asarray(const), [])] + [(m, list(s)) for s, m in mats.items()]
-        ops += [(vecs.get((i,), np.ones(N)), [i])
+        ops += [(vecs.get((i,), np.ones(M)), [i])
                 for i in range(self.n) if i not in held]
-        cap = ("greedy", N ** (self.n - 1))
+        cap = ("greedy", M ** (self.n - 1))
 
         def contract(arrays):
             args = [x for a, (_, sub) in zip(arrays, ops) for x in (a, sub)]
@@ -488,20 +544,28 @@ class FactorIntegrand:
         return per_evec
 
     def mesh_eval(self, N: int) -> np.ndarray:
-        """The integrand on the full N^n grid: the constant and the
-        single-axis tables folded into one vector per axis, their outer
-        product, times the grid view of each multi-axis table."""
+        """The integrand on the full N^n grid."""
+        return self._mesh(N, np.ones(N))
+
+    def _mesh(self, N: int, weights: np.ndarray) -> np.ndarray:
+        """The integrand times prod_i weights[k_i] on the nodes k in
+        [0, M)^n of the N^n grid, M = weights.size: the weights, the
+        constant and the single-axis tables folded into one vector per axis,
+        their outer product, times the grid view of each multi-axis table,
+        each cut to M entries per axis."""
+        M = weights.size
         const = 1.0 + 0.0j
-        axes = [np.ones(N, dtype=complex) for _ in range(self.n)]
+        axes = [weights.astype(complex) for _ in range(self.n)]
         multi = []
         for evec, tab in self._tables(N).items():
             sup = [i for i, e in enumerate(evec) if e]
             if not sup:
                 const = const * tab[0]
             elif len(sup) == 1:
-                axes[sup[0]] = axes[sup[0]] * _grid_view(tab, (evec[sup[0]],))
+                axes[sup[0]] = axes[sup[0]] * _grid_view(
+                    tab, (evec[sup[0]],))[:M]
             else:
-                multi.append(_grid_view(tab, evec))
+                multi.append(_grid_view(tab, evec)[(slice(M),) * self.n])
         out = const * axes[0]
         for vec in axes[1:]:
             out = np.multiply.outer(out, vec)
@@ -510,16 +574,47 @@ class FactorIntegrand:
         return out
 
 
+def _fold_weights(N: int) -> np.ndarray:
+    """1, 2, ..., 2, 1 on k in [0, N/2] (N even): the nodes k and N - k of a
+    sign-symmetric sum taken once."""
+    weights = np.full(N // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    return weights
+
+
+def _gamma_keys(factors) -> list:
+    """The distinct (constant, inverse) pairs of the Gamma and 1/Gamma
+    factors, in order."""
+    return list(dict.fromkeys((f.c, f.kind is Kind.IGAMMA) for f in factors
+                              if f.kind in (Kind.GAMMA, Kind.IGAMMA)))
+
+
+# (N, q, p) -> the c = 1 reciprocal row 1/Gamma(w^k; q, p), k < N, of the
+# Weyl denominators 1/Gamma(z_j^{+-2}) and 1/Gamma(z_i/z_j), as first built;
+# a check uses a few grid sizes on one or two moduli
+_UNIT_ROWS = TableMemo(16)
+
+
 def _atoms(factors, N: int, m: Moduli):
     """factor -> the table of its atom g(c w^k), k < N, on the N roots of
     unity: one gamma_vec call for all distinct (constant, inverse) pairs of
-    factors, one theta table per distinct constant."""
+    factors but the c = 1 reciprocal row once _UNIT_ROWS holds it, one
+    theta table per distinct constant.  The row depends on (N, q, p) alone:
+    it is built in the first stack that needs it in a check call
+    (registry.run_check empties the memo) and read-only from then on."""
     z1d = np.exp(2j * np.pi * np.arange(N) / N)
-    keys = list(dict.fromkeys((f.c, f.kind is Kind.IGAMMA) for f in factors
-                              if f.kind in (Kind.GAMMA, Kind.IGAMMA)))
-    gamma = dict(zip(keys, gamma_vec([c for c, _ in keys], N, m.q, m.p,
-                                     inverse=[i for _, i in keys])
-                     if keys else ()))
+    unit, held = (_ONE, True), (N, m.q, m.p)
+    keys = _gamma_keys(factors)
+    stack = [key for key in keys if key != unit or held not in _UNIT_ROWS]
+    gamma = dict(zip(stack, gamma_vec([c for c, _ in stack], N, m.q, m.p,
+                                      inverse=[i for _, i in stack])
+                     if stack else ()))
+    if unit in gamma:
+        gamma[unit] = gamma[unit].copy()
+        gamma[unit].setflags(write=False)
+        _UNIT_ROWS[held] = gamma[unit]
+    elif unit in keys:
+        gamma[unit] = _UNIT_ROWS[held]
     theta_cache: dict = {}
 
     def table(f: Factor) -> np.ndarray:
@@ -785,13 +880,19 @@ def closed_form_values(specs) -> list:
     """The closed forms of specs, which share one moduli.  In float64 each
     is the product of its _tables(1) entries, and all of them read one atom
     table call: one gamma_vec call over the distinct (c, inverse) keys of
-    all the lists, whose finiteness check is the pole guard.  In extended
-    mode each list takes the scalar path."""
+    all the lists.  Each key first passes the scalar path's pole guard
+    (gamma.pole_guard: PoleHit within POLE_EPS relative distance of a
+    pole), and gamma_vec's finiteness check catches a zero base.  In
+    extended mode each list takes the scalar path."""
     forms = [closed_form(spec) for spec in specs]
     if get_precision() == EXTENDED:
         return [form(()) for form in forms]
-    atoms = _atoms([f for form in forms for f in form.factors], 1,
-                   forms[0].moduli)
+    factors = [f for form in forms for f in form.factors]
+    m = forms[0].moduli
+    if m.q != 0 and m.p != 0:
+        for c, inverse in _gamma_keys(factors):
+            pole_guard(c, m.q, m.p, inverse)
+    atoms = _atoms(factors, 1, m)
     return [complex(form._tables(1, atoms)[()][0]) for form in forms]
 
 

@@ -20,11 +20,16 @@ sums feed it:
   cell axes give one integral per cell over the same nodes (a Gram matrix on
   one weight, say), doubled until every cell has converged;
 - a FactorIntegrand (integrate_factors), on the path its exponent vectors
-  select: the mesh at n <= 2 and wherever no structure is proven, else the
-  pairwise contraction (C_n) or the Weyl-orbit sum (A_n) of
-  FactorIntegrand.node_sums (see the integrands module).
+  select (see the integrands module): the pairwise contraction (C_n,
+  n >= 3) or the Weyl-orbit sum (A_n, n >= 2) of FactorIntegrand.node_sums,
+  else the mesh.  A list whose factors prove z_j -> 1/z_j symmetry sums
+  over k_j in [0, N/2] with weights 1, 2, ..., 2, 1 at an even N: the
+  contraction folded, or the folded mesh through node_sums, which bypasses
+  integrate_mesh_fn.  An odd N, or a list without the proof, takes the
+  unfolded sum, a mesh through integrate_mesh_fn's reduction.
 
-Whatever the path, a result's nodes_used is N^n.
+Whatever the path, a result's nodes_used is N^n, and points(N) counts the
+folded arrays where the sum folds.
 
 Determinism, per path: a mesh sums each cell's node values in chunks of
 _CHUNK along the outermost grid axis and combines the chunk partials in a
@@ -32,8 +37,9 @@ fixed binary tree keyed by chunk index (series.tree_sum), so a cell gets the
 bits a mesh of its own would.  The contraction is one np.einsum whose path
 depends only on the shapes, so its bits repeat for a given numpy and BLAS
 at a given thread count.  The orbit sum adds fixed blocks of representatives
-in a fixed order.  The three paths agree to rounding (within 1e-14
-relative on the tested integrands), not bit for bit.
+in a fixed order, and the folded mesh is one np.sum of its weighted grid.
+The paths, folded or not, agree to rounding (within 1e-14 relative on the
+tested integrands), not bit for bit.
 """
 
 from __future__ import annotations
@@ -166,11 +172,19 @@ def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):
 
 def integrate_factors(ig: FactorIntegrand,
                       cfg: QuadratureConfig | None = None) -> QuadratureResult:
-    """Integrate a factor integrand on the node-sum path it selects: the
-    mesh through integrate_mesh_fn, else its node_sums."""
-    if ig.path == "mesh":
+    """Integrate a factor integrand on the node-sum path it selects: a mesh
+    with no proven sign symmetry through integrate_mesh_fn, else its
+    node_sums; a sign-symmetric mesh at an odd N has no fold and is reduced
+    as a mesh."""
+    if ig.path == "mesh" and not ig.sign_symmetric:
         return integrate_mesh_fn(ig.mesh_eval, ig.n, cfg)
-    return integrate_sums(ig.node_sums, ig.points, ig.n, cfg)
+
+    def sums(N):
+        if ig.path == "mesh" and not ig.folded(N):
+            return _reduce_array(ig.mesh_eval(N), ig.n)
+        return ig.node_sums(N)
+
+    return integrate_sums(sums, ig.points, ig.n, cfg)
 
 
 def torus_integral(f, n: int, cfg: QuadratureConfig | None = None) -> QuadratureResult:

@@ -65,7 +65,7 @@ from .biorthogonal import (
     twelveV_integral_rep_sides,
 )
 from .params import spec_from_params, spec_to_params
-from .quadrature import QuadratureConfig, integrate_spec
+from .quadrature import QuadratureConfig, integrate_factors, integrate_spec
 from .report import VerificationReport
 from .series import (
     VSpec,
@@ -192,7 +192,7 @@ def _family_report(name, spec, tol, nodes) -> VerificationReport:
         return VerificationReport.failure(
             name, f"DomainViolation {vd.failures()}", tol,
             params=spec_to_params(spec))
-    res = integrate_spec(spec, _rank_cfg(spec.n, nodes))
+    res = integrate_factors(make_integrand(spec), _rank_cfg(spec.n, nodes))
     return VerificationReport.from_sides(
         name, res.value, rhs_closed_form(spec), tol, nodes=res.nodes_used,
         params=spec_to_params(spec))

@@ -245,6 +245,12 @@ class TestPrecisionFlag:
         assert va["re"] == pytest.approx(vb["re"], rel=1e-13)
         assert va["im"] == pytest.approx(vb["im"], rel=1e-13)
 
+    def test_help_names_the_scope(self):
+        out = run("verify", "--help")
+        text = " ".join(out.stdout.split())
+        assert "scalar functions, series and closed forms at 36 digits" in text
+        assert "quadrature node tables and node sums stay float64" in text
+
 
 # The flags each subcommand reads; it takes no other.
 FLAGS = {

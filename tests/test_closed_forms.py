@@ -265,6 +265,19 @@ def test_gamma_argument_on_a_pole_raises(moduli):
         rhs_closed_form(spec)
 
 
+@pytest.mark.parametrize("gap", [1e-15, 1e-14])
+def test_gamma_argument_near_a_pole_raises(gap):
+    # t0 t1 = 1 + gap lies within POLE_EPS of the pole z = 1 of Gamma(t0 t1):
+    # the float64 closed form raises, as the scalar path does, instead of
+    # returning a huge finite value (1.31e19 at 1e-15)
+    spec = IntegrandSpec(Family.CN_I, 1, ParamSet(
+        t=(2.0 * (1 + gap), 0.5, 0.6, 0.7, 0.8)), Moduli(0.31, 0.23))
+    with pytest.raises(PoleHit):
+        rhs_closed_form(spec)
+    with pytest.raises(PoleHit):
+        integrands.closed_form(spec)(())
+
+
 # -- one Gamma path -------------------------------------------------------------
 
 

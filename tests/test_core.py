@@ -12,6 +12,7 @@ from ehv.core import (
     DEFAULT_POLICY,
     THETA_MEMO_SIZE,
     Moduli,
+    TableMemo,
     _theta_memo,
     _theta_product,
     clear_memo,
@@ -168,6 +169,15 @@ class TestThetaMemo:
         assert info.currsize == THETA_MEMO_SIZE
         clear_memo()
         assert _theta_memo.cache_info().currsize == 0
+
+    def test_table_memo_is_bounded_and_cleared(self):
+        tables = TableMemo(2)
+        for key in range(3):
+            tables[key] = np.full(4, key)
+        tables[1] = np.zeros(4)          # a held key takes no new slot
+        assert list(tables) == [1, 2]
+        clear_memo()
+        assert not tables
 
 
 class TestThetaVecBases:

@@ -246,8 +246,10 @@ class TestStackedGammaTable:
 
     def test_tables_make_one_call_per_grid(self, monkeypatch):
         """FactorIntegrand._tables(N) builds all its Gamma and 1/Gamma rows
-        in one gamma_vec call."""
+        in one gamma_vec call; the c = 1 reciprocal row only while the memo
+        does not hold it for (N, q, p)."""
         from ehv import integrands
+        from ehv.core import clear_memo
         from ehv.registry import Sampler, _draw_spec
 
         calls = []
@@ -263,9 +265,12 @@ class TestStackedGammaTable:
             ig = integrands.make_integrand(_draw_spec(Sampler(3), family, n))
             keys = {(f.c, f.kind) for f in ig.factors
                     if f.kind in (integrands.Kind.GAMMA, integrands.Kind.IGAMMA)}
+            clear_memo()
             calls.clear()
             ig._tables(48)
             assert calls == [len(keys)]
+            ig._tables(48)
+            assert calls == [len(keys), len(keys) - 1]
 
 
 class TestGammaMulti:

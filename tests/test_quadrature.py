@@ -13,6 +13,7 @@ from ehv.integrands import (
     Kind,
     ParamSet,
     make_integrand,
+    orbit_count,
     rhs_closed_form,
 )
 from ehv.quadrature import (
@@ -178,22 +179,31 @@ class TestCellAxis:
             assert both.value[i] == one.value
 
 
-def _rank3_spec(rng, arg, family):
-    """A rank-3 spec of ``family`` built by hand: the rank-3 samplers reject
-    most draws (CN_III's every draw), and the node sums need no admissible
-    parameters."""
+def _hand_spec(rng, arg, family, n=3):
+    """A spec of ``family`` at rank n built by hand: the rank >= 3 samplers
+    reject most draws (CN_III's every draw), and the node sums need no
+    admissible parameters."""
     draw = lambda k: tuple(arg(rng, 0.6, 0.85) for _ in range(k))
-    n = 3
-    sizes = {Family.CN_I: (2 * n + 3, 0, 0), Family.CN_II: (5, 0, 0),
+    sizes = {Family.E: (5, 0, 0), Family.CN_I: (2 * n + 3, 0, 0),
+             Family.CN_II: (5, 0, 0),
              Family.CN_III: (3, 0, n), Family.AN_I: (n + 1, n + 2, 0),
              Family.AN_II: (5, 0, 0), Family.AN_III: (n + 4, 0, 0)}
     t, f, x = sizes[family]
     t, f, x = draw(t), draw(f), draw(x)
     extras = {"t": arg(rng, 0.3, 0.5), "s": arg(rng, 0.6, 0.85)}
-    reads = {Family.CN_I: "", Family.AN_I: "", Family.AN_II: "ts"}
+    reads = {Family.E: "", Family.CN_I: "", Family.AN_I: "", Family.AN_II: "ts"}
     return IntegrandSpec(family, n, ParamSet(
         t=t, f=f, x=x, extras={k: extras[k] for k in reads.get(family, "t")}),
         Moduli(0.31, 0.23))
+
+
+def _sums_equal_the_mesh(ig, N):
+    """node_sums(N) against the chunk-tree sums of the full grid."""
+    (value,), (abs_sum,), cells = ig.node_sums(N)
+    (mesh_value,), (mesh_abs,), _ = _reduce_array(ig.mesh_eval(N), ig.n)
+    assert cells == ()
+    assert abs(value - mesh_value) <= 1e-14 * abs(mesh_value)
+    assert abs(abs_sum - mesh_abs) <= 1e-14 * mesh_abs
 
 
 _RANK3_PATHS = {Family.CN_I: "pairwise", Family.CN_II: "pairwise",
@@ -207,15 +217,10 @@ class TestNodeSumPaths:
 
     @pytest.mark.parametrize("family", list(_RANK3_PATHS))
     def test_rank3_sums_equal_the_mesh(self, rng, arg, family):
-        ig = make_integrand(_rank3_spec(rng, arg, family))
+        ig = make_integrand(_hand_spec(rng, arg, family))
         assert ig.path == _RANK3_PATHS[family]
         for N in (16, 24):
-            (value,), (abs_sum,), cells = ig.node_sums(N)
-            (mesh_value,), (mesh_abs,), mesh_cells = _reduce_array(
-                ig.mesh_eval(N), 3)
-            assert cells == mesh_cells == ()
-            assert abs(value - mesh_value) <= 1e-14 * abs(mesh_value)
-            assert abs(abs_sum - mesh_abs) <= 1e-14 * mesh_abs
+            _sums_equal_the_mesh(ig, N)
 
     def test_pairwise_with_loose_and_absent_variables(self):
         # z_1 only in a one-variable factor, z_4 in none, one constant
@@ -234,16 +239,16 @@ class TestNodeSumPaths:
 
     @pytest.mark.parametrize("family", [Family.CN_I, Family.AN_III])
     def test_repeated_calls_give_identical_bits(self, rng, arg, family):
-        ig = make_integrand(_rank3_spec(rng, arg, family))
+        ig = make_integrand(_hand_spec(rng, arg, family))
         assert ig.node_sums(24) == ig.node_sums(24)
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_orbit_weights_add_up_to_the_grid(self, n):
         import itertools
 
-        from ehv.integrands import _orbit_blocks, orbit_count
+        from ehv.integrands import _orbit_blocks
 
-        for N in (1, 2, 5, 12, 16):
+        for N in (1, 2, 5, *range(8, 14), 16):
             blocks = list(_orbit_blocks(n, N))
             reps = np.concatenate([np.array(r) for r, _ in blocks], axis=1)
             weights = np.concatenate([w for _, w in blocks])
@@ -256,7 +261,7 @@ class TestNodeSumPaths:
             assert len(weights) == len(sorted_tuples) == orbit_count(n, N)
 
     def test_asymmetric_an_list_falls_back_to_the_mesh(self, rng, arg):
-        ig = make_integrand(_rank3_spec(rng, arg, Family.AN_I))
+        ig = make_integrand(_hand_spec(rng, arg, Family.AN_I))
         cross = next(f for f in ig.factors
                      if f.kind is Kind.IGAMMA and f.c == 1)
         broken = FactorIntegrand(3, ig.moduli,
@@ -270,24 +275,117 @@ class TestNodeSumPaths:
     @pytest.mark.parametrize("family,n", [(Family.E, 1)] + [
         (family, n) for family in _RANK3_PATHS for n in (1, 2)])
     def test_ranks_one_and_two_keep_the_mesh(self, rng, arg, family, n):
+        """Whichever path sums them (the folded mesh, the rank-2 orbit sum,
+        or the mesh), sampled rank-1 and rank-2 integrals keep the mesh's
+        node count and convergence, and its value to rounding."""
         from ehv.registry import Sampler, _draw_spec
 
         spec = _draw_spec(Sampler(rng.randint(0, 10 ** 6)), family, n)
         cfg = QuadratureConfig(nodes_per_dim=16, max_doublings=1,
                                rel_tol=1e-12)
         ig = make_integrand(spec)
-        assert ig.path == "mesh"
-        assert integrate_spec(spec, cfg) == integrate_mesh_fn(ig.mesh_eval,
-                                                              n, cfg)
+        orbit = n == 2 and _RANK3_PATHS[family] == "orbit"
+        assert ig.path == ("orbit" if orbit else "mesh")
+        assert ig.folded(16) == (not orbit and (family, n) != (Family.CN_III, 2))
+        res = integrate_spec(spec, cfg)
+        mesh = integrate_mesh_fn(ig.mesh_eval, n, cfg)
+        assert (res.nodes_used, res.converged) == (mesh.nodes_used,
+                                                   mesh.converged)
+        assert abs(res.value - mesh.value) <= 1e-14 * abs(mesh.value)
+
+    @pytest.mark.parametrize("family", [Family.AN_I, Family.AN_II,
+                                        Family.AN_III])
+    def test_rank2_orbit_sums_equal_the_mesh(self, rng, arg, family):
+        ig = make_integrand(_hand_spec(rng, arg, family, 2))
+        assert ig.path == "orbit"
+        for N in (16, 24, 27):
+            _sums_equal_the_mesh(ig, N)
+            assert ig.points(N) == orbit_count(2, N)
+
+
+# (family, rank) of the lists whose sign symmetry is proven, so that their
+# sums at an even N run over k_j in [0, N/2]
+_FOLDED = ([(Family.E, 1), (Family.CN_III, 1)]
+           + [(family, n) for family in (Family.CN_I, Family.CN_II)
+              for n in (1, 2, 3, 4)]
+           + [(family, 1) for family in (Family.AN_I, Family.AN_II,
+                                         Family.AN_III)])
+
+
+class TestFold:
+    """Sums over k_j in [0, N/2] with weights 1, 2, ..., 2, 1, taken only
+    where the factor multiset proves z_j -> 1/z_j symmetry and N is even."""
+
+    @pytest.mark.parametrize("family,n", _FOLDED)
+    def test_folded_sums_equal_the_unfolded(self, rng, arg, family, n):
+        ig = make_integrand(_hand_spec(rng, arg, family, n))
+        assert ig.sign_symmetric
+        for N in ((16, 24) if n < 4 else (12, 16)):
+            assert ig.folded(N)
+            _sums_equal_the_mesh(ig, N)
+        if ig.path == "mesh":
+            assert ig.points(24) == 13 ** n
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_sign_broken_factor_stays_unfolded(self, rng, arg, n):
+        ig = make_integrand(_hand_spec(rng, arg, Family.CN_I, n))
+        first = next(f for f in ig.factors
+                     if f.kind is Kind.GAMMA and f.evec[0] == -1)
+        broken = FactorIntegrand(n, ig.moduli, [
+            Factor(f.kind, 0.5 * f.c, f.evec) if f is first else f
+            for f in ig.factors])
+        assert not broken.sign_symmetric and not broken.folded(16)
+        if n == 3:
+            assert broken.points(16) == 2 * 3 * 16 ** 2 + 16 ** 2
+            _sums_equal_the_mesh(broken, 16)
+        else:
+            assert broken.points(16) == 16 ** n
+            cfg = QuadratureConfig(nodes_per_dim=16, max_doublings=1,
+                                   rel_tol=1e-12)
+            assert integrate_factors(broken, cfg) == \
+                integrate_mesh_fn(broken.mesh_eval, n, cfg)
+
+    @pytest.mark.parametrize("family,n", [(Family.E, 1), (Family.CN_I, 2),
+                                          (Family.CN_II, 3)])
+    def test_odd_n_stays_unfolded(self, rng, arg, family, n):
+        ig = make_integrand(_hand_spec(rng, arg, family, n))
+        assert ig.sign_symmetric and not ig.folded(9)
+        if ig.path == "pairwise":
+            assert ig.points(9) == 2 * 3 * 9 ** 2 + 9 ** 2
+            _sums_equal_the_mesh(ig, 9)
+        else:
+            cfg = QuadratureConfig(nodes_per_dim=9, max_doublings=0,
+                                   rel_tol=1e-12)
+            assert integrate_factors(ig, cfg) == \
+                integrate_mesh_fn(ig.mesh_eval, n, cfg)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cn3_stays_unfolded_from_rank_two(self, rng, arg, n):
+        # the ordered prefactor z_j theta(z_i/z_j, 1/(z_i z_j); p) is
+        # symmetric in value, but its factor multiset is not
+        ig = make_integrand(_hand_spec(rng, arg, Family.CN_III, n))
+        assert not ig.sign_symmetric and not ig.folded(16)
+        if n == 3:
+            assert ig.points(16) == 2 * 3 * 16 ** 2 + 16 ** 2
+            _sums_equal_the_mesh(ig, 16)
+        else:
+            assert ig.path == "mesh" and ig.points(16) == 16 ** 2
+            cfg = QuadratureConfig(nodes_per_dim=16, max_doublings=1,
+                                   rel_tol=1e-12)
+            assert integrate_factors(ig, cfg) == \
+                integrate_mesh_fn(ig.mesh_eval, 2, cfg)
 
 
 class TestBudget:
     def test_budget_counts_the_points_a_path_holds(self, rng, arg, monkeypatch):
-        # 32^3 = 32768 grid nodes, but the contraction holds 2*3*32^2 pair
-        # entries plus a 32^2 intermediate: 7168 points
-        ig = make_integrand(_rank3_spec(rng, arg, Family.CN_I))
-        assert ig.points(32) == 7168
-        monkeypatch.setenv("EHV_MAX_NODES", "8000")
+        # 32^3 = 32768 grid nodes, but the folded contraction holds 2*3*17^2
+        # pair entries plus a 17^2 intermediate: 2023 points; at 384^4 it
+        # holds 2*6*193^2 + 193^3, within the default budget
+        ig = make_integrand(_hand_spec(rng, arg, Family.CN_I))
+        assert ig.points(32) == 2023
+        assert make_integrand(_hand_spec(rng, arg, Family.CN_I, 4)).points(
+            384) == 2 * 6 * 193 ** 2 + 193 ** 3 < 10_000_000
+        monkeypatch.setenv("EHV_MAX_NODES", "2100")
         res = integrate_factors(ig, QuadratureConfig(
             nodes_per_dim=16, max_doublings=1, rel_tol=1e-30))
         assert res.nodes_used == 32 ** 3

@@ -75,13 +75,13 @@ def test_rank3_integrals_converge(name, seed, monkeypatch):
     # at the default config: 96^3, then at most two doublings to 384^3,
     # which the contraction and the orbit sum fit in the node budget
     results = []
-    integrate = registry.integrate_spec
+    integrate = registry.integrate_factors
 
-    def recording(spec, cfg=None):
-        results.append(integrate(spec, cfg))
+    def recording(ig, cfg=None):
+        results.append(integrate(ig, cfg))
         return results[-1]
 
-    monkeypatch.setattr(registry, "integrate_spec", recording)
+    monkeypatch.setattr(registry, "integrate_factors", recording)
     rows = run_check(name, CheckOptions(seed=seed, n=3))
     assert len(results) == 2
     assert all(res.converged and res.nodes_used <= 384 ** 3
@@ -95,3 +95,61 @@ def test_cn2_rank3_passes_at_seed_7063():
     rows = run_check("cn2", CheckOptions(seed=7063, n=3))
     assert [r.name for r in rows] == ["cn2[n=3,0]", "cn2[n=3,1]"]
     assert all(r.passed and r.nodes == 384 ** 3 for r in rows)
+
+
+@pytest.mark.parametrize("name,seed", [("cn1", 0), ("cn1", 1009), ("cn2", 0),
+                                       ("cn2", 1009)])
+def test_rank4_integrals_reach_384(name, seed, monkeypatch):
+    # the folded contraction holds 2*6*193^2 + 193^3 = 7.6M points at 384^4,
+    # within the default node budget (unfolded it would hold 58.4M)
+    monkeypatch.delenv("EHV_MAX_NODES", raising=False)
+    results = []
+    integrate = registry.integrate_factors
+
+    def recording(ig, cfg=None):
+        results.append(integrate(ig, cfg))
+        return results[-1]
+
+    monkeypatch.setattr(registry, "integrate_factors", recording)
+    rows = run_check(name, CheckOptions(seed=seed, n=4))
+    assert len(results) == 2
+    assert all(res.nodes_used == 384 ** 4 for res in results)
+    assert all(r.passed and r.nodes == 384 ** 4 for r in rows)
+
+
+def test_family_report_validates_a_draw_once(monkeypatch):
+    from ehv import integrands
+    from ehv.integrands import Family
+
+    spec = registry._draw_spec(registry.Sampler(0), Family.CN_I, 1)
+    calls = []
+    validate = integrands.validate_domain
+
+    def counting(s):
+        calls.append(s)
+        return validate(s)
+
+    monkeypatch.setattr(registry, "validate_domain", counting)
+    monkeypatch.setattr(integrands, "validate_domain", counting)
+    row = registry._family_report("cn1[n=1]", spec, 1e-9, None)
+    assert row.passed and calls == [spec]
+
+
+def test_unit_row_is_built_once_per_grid_and_check(monkeypatch):
+    # theorem1 integrates 20 draws at 256 and 512 nodes: the c = 1
+    # reciprocal row is built in the first stack at each N, then read
+    from ehv import integrands
+
+    built = []
+    kernel = integrands.gamma_vec
+
+    def recording(c, N, q, p, *, inverse=False):
+        if (1, True) in zip(c, inverse):
+            built.append(N)
+        return kernel(c, N, q, p, inverse=inverse)
+
+    monkeypatch.setattr(integrands, "gamma_vec", recording)
+    for _ in range(2):                   # run_check empties the memo first
+        built.clear()
+        assert all(r.passed for r in run_check("theorem1", CheckOptions()))
+        assert built == [256, 512]
