@@ -38,7 +38,11 @@ memoized.
 ``registry.run_check`` calls ``clear_memo()`` first, so the memo's scope
 is one check call.  The 16 powers p^(+-k), k <= 8, of theta's exact-zero
 test are built once per base.  ``clear_memo`` also empties every
-``TableMemo``, the bounded memos other modules keep node tables in.
+``TableMemo``, the bounded memos other modules keep node tables in.  Unlike
+theta's values, a ``TableMemo`` entry keeps the bits of the call that built
+it (the integrands module's c = 1 row), so outside a check call the
+results that read it depend on earlier calls in the process until
+``clear_memo()`` runs; inside one, only on the calls of that check.
 """
 
 from __future__ import annotations

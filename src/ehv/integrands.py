@@ -71,14 +71,21 @@ is symmetric in value but not as a multiset, and no exemption is made.
 
 The c = 1 reciprocal row 1/Gamma(w^k) of the Weyl denominators (C_n's
 1/Gamma(z_j^{+-2}), A_n's 1/Gamma(z_i/z_j)) depends on (N, q, p) alone: the
-first stack that needs it in a check call builds it, and later tables at
-the same (N, q, p) read it from a memo that core.clear_memo empties.
+first stack that needs it builds it, and later tables at the same (N, q, p)
+read it, as first built, from a memo that core.clear_memo empties.
 
 Determinism: the mesh multiplies in a fixed order; the contraction's einsum
 path depends only on the shapes, so its bits repeat for a given numpy and
 BLAS at a given thread count; the orbit sum visits fixed blocks in a fixed
 order.  The paths, folded or not, agree with each other to rounding, not
-bit for bit.
+bit for bit.  The tables' bits repeat from one call to the next only with
+the memo in the same state: gamma_vec takes its base, scale and term count
+from the whole stack, so the c = 1 row, and the rows stacked with it or
+without it, carry in their last bits which list first built it at that
+(N, q, p).  registry.run_check empties the memo first, so a check's rows do
+not depend on what ran before it; elsewhere (integrate_spec, node_sums,
+closed_form_values called directly) call core.clear_memo() first where the
+bits must not depend on earlier calls in the process.
 """
 
 from __future__ import annotations
@@ -443,7 +450,7 @@ class FactorIntegrand:
         elif self.path == "orbit":
             total, abs_total = self._orbit_sums(N)
         elif self.folded(N):
-            vals = self._mesh(N, _fold_weights(N))
+            vals = self.mesh_eval(N, _fold_weights(N))
             total, abs_total = np.sum(vals), np.sum(np.abs(vals))
         else:
             raise ValueError("an unfolded mesh has no node_sums; use mesh_eval")
@@ -543,16 +550,15 @@ class FactorIntegrand:
                 per_evec[f.evec] = tab.copy()
         return per_evec
 
-    def mesh_eval(self, N: int) -> np.ndarray:
-        """The integrand on the full N^n grid."""
-        return self._mesh(N, np.ones(N))
-
-    def _mesh(self, N: int, weights: np.ndarray) -> np.ndarray:
-        """The integrand times prod_i weights[k_i] on the nodes k in
-        [0, M)^n of the N^n grid, M = weights.size: the weights, the
-        constant and the single-axis tables folded into one vector per axis,
-        their outer product, times the grid view of each multi-axis table,
-        each cut to M entries per axis."""
+    def mesh_eval(self, N: int, weights: np.ndarray | None = None) -> np.ndarray:
+        """The integrand on the full N^n grid or, with the fold weights that
+        node_sums passes, times prod_i weights[k_i] on the nodes k in
+        [0, M)^n of that grid, M = weights.size: the weights, the constant
+        and the single-axis tables folded into one vector per axis, their
+        outer product, times the grid view of each multi-axis table, each
+        cut to M entries per axis."""
+        if weights is None:
+            weights = np.ones(N)
         M = weights.size
         const = 1.0 + 0.0j
         axes = [weights.astype(complex) for _ in range(self.n)]
@@ -600,8 +606,9 @@ def _atoms(factors, N: int, m: Moduli):
     unity: one gamma_vec call for all distinct (constant, inverse) pairs of
     factors but the c = 1 reciprocal row once _UNIT_ROWS holds it, one
     theta table per distinct constant.  The row depends on (N, q, p) alone:
-    it is built in the first stack that needs it in a check call
-    (registry.run_check empties the memo) and read-only from then on."""
+    it is built in the first stack that needs it since the memo was last
+    emptied (registry.run_check empties it) and read-only from then on, so
+    the bits depend on that first stack (module docstring)."""
     z1d = np.exp(2j * np.pi * np.arange(N) / N)
     unit, held = (_ONE, True), (N, m.q, m.p)
     keys = _gamma_keys(factors)

@@ -24,9 +24,10 @@ sums feed it:
   n >= 3) or the Weyl-orbit sum (A_n, n >= 2) of FactorIntegrand.node_sums,
   else the mesh.  A list whose factors prove z_j -> 1/z_j symmetry sums
   over k_j in [0, N/2] with weights 1, 2, ..., 2, 1 at an even N: the
-  contraction folded, or the folded mesh through node_sums, which bypasses
-  integrate_mesh_fn.  An odd N, or a list without the proof, takes the
-  unfolded sum, a mesh through integrate_mesh_fn's reduction.
+  contraction or the mesh folded, through node_sums.  An odd N, or a list
+  without the proof, takes the unfolded sum; an unfolded mesh is reduced by
+  _reduce_array, as in integrate_mesh_fn, which a FactorIntegrand no longer
+  goes through.
 
 Whatever the path, a result's nodes_used is N^n, and points(N) counts the
 folded arrays where the sum folds.
@@ -39,7 +40,10 @@ depends only on the shapes, so its bits repeat for a given numpy and BLAS
 at a given thread count.  The orbit sum adds fixed blocks of representatives
 in a fixed order, and the folded mesh is one np.sum of its weighted grid.
 The paths, folded or not, agree to rounding (within 1e-14 relative on the
-tested integrands), not bit for bit.
+tested integrands), not bit for bit.  The node tables of a FactorIntegrand
+carry one exception: outside registry.run_check, the bits of a grid depend
+on which list first built the c = 1 reciprocal row at its (N, q, p) (see
+the integrands module); call core.clear_memo() first where they must repeat.
 """
 
 from __future__ import annotations
@@ -172,12 +176,9 @@ def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):
 
 def integrate_factors(ig: FactorIntegrand,
                       cfg: QuadratureConfig | None = None) -> QuadratureResult:
-    """Integrate a factor integrand on the node-sum path it selects: a mesh
-    with no proven sign symmetry through integrate_mesh_fn, else its
-    node_sums; a sign-symmetric mesh at an odd N has no fold and is reduced
-    as a mesh."""
-    if ig.path == "mesh" and not ig.sign_symmetric:
-        return integrate_mesh_fn(ig.mesh_eval, ig.n, cfg)
+    """Integrate a factor integrand on the node-sum path it selects: its
+    node_sums, or an unfolded mesh (no proven sign symmetry, or an odd N)
+    reduced by _reduce_array as integrate_mesh_fn would."""
 
     def sums(N):
         if ig.path == "mesh" and not ig.folded(N):

@@ -275,9 +275,10 @@ class TestNodeSumPaths:
     @pytest.mark.parametrize("family,n", [(Family.E, 1)] + [
         (family, n) for family in _RANK3_PATHS for n in (1, 2)])
     def test_ranks_one_and_two_keep_the_mesh(self, rng, arg, family, n):
-        """Whichever path sums them (the folded mesh, the rank-2 orbit sum,
-        or the mesh), sampled rank-1 and rank-2 integrals keep the mesh's
-        node count and convergence, and its value to rounding."""
+        """Sampled rank-1 and rank-2 integrals keep the results of the full
+        mesh through integrate_mesh_fn, whichever path sums them (the folded
+        mesh, the rank-2 orbit sum, or the mesh): its node count and
+        convergence exactly, and its value within 1e-14, not bit for bit."""
         from ehv.registry import Sampler, _draw_spec
 
         spec = _draw_spec(Sampler(rng.randint(0, 10 ** 6)), family, n)
