@@ -72,7 +72,9 @@ is symmetric in value but not as a multiset, and no exemption is made.
 The c = 1 reciprocal row 1/Gamma(w^k) of the Weyl denominators (C_n's
 1/Gamma(z_j^{+-2}), A_n's 1/Gamma(z_i/z_j)) depends on (N, q, p) alone: the
 first stack that needs it builds it, and later tables at the same (N, q, p)
-read it, as first built, from a memo that core.clear_memo empties.
+read it, as first built, from a memo that core.clear_memo empties.  The
+quadrature driver's first grid is 2 N0 (its N0 sums are the even nodes of
+that grid), so an integral first builds the row at 2 N0, never at N0.
 
 Determinism: the mesh multiplies in a fixed order; the contraction's einsum
 path depends only on the shapes, so its bits repeat for a given numpy and
@@ -83,7 +85,7 @@ the memo in the same state: gamma_vec takes its base, scale and term count
 from the whole stack, so the c = 1 row, and the rows stacked with it or
 without it, carry in their last bits which list first built it at that
 (N, q, p).  registry.run_check empties the memo first, so a check's rows do
-not depend on what ran before it; elsewhere (integrate_spec, node_sums,
+not depend on what ran before it; elsewhere (integrate_factors, node_sums,
 closed_form_values called directly) call core.clear_memo() first where the
 bits must not depend on earlier calls in the process.
 """
@@ -101,7 +103,7 @@ import numpy as np
 
 from ._backend import EXTENDED, cpow, get_precision
 from .core import Moduli, TableMemo, qpochhammer, theta
-from .errors import DomainViolation, UnsupportedFamily
+from .errors import UnsupportedFamily
 from .gamma import elliptic_gamma, elliptic_gamma_reciprocal, pole_guard
 from .vec import gamma_vec, theta_vec
 
@@ -307,14 +309,6 @@ def validate_domain(spec: IntegrandSpec) -> ValidationResult:
     return ValidationResult(tuple(checks))
 
 
-def require_valid(spec: IntegrandSpec) -> None:
-    result = validate_domain(spec)
-    if not result.ok:
-        raise DomainViolation(
-            f"{spec.family.value} domain violated: {result.failures()}"
-        )
-
-
 # -- atomic factor engine -----------------------------------------------------
 
 
@@ -441,27 +435,36 @@ class FactorIntegrand:
             return 2 * sum(len(s) == 2 for s in pairs) * M * M + M ** (self.n - 1)
         return M ** self.n
 
-    def node_sums(self, N: int):
+    def node_sums(self, N: int, *, subgrid: bool = False):
         """(node averages, |f| sums, cell shape ()) of the pairwise or orbit
         path, or of the folded mesh, the contract of quadrature._reduce_array
-        for one cell."""
+        for one cell.  The quadrature driver passes subgrid=True at its first
+        grid (an even N) for a fourth entry: the node average of the even
+        nodes k = 2j, which are the N/2 grid, read from the same tables."""
         if self.path == "pairwise":
-            total, abs_total = self._pairwise_sums(N)
+            sums = self._pairwise_sums(N, subgrid)
         elif self.path == "orbit":
-            total, abs_total = self._orbit_sums(N)
+            sums = self._orbit_sums(N, subgrid)
         elif self.folded(N):
+            # the fold weights of N at the even k are those of N/2 folded,
+            # or, N/2 odd, of its nodes j and N/2 - j taken once
             vals = self.mesh_eval(N, _fold_weights(N))
-            total, abs_total = np.sum(vals), np.sum(np.abs(vals))
+            sums = (np.sum(vals), np.sum(np.abs(vals)))
+            if subgrid:
+                sums += (np.sum(vals[(slice(None, None, 2),) * self.n]),)
         else:
             raise ValueError("an unfolded mesh has no node_sums; use mesh_eval")
-        return [complex(total) / N ** self.n], [float(abs_total)], ()
+        out = [complex(sums[0]) / N ** self.n], [float(sums[1])], ()
+        return (*out, [complex(sums[2]) / (N // 2) ** self.n]) if subgrid else out
 
-    def _pairwise_sums(self, N: int):
+    def _pairwise_sums(self, N: int, subgrid: bool = False):
         """sum_k prod_i g_i(k_i) prod_{i<j} H_ij(k_i, k_j) as one einsum over
         the pair matrices (each variable's vector folded into the first
         matrix on it), its intermediates capped at M^(n-1).  Folded, every
         vector and matrix is cut to its first M = N/2 + 1 entries per axis
-        and each variable's vector carries the fold weights."""
+        and each variable's vector carries the fold weights.  With subgrid,
+        a third einsum over the even entries [::2] of every operand sums the
+        even nodes (node_sums)."""
         M, weights = N, None
         if self.folded(N):
             weights = _fold_weights(N)
@@ -490,21 +493,27 @@ class FactorIntegrand:
         ops = [(np.asarray(const), [])] + [(m, list(s)) for s, m in mats.items()]
         ops += [(vecs.get((i,), np.ones(M)), [i])
                 for i in range(self.n) if i not in held]
-        cap = ("greedy", M ** (self.n - 1))
 
-        def contract(arrays):
+        def contract(arrays, size=M):
             args = [x for a, (_, sub) in zip(arrays, ops) for x in (a, sub)]
-            return np.einsum(*args, [], optimize=cap)
+            return np.einsum(*args, [], optimize=("greedy", size ** (self.n - 1)))
 
-        return (contract([a for a, _ in ops]),
+        sums = (contract([a for a, _ in ops]),
                 contract([np.abs(a) for a, _ in ops]))
+        if subgrid:
+            sums += (contract([a[(slice(None, None, 2),) * a.ndim]
+                               for a, _ in ops], (M + 1) // 2),)
+        return sums
 
-    def _orbit_sums(self, N: int):
+    def _orbit_sums(self, N: int, subgrid: bool = False):
         """sum over the sorted (n+1)-tuples with sum = 0 mod N of the orbit
         size times f, block by block.  Each exponent vector is lifted to its
         sparsest form v on the n+1 coordinates (e . k = v . k on the nodes),
         signed so that its first entry is positive, and the tables of equal
-        lifts are multiplied into one: one gather per lift and node."""
+        lifts are multiplied into one: one gather per lift and node.  With
+        subgrid, also the sum over the representatives whose coordinates are
+        all even: k = 2j, with j sorted and sum j = 0 mod N/2, are exactly
+        the orbits of the N/2 grid, with the same orbit sizes."""
         k = np.arange(N)
         const = 1.0 + 0.0j
         lifts: dict = {}
@@ -523,7 +532,7 @@ class FactorIntegrand:
         # there without a mod, a negative index counting from its end
         tiled = [(terms, np.tile(tab, sum(abs(v) for _, v in terms)))
                  for terms, tab in lifts.items()]
-        parts, abs_parts = [], []
+        parts, abs_parts, even_parts = [], [], []
         for reps, weights in _orbit_blocks(self.n, N):
             vals = np.full(len(weights), const)
             for ((j, v), *rest), tab in tiled:
@@ -533,7 +542,11 @@ class FactorIntegrand:
                 vals *= tab[idx]
             parts.append(np.sum(weights * vals))
             abs_parts.append(np.sum(weights * np.abs(vals)))
-        return np.sum(parts), np.sum(abs_parts)
+            if subgrid:
+                even = (np.bitwise_or.reduce(reps) & 1) == 0
+                even_parts.append(np.sum(weights[even] * vals[even]))
+        sums = np.sum(parts), np.sum(abs_parts)
+        return (*sums, np.sum(even_parts)) if subgrid else sums
 
     # -- tables and the mesh path ------------------------------------------
 

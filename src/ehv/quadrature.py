@@ -10,10 +10,20 @@ decaying geometrically in N (Trefethen & Weideman, SIAM Rev. 2014).
 Convergence control is node doubling: the estimate's error is the magnitude
 of the last doubling change, with no extrapolation.
 
+The grids nest: w_N^k = w_{2N}^{2k}, so the N-node average is the average
+over the even nodes of the 2N grid.  The first grid the driver evaluates is
+therefore 2 N0 (N0 = nodes_per_dim), and its first doubling change is
+against the average of its even subgrid, the N0 grid, taken from the arrays
+the 2 N0 sums already hold; no N0 tables are built.  Each later doubling
+compares with the previous grid's value.  With max_doublings = 0, or when
+2 N0 is over the node budget, the driver evaluates N0 alone and reports
+est_error = inf and converged = False.
+
 There is one doubling loop, integrate_sums, over a node-sums function
-sums(N) -> (node averages, |f| sums, cell shape) and the count points(N) of
-what sums(N) evaluates or holds, which EHV_MAX_NODES bounds.  Two kinds of
-sums feed it:
+sums(N) -> (node averages, |f| sums, cell shape), which with subgrid=True
+also returns the node averages of the even subgrid, and the count points(N)
+of what sums(N) evaluates or holds, which EHV_MAX_NODES bounds.  Two kinds
+of sums feed it:
 
 - a mesh (integrate_mesh_fn): an array (N,)*n + cells reduced by
   _reduce_array, its N^n nodes counted against the budget.  Its trailing
@@ -56,8 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimit
-from .integrands import (FactorIntegrand, IntegrandSpec, make_integrand,
-                         require_valid)
+from .integrands import FactorIntegrand
 from .series import tree_sum
 
 _DEFAULT_MAX_NODES = 10_000_000
@@ -128,18 +137,33 @@ def _reduce_array(arr: np.ndarray, n: int):
             arr.shape[n:])
 
 
+def _mesh_sums(arr: np.ndarray, n: int, subgrid: bool = False):
+    """_reduce_array of a mesh and, with subgrid, the node averages of its
+    even nodes arr[::2, ..., ::2] (the N/2 grid), cell axes kept."""
+    sums = _reduce_array(arr, n)
+    if not subgrid:
+        return sums
+    return *sums, _reduce_array(arr[(slice(None, None, 2),) * n], n)[0]
+
+
 def integrate_sums(sums, points, n: int, cfg: QuadratureConfig | None = None):
     """The doubling driver over a node-sums function: sums(N) -> (node
     averages, |f| sums, cell shape), one entry per cell as _reduce_array
-    gives them, and points(N), what sums(N) evaluates or holds.
+    gives them, and sums(N, True) -> the same and the node averages of the
+    even subgrid (the N/2 grid); points(N) counts what sums(N) evaluates or
+    holds.
 
-    Returns the node average at the finest grid with the last doubling
-    change as error estimate, per cell.  A cell has converged when its
-    change is within rel_tol of its value, or at the rounding floor of its
-    node sum (the only way an integral whose value is 0 can converge); the
-    grid doubles until every cell has.  Stops early once points(N) would
-    exceed the node budget (an initial grid over budget raises
-    ResourceLimit).  nodes_used is N^n whatever the path.
+    The first grid evaluated is 2 N0, N0 = nodes_per_dim: its first
+    doubling change is against its even subgrid, the N0 grid, and each
+    later change is against the previous grid.  With max_doublings = 0, or
+    when points(2 N0) exceeds the node budget, N0 alone is evaluated, with
+    est_error = inf and converged = False.  Returns the node average at the
+    finest grid with the last doubling change as error estimate, per cell.
+    A cell has converged when its change is within rel_tol of its value, or
+    at the rounding floor of its node sum (the only way an integral whose
+    value is 0 can converge); the grid doubles until every cell has.  Stops
+    early once points(N) would exceed the node budget (an initial grid over
+    budget raises ResourceLimit).  nodes_used is N^n whatever the path.
     """
     if cfg is None:
         cfg = default_config(n)
@@ -148,30 +172,41 @@ def integrate_sums(sums, points, n: int, cfg: QuadratureConfig | None = None):
     if points(N) > budget:
         raise ResourceLimit(f"initial grid {N}^{n} ({points(N)} points) "
                             f"exceeds EHV_MAX_NODES={budget}")
-    value, _, cells = sums(N)
-    est, converged = math.inf, False
-    for _ in range(cfg.max_doublings):
-        if points(2 * N) > budget:
-            break
-        N = 2 * N
-        value2, abs_total, _ = sums(N)
-        change = [abs(b - a) for a, b in zip(value, value2)]
+    if cfg.max_doublings < 1 or points(2 * N) > budget:
+        value, _, cells = sums(N)
+        return QuadratureResult(value=_cell_value(value, cells),
+                                est_error=math.inf, nodes_used=N ** n,
+                                converged=False)
+    N = 2 * N
+    value, abs_total, cells, coarse = sums(N, True)
+    converged = False
+    for doubling in range(cfg.max_doublings):
+        if doubling:
+            if points(2 * N) > budget:
+                break
+            N, coarse = 2 * N, value
+            value, abs_total, _ = sums(N)
+        change = [abs(b - a) for a, b in zip(coarse, value)]
         est = max(change)
-        value = value2
         if all(d <= cfg.rel_tol * abs(v) or d <= _ROUNDING_FLOOR * s / (N ** n)
                for d, v, s in zip(change, value, abs_total)):
             converged = True
             break
-    return QuadratureResult(
-        value=np.array(value).reshape(cells) if cells else value[0],
-        est_error=est, nodes_used=N ** n, converged=converged)
+    return QuadratureResult(value=_cell_value(value, cells), est_error=est,
+                            nodes_used=N ** n, converged=converged)
+
+
+def _cell_value(value: list, cells: tuple):
+    """One complex, or an array of the cell shape."""
+    return np.array(value).reshape(cells) if cells else value[0]
 
 
 def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):
     """integrate_sums over a mesh builder, mesh_fn(N) -> array (N,)*n + cells,
     reduced by _reduce_array; the budget counts the N^n grid nodes."""
-    return integrate_sums(lambda N: _reduce_array(np.asarray(mesh_fn(N)), n),
-                          lambda N: N ** n, n, cfg)
+    return integrate_sums(
+        lambda N, subgrid=False: _mesh_sums(np.asarray(mesh_fn(N)), n, subgrid),
+        lambda N: N ** n, n, cfg)
 
 
 def integrate_factors(ig: FactorIntegrand,
@@ -180,10 +215,10 @@ def integrate_factors(ig: FactorIntegrand,
     node_sums, or an unfolded mesh (no proven sign symmetry, or an odd N)
     reduced by _reduce_array as integrate_mesh_fn would."""
 
-    def sums(N):
+    def sums(N, subgrid=False):
         if ig.path == "mesh" and not ig.folded(N):
-            return _reduce_array(ig.mesh_eval(N), ig.n)
-        return ig.node_sums(N)
+            return _mesh_sums(ig.mesh_eval(N), ig.n, subgrid)
+        return ig.node_sums(N, subgrid=subgrid)
 
     return integrate_sums(sums, ig.points, ig.n, cfg)
 
@@ -200,9 +235,3 @@ def torus_integral(f, n: int, cfg: QuadratureConfig | None = None) -> Quadrature
         return vals.reshape((N,) * n)
 
     return integrate_mesh_fn(mesh, n, cfg)
-
-
-def integrate_spec(spec: IntegrandSpec, cfg: QuadratureConfig | None = None):
-    """Domain-validate and integrate a family integrand over T^n."""
-    require_valid(spec)
-    return integrate_factors(make_integrand(spec), cfg)

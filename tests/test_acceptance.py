@@ -22,7 +22,7 @@ from ehv.biorthogonal import (
 )
 from ehv.gamma import QuasiPeriods, double_sine, elliptic_gamma, modified_gamma_G
 from ehv.integrands import Family, IntegrandSpec, ParamSet, make_integrand, rhs_closed_form
-from ehv.quadrature import QuadratureConfig, integrate_spec
+from ehv.quadrature import QuadratureConfig, integrate_factors
 from ehv.registry import (
     CheckOptions,
     Sampler,
@@ -49,7 +49,7 @@ def rank_cfg(n):
 def family_case(smp, family, n, tol, budget_s):
     spec = _draw_spec(smp, family, n)
     start = time.perf_counter()
-    res = integrate_spec(spec, rank_cfg(n))
+    res = integrate_factors(make_integrand(spec), rank_cfg(n))
     elapsed = time.perf_counter() - start
     rhs = rhs_closed_form(spec)
     rel = abs(res.value - rhs) / abs(rhs)
@@ -293,9 +293,9 @@ def test_criterion_17_degenerations():
         lambda: IntegrandSpec(Family.E, 1,
                               ParamSet(t=smp.args(5, 0.4, 0.8)), m_small),
         lambda s: validate_domain(s).ok)
-    res = integrate_spec(spec, QuadratureConfig(nodes_per_dim=256,
-                                                max_doublings=1,
-                                                rel_tol=1e-11))
+    res = integrate_factors(make_integrand(spec),
+                          QuadratureConfig(nodes_per_dim=256, max_doublings=1,
+                                           rel_tol=1e-11))
     t = spec.params.t
     A = spec.product_A
     rhs = 2.0 / qpochhammer(q, q)

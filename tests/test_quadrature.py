@@ -18,11 +18,12 @@ from ehv.integrands import (
 )
 from ehv.quadrature import (
     QuadratureConfig,
+    _mesh_sums,
     _reduce_array,
     default_config,
     integrate_factors,
     integrate_mesh_fn,
-    integrate_spec,
+    integrate_sums,
     torus_integral,
 )
 
@@ -74,7 +75,7 @@ def e_spec(rng, arg, moduli):
 
 class TestConvergence:
     def test_beta_integral_closed_form(self, e_spec):
-        res = integrate_spec(e_spec, QuadratureConfig(
+        res = integrate_factors(make_integrand(e_spec), QuadratureConfig(
             nodes_per_dim=256, max_doublings=1, rel_tol=1e-11))
         rhs = rhs_closed_form(e_spec)
         assert abs(res.value - rhs) <= 1e-10 * abs(rhs)
@@ -107,7 +108,7 @@ class TestConvergence:
                                                   for _ in range(7))), moduli)
             if validate_domain(spec).ok:
                 break
-        res = integrate_spec(spec, QuadratureConfig(
+        res = integrate_factors(make_integrand(spec), QuadratureConfig(
             nodes_per_dim=96, max_doublings=2, rel_tol=1e-8))
         rhs = rhs_closed_form(spec)
         assert abs(res.value - rhs) <= 1e-6 * abs(rhs)
@@ -288,7 +289,7 @@ class TestNodeSumPaths:
         orbit = n == 2 and _RANK3_PATHS[family] == "orbit"
         assert ig.path == ("orbit" if orbit else "mesh")
         assert ig.folded(16) == (not orbit and (family, n) != (Family.CN_III, 2))
-        res = integrate_spec(spec, cfg)
+        res = integrate_factors(ig, cfg)
         mesh = integrate_mesh_fn(ig.mesh_eval, n, cfg)
         assert (res.nodes_used, res.converged) == (mesh.nodes_used,
                                                    mesh.converged)
@@ -375,6 +376,143 @@ class TestFold:
                                    rel_tol=1e-12)
             assert integrate_factors(ig, cfg) == \
                 integrate_mesh_fn(ig.mesh_eval, 2, cfg)
+
+
+def _factor_sums(ig, N, subgrid=False):
+    """The node sums integrate_factors takes at N: an unfolded mesh reduced
+    by _reduce_array, else node_sums."""
+    if ig.path == "mesh" and not ig.folded(N):
+        return _mesh_sums(ig.mesh_eval(N), ig.n, subgrid)
+    return ig.node_sums(N, subgrid=subgrid)
+
+
+# (family, rank, path, folded at an even N) of one list per node-sum path
+_NESTED = [(Family.CN_III, 2, "mesh", False), (Family.E, 1, "mesh", True),
+           (Family.CN_I, 1, "mesh", True), (Family.CN_I, 2, "mesh", True),
+           (Family.CN_I, 3, "pairwise", True),
+           (Family.CN_II, 3, "pairwise", True),
+           (Family.CN_III, 3, "pairwise", False),
+           (Family.AN_I, 2, "orbit", False), (Family.AN_III, 3, "orbit", False)]
+
+
+class TestNestedGrid:
+    """The N0 grid is the even subgrid of the 2 N0 grid: the driver takes
+    its first coarse sum from there and builds no N0 tables."""
+
+    @pytest.mark.parametrize("family,n,path,folded", _NESTED)
+    def test_even_subgrid_equals_the_coarse_grid(self, rng, arg, family, n,
+                                                 path, folded):
+        ig = make_integrand(_hand_spec(rng, arg, family, n))
+        assert (ig.path, ig.folded(32)) == (path, folded)
+        for N0 in (16, 9):           # 9 -> 18: the odd subgrid of a fold
+            *fine, (even,) = _factor_sums(ig, 2 * N0, True)
+            assert fine == list(_factor_sums(ig, 2 * N0))
+            (coarse,), _, _ = _factor_sums(ig, N0)
+            assert abs(even - coarse) <= 1e-14 * abs(coarse)
+
+    def test_unfolded_contraction_subgrid(self, rng, arg):
+        # a C_n list with one sign-broken factor contracts unfolded
+        ig = make_integrand(_hand_spec(rng, arg, Family.CN_I, 3))
+        first = next(f for f in ig.factors
+                     if f.kind is Kind.GAMMA and f.evec[0] == -1)
+        broken = FactorIntegrand(3, ig.moduli, [
+            Factor(f.kind, 0.5 * f.c, f.evec) if f is first else f
+            for f in ig.factors])
+        assert broken.path == "pairwise" and not broken.folded(32)
+        *_, (even,) = broken.node_sums(32, subgrid=True)
+        (coarse,), _, _ = broken.node_sums(16)
+        assert abs(even - coarse) <= 1e-14 * abs(coarse)
+
+    def test_two_cell_mesh(self, e_spec):
+        ig = make_integrand(e_spec)
+        calls = []
+
+        def cells(N):
+            calls.append(N)
+            vals = ig.mesh_eval(N)
+            return np.stack([vals, vals * np.exp(2j * np.pi * np.arange(N) / N)],
+                            axis=-1)
+
+        for N0 in (16, 9):
+            *fine, even = _mesh_sums(cells(2 * N0), 1, True)
+            assert fine == list(_reduce_array(cells(2 * N0), 1))
+            coarse, _, shape = _reduce_array(cells(N0), 1)
+            assert shape == (2,) and len(even) == 2
+            for a, b in zip(even, coarse):
+                assert abs(a - b) <= 1e-14 * abs(b)
+            calls.clear()
+            res = integrate_mesh_fn(cells, 1, QuadratureConfig(
+                nodes_per_dim=N0, max_doublings=1, rel_tol=1e-30))
+            assert calls == [2 * N0]
+            assert res.est_error == max(abs(v - a) for v, a in zip(fine[0], even))
+
+    @staticmethod
+    def _recorded(ig):
+        """A sums function for integrate_sums over ig that records its
+        calls as (N, subgrid) and the grids ig builds tables on."""
+        calls, tables = [], []
+        build = ig._tables
+
+        def recording_tables(N, atoms=None):
+            tables.append(N)
+            return build(N, atoms)
+
+        ig._tables = recording_tables
+
+        def sums(N, subgrid=False):
+            calls.append((N, subgrid))
+            return _factor_sums(ig, N, subgrid)
+
+        return sums, calls, tables
+
+    @pytest.mark.parametrize("family,n,path,folded", _NESTED)
+    def test_first_grid_is_twice_the_start(self, rng, arg, family, n, path,
+                                           folded):
+        ig = make_integrand(_hand_spec(rng, arg, family, n))
+        sums, calls, tables = self._recorded(ig)
+        res = integrate_sums(sums, ig.points, n, QuadratureConfig(
+            nodes_per_dim=8, max_doublings=2, rel_tol=1e-30))
+        assert calls == [(16, True), (32, False)] and tables == [16, 32]
+        assert res.nodes_used == 32 ** n
+
+    def test_converged_at_the_first_grid_in_one_call(self, e_spec):
+        ig = make_integrand(e_spec)
+        sums, calls, tables = self._recorded(ig)
+        res = integrate_sums(sums, ig.points, 1, QuadratureConfig(
+            nodes_per_dim=256, max_doublings=4, rel_tol=1e-10))
+        assert res.converged and res.nodes_used == 512
+        assert calls == [(512, True)] and tables == [512]
+
+    def test_later_doublings_compare_with_the_previous_grid(self, e_spec):
+        ig = make_integrand(e_spec)
+        sums, calls, tables = self._recorded(ig)
+        cfg = QuadratureConfig(nodes_per_dim=16, max_doublings=2,
+                               rel_tol=1e-30)
+        res = integrate_sums(sums, ig.points, 1, cfg)
+        assert calls == [(32, True), (64, False)] and tables == [32, 64]
+        assert not res.converged and res.nodes_used == 64
+        assert res.est_error == abs(res.value - _factor_sums(ig, 32)[0][0])
+
+    def test_no_doubling_evaluates_the_start_alone(self, e_spec):
+        ig = make_integrand(e_spec)
+        sums, calls, tables = self._recorded(ig)
+        res = integrate_sums(sums, ig.points, 1, QuadratureConfig(
+            nodes_per_dim=128, max_doublings=0, rel_tol=1e-10))
+        assert calls == [(128, False)] and tables == [128]
+        assert (res.est_error, res.converged, res.nodes_used) == (
+            np.inf, False, 128)
+
+    def test_first_grid_over_budget_evaluates_the_start_alone(
+            self, e_spec, monkeypatch):
+        ig = make_integrand(e_spec)
+        assert (ig.points(128), ig.points(256)) == (65, 129)
+        monkeypatch.setenv("EHV_MAX_NODES", "100")
+        sums, calls, tables = self._recorded(ig)
+        res = integrate_sums(sums, ig.points, 1, QuadratureConfig(
+            nodes_per_dim=128, max_doublings=4, rel_tol=1e-10))
+        assert calls == [(128, False)] and tables == [128]
+        assert (res.est_error, res.converged, res.nodes_used) == (
+            np.inf, False, 128)
 
 
 class TestBudget:

@@ -136,8 +136,9 @@ def test_family_report_validates_a_draw_once(monkeypatch):
 
 
 def test_unit_row_is_built_once_per_grid_and_check(monkeypatch):
-    # theorem1 integrates 20 draws at 256 and 512 nodes: the c = 1
-    # reciprocal row is built in the first stack at each N, then read
+    # theorem1 integrates 20 draws from 256 nodes, whose sums are the even
+    # nodes of the first grid evaluated, 512: the c = 1 reciprocal row is
+    # built in the first stack at 512, then read; no 256 table is built
     from ehv import integrands
 
     built = []
@@ -152,4 +153,4 @@ def test_unit_row_is_built_once_per_grid_and_check(monkeypatch):
     for _ in range(2):                   # run_check empties the memo first
         built.clear()
         assert all(r.passed for r in run_check("theorem1", CheckOptions()))
-        assert built == [256, 512]
+        assert built == [512]
