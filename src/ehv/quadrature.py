@@ -172,33 +172,28 @@ def integrate_sums(sums, points, n: int, cfg: QuadratureConfig | None = None):
     if points(N) > budget:
         raise ResourceLimit(f"initial grid {N}^{n} ({points(N)} points) "
                             f"exceeds EHV_MAX_NODES={budget}")
+    est, converged = math.inf, False
     if cfg.max_doublings < 1 or points(2 * N) > budget:
         value, _, cells = sums(N)
-        return QuadratureResult(value=_cell_value(value, cells),
-                                est_error=math.inf, nodes_used=N ** n,
-                                converged=False)
-    N = 2 * N
-    value, abs_total, cells, coarse = sums(N, True)
-    converged = False
-    for doubling in range(cfg.max_doublings):
-        if doubling:
-            if points(2 * N) > budget:
+    else:
+        N = 2 * N
+        value, abs_total, cells, coarse = sums(N, True)
+        for doubling in range(cfg.max_doublings):
+            if doubling:
+                if points(2 * N) > budget:
+                    break
+                N, coarse = 2 * N, value
+                value, abs_total, _ = sums(N)
+            change = [abs(b - a) for a, b in zip(coarse, value)]
+            est = max(change)
+            if all(d <= cfg.rel_tol * abs(v)
+                   or d <= _ROUNDING_FLOOR * s / (N ** n)
+                   for d, v, s in zip(change, value, abs_total)):
+                converged = True
                 break
-            N, coarse = 2 * N, value
-            value, abs_total, _ = sums(N)
-        change = [abs(b - a) for a, b in zip(coarse, value)]
-        est = max(change)
-        if all(d <= cfg.rel_tol * abs(v) or d <= _ROUNDING_FLOOR * s / (N ** n)
-               for d, v, s in zip(change, value, abs_total)):
-            converged = True
-            break
-    return QuadratureResult(value=_cell_value(value, cells), est_error=est,
-                            nodes_used=N ** n, converged=converged)
-
-
-def _cell_value(value: list, cells: tuple):
-    """One complex, or an array of the cell shape."""
-    return np.array(value).reshape(cells) if cells else value[0]
+    return QuadratureResult(
+        value=np.array(value).reshape(cells) if cells else value[0],
+        est_error=est, nodes_used=N ** n, converged=converged)
 
 
 def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):

@@ -410,19 +410,6 @@ class TestNestedGrid:
             (coarse,), _, _ = _factor_sums(ig, N0)
             assert abs(even - coarse) <= 1e-14 * abs(coarse)
 
-    def test_unfolded_contraction_subgrid(self, rng, arg):
-        # a C_n list with one sign-broken factor contracts unfolded
-        ig = make_integrand(_hand_spec(rng, arg, Family.CN_I, 3))
-        first = next(f for f in ig.factors
-                     if f.kind is Kind.GAMMA and f.evec[0] == -1)
-        broken = FactorIntegrand(3, ig.moduli, [
-            Factor(f.kind, 0.5 * f.c, f.evec) if f is first else f
-            for f in ig.factors])
-        assert broken.path == "pairwise" and not broken.folded(32)
-        *_, (even,) = broken.node_sums(32, subgrid=True)
-        (coarse,), _, _ = broken.node_sums(16)
-        assert abs(even - coarse) <= 1e-14 * abs(coarse)
-
     def test_two_cell_mesh(self, e_spec):
         ig = make_integrand(e_spec)
         calls = []
@@ -493,23 +480,17 @@ class TestNestedGrid:
         assert not res.converged and res.nodes_used == 64
         assert res.est_error == abs(res.value - _factor_sums(ig, 32)[0][0])
 
-    def test_no_doubling_evaluates_the_start_alone(self, e_spec):
-        ig = make_integrand(e_spec)
-        sums, calls, tables = self._recorded(ig)
-        res = integrate_sums(sums, ig.points, 1, QuadratureConfig(
-            nodes_per_dim=128, max_doublings=0, rel_tol=1e-10))
-        assert calls == [(128, False)] and tables == [128]
-        assert (res.est_error, res.converged, res.nodes_used) == (
-            np.inf, False, 128)
-
-    def test_first_grid_over_budget_evaluates_the_start_alone(
-            self, e_spec, monkeypatch):
+    @pytest.mark.parametrize("doublings,budget", [(0, ""), (4, "100")])
+    def test_start_grid_alone(self, e_spec, monkeypatch, doublings, budget):
+        """No doubling allowed, or 2 N0 over the budget (the folded list
+        holds 65 points at 128 nodes and 129 at 256): N0 alone, with no
+        error estimate."""
         ig = make_integrand(e_spec)
         assert (ig.points(128), ig.points(256)) == (65, 129)
-        monkeypatch.setenv("EHV_MAX_NODES", "100")
+        monkeypatch.setenv("EHV_MAX_NODES", budget)
         sums, calls, tables = self._recorded(ig)
         res = integrate_sums(sums, ig.points, 1, QuadratureConfig(
-            nodes_per_dim=128, max_doublings=4, rel_tol=1e-10))
+            nodes_per_dim=128, max_doublings=doublings, rel_tol=1e-10))
         assert calls == [(128, False)] and tables == [128]
         assert (res.est_error, res.converged, res.nodes_used) == (
             np.inf, False, 128)
