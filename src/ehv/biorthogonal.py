@@ -33,8 +33,8 @@ from ._backend import cpow
 from .core import (DEGENERATE_EPS, Moduli, theta, theta_factorial_multi,
                    theta_multi)
 from .errors import InadmissibleContour, SingularStep
-from .integrands import (Family, IntegrandSpec, ParamSet, make_integrand,
-                         rhs_closed_form, validate_domain)
+from .integrands import (Family, IntegrandSpec, ParamSet, _fold_weights,
+                         make_integrand, rhs_closed_form, validate_domain)
 from .quadrature import QuadratureConfig, integrate_mesh_fn
 from .report import VerificationReport
 from .series import VSpec, sum_V
@@ -307,18 +307,23 @@ def norm_h(n: int, rp: RahmanParams, base: str = "q"):
 def _gram(rp: RahmanParams, tables, cfg: QuadratureConfig | None):
     """One driver call over the beta weight times per-cell node tables.
 
-    tables(z) -> (factors, divisors), lists of (cells, N) tables on the N
-    roots of unity z: cell c integrates the weight times row c of every
-    factor, then divided by row c of every divisor, in list order.
+    tables(z) -> (factors, divisors), lists of (cells, M) tables on the
+    nodes z: cell c integrates the weight times row c of every factor, then
+    divided by row c of every divisor, in list order.  At an even N only
+    the nodes k in [0, N/2] are built, times the weight's folded mesh.  No
+    factor multiset proves this fold: it holds because every table that
+    _family_rows and _shift_tables build is a product over c z^{+-1} pairs,
+    invariant under z -> 1/z, and the E weight is sign_symmetric.
     """
     weight = make_integrand(rp.weight_spec())
 
     def mesh(N):
-        z1d = np.exp(2j * np.pi * np.arange(N) / N)
+        folded = weight.folded(N)
+        z1d = np.exp(2j * np.pi * np.arange(N // 2 + 1 if folded else N) / N)
         # Named tables: numpy would multiply into a large temporary in
         # place, which rounds differently from a product into a new array.
         factors, divisors = tables(z1d)
-        vals = weight.mesh_eval(N)
+        vals = weight.mesh_eval(N, _fold_weights(N) if folded else None)
         for tab in factors:
             vals = vals * tab
         for tab in divisors:

@@ -76,11 +76,12 @@ read it, as first built, from a memo that core.clear_memo empties.  The
 quadrature driver's first grid is 2 N0 (its N0 sums are the even nodes of
 that grid), so an integral first builds the row at 2 N0, never at N0.
 
-Determinism: the mesh multiplies in a fixed order; the contraction's einsum
-path depends only on the shapes, so its bits repeat for a given numpy and
-BLAS at a given thread count; the orbit sum visits fixed blocks in a fixed
-order.  The paths, folded or not, agree with each other to rounding, not
-bit for bit.  The tables' bits repeat from one call to the next only with
+Determinism: the mesh multiplies in a fixed order, and every mesh, folded
+or not, with or without cell axes, is reduced by mesh_sums, one row sum per
+cell; the contraction's einsum path depends only on the shapes, so its bits
+repeat for a given numpy and BLAS at a given thread count; the orbit sum
+visits fixed blocks in a fixed order.  The paths, folded or not, agree with
+each other to rounding, not bit for bit.  The tables' bits repeat only with
 the memo in the same state: gamma_vec takes its base, scale and term count
 from the whole stack, so the c = 1 row, and the rows stacked with it or
 without it, carry in their last bits which list first built it at that
@@ -435,25 +436,18 @@ class FactorIntegrand:
             return 2 * sum(len(s) == 2 for s in pairs) * M * M + M ** (self.n - 1)
         return M ** self.n
 
-    def node_sums(self, N: int, *, subgrid: bool = False):
-        """(node averages, |f| sums, cell shape ()) of the pairwise or orbit
-        path, or of the folded mesh, the contract of quadrature._reduce_array
-        for one cell.  The quadrature driver passes subgrid=True at its first
-        grid (an even N) for a fourth entry: the node average of the even
-        nodes k = 2j, which are the N/2 grid, read from the same tables."""
+    def node_sums(self, N: int, subgrid: bool = False):
+        """(node averages, |f| sums, cell shape ()) of the path, as mesh_sums
+        gives them for one cell.  The quadrature driver passes subgrid=True
+        at its first grid (an even N) for a fourth entry: the node average
+        of the even nodes k = 2j, the N/2 grid, read from the same tables."""
+        if self.path == "mesh":
+            weights = _fold_weights(N) if self.folded(N) else None
+            return mesh_sums(self.mesh_eval(N, weights), N, self.n, subgrid)
         if self.path == "pairwise":
             sums = self._pairwise_sums(N, subgrid)
-        elif self.path == "orbit":
-            sums = self._orbit_sums(N, subgrid)
-        elif self.folded(N):
-            # the fold weights of N at the even k are those of N/2 folded,
-            # or, N/2 odd, of its nodes j and N/2 - j taken once
-            vals = self.mesh_eval(N, _fold_weights(N))
-            sums = (np.sum(vals), np.sum(np.abs(vals)))
-            if subgrid:
-                sums += (np.sum(vals[(slice(None, None, 2),) * self.n]),)
         else:
-            raise ValueError("an unfolded mesh has no node_sums; use mesh_eval")
+            sums = self._orbit_sums(N, subgrid)
         out = [complex(sums[0]) / N ** self.n], [float(sums[1])], ()
         return (*out, [complex(sums[2]) / (N // 2) ** self.n]) if subgrid else out
 
@@ -565,7 +559,7 @@ class FactorIntegrand:
 
     def mesh_eval(self, N: int, weights: np.ndarray | None = None) -> np.ndarray:
         """The integrand on the full N^n grid or, with the fold weights that
-        node_sums passes, times prod_i weights[k_i] on the nodes k in
+        node_sums and a Gram mesh pass, times prod_i weights[k_i] on k in
         [0, M)^n of that grid, M = weights.size: the weights, the constant
         and the single-axis tables folded into one vector per axis, their
         outer product, times the grid view of each multi-axis table, each
@@ -599,6 +593,27 @@ def _fold_weights(N: int) -> np.ndarray:
     weights = np.full(N // 2 + 1, 2.0)
     weights[[0, -1]] = 1.0
     return weights
+
+
+def mesh_sums(arr: np.ndarray, N: int, n: int, subgrid: bool = False):
+    """Node averages, |f| sums and the cell shape of a mesh (M,)*n + cells at
+    N nodes per axis, M = N, or N/2 + 1 with the fold weights multiplied in:
+    one entry per cell in C order, its nodes summed as one C-contiguous row,
+    so a cell gets the bits of a mesh of its own.  With subgrid, also the
+    node averages of the even nodes, the N/2 grid (folded, the weights of N
+    at the even k are those of N/2 folded, or, N/2 odd, of its nodes j and
+    N/2 - j taken once)."""
+    def rows(a):
+        grid_last = np.moveaxis(a, tuple(range(n)), tuple(range(-n, 0)))
+        return np.ascontiguousarray(grid_last).reshape(-1, math.prod(a.shape[:n]))
+
+    flat = rows(arr)
+    out = ([complex(s) / N ** n for s in flat.sum(axis=1)],
+           np.abs(flat).sum(axis=1).tolist(), arr.shape[n:])
+    if not subgrid:
+        return out
+    even = rows(arr[(slice(None, None, 2),) * n]).sum(axis=1)
+    return *out, [complex(s) / (N // 2) ** n for s in even]
 
 
 def _gamma_keys(factors) -> list:

@@ -25,31 +25,30 @@ also returns the node averages of the even subgrid, and the count points(N)
 of what sums(N) evaluates or holds, which EHV_MAX_NODES bounds.  Two kinds
 of sums feed it:
 
-- a mesh (integrate_mesh_fn): an array (N,)*n + cells reduced by
-  _reduce_array, its N^n nodes counted against the budget.  Its trailing
-  cell axes give one integral per cell over the same nodes (a Gram matrix on
-  one weight, say), doubled until every cell has converged;
-- a FactorIntegrand (integrate_factors), on the path its exponent vectors
-  select (see the integrands module): the pairwise contraction (C_n,
-  n >= 3) or the Weyl-orbit sum (A_n, n >= 2) of FactorIntegrand.node_sums,
-  else the mesh.  A list whose factors prove z_j -> 1/z_j symmetry sums
-  over k_j in [0, N/2] with weights 1, 2, ..., 2, 1 at an even N: the
-  contraction or the mesh folded, through node_sums.  An odd N, or a list
-  without the proof, takes the unfolded sum; an unfolded mesh is reduced by
-  _reduce_array, as in integrate_mesh_fn, which a FactorIntegrand no longer
-  goes through.
+- a mesh (integrate_mesh_fn): an array (M,)*n + cells at N nodes per axis,
+  M = N or, folded by the caller with the fold weights multiplied in,
+  M = N/2 + 1, its N^n grid nodes counted against the budget.  Its trailing
+  cell axes give one integral per cell over the same nodes (a Gram matrix
+  on one weight, say), doubled until every cell has converged;
+- a FactorIntegrand (integrate_factors), through its node_sums on the path
+  its exponent vectors select (see the integrands module): the pairwise
+  contraction (C_n, n >= 3), the Weyl-orbit sum (A_n, n >= 2), else the
+  mesh.  A list whose factors prove z_j -> 1/z_j symmetry sums over
+  k_j in [0, N/2] with weights 1, 2, ..., 2, 1 at an even N: the
+  contraction or the mesh folded.  An odd N, or a list without the proof,
+  takes the unfolded sum.
 
 Whatever the path, a result's nodes_used is N^n, and points(N) counts the
 folded arrays where the sum folds.
 
-Determinism, per path: a mesh sums each cell's node values in chunks of
-_CHUNK along the outermost grid axis and combines the chunk partials in a
-fixed binary tree keyed by chunk index (series.tree_sum), so a cell gets the
-bits a mesh of its own would.  The contraction is one np.einsum whose path
-depends only on the shapes, so its bits repeat for a given numpy and BLAS
-at a given thread count.  The orbit sum adds fixed blocks of representatives
-in a fixed order, and the folded mesh is one np.sum of its weighted grid.
-The paths, folded or not, agree to rounding (within 1e-14 relative on the
+Determinism, per path: every mesh, folded or full, with or without cell
+axes, is reduced by the one integrands.mesh_sums, which sums each cell's
+nodes as one C-contiguous row, so a cell gets the bits a mesh of its own
+would (numpy's pairwise summation of a contiguous row, pinned by a test).
+The contraction is one np.einsum whose path depends only on the shapes, so
+its bits repeat for a given numpy and BLAS at a given thread count.  The
+orbit sum adds fixed blocks of representatives in a fixed order.  The
+paths, folded or not, agree to rounding (within 1e-14 relative on the
 tested integrands), not bit for bit.  The node tables of a FactorIntegrand
 carry one exception: outside registry.run_check, the bits of a grid depend
 on which list first built the c = 1 reciprocal row at its (N, q, p) (see
@@ -66,11 +65,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimit
-from .integrands import FactorIntegrand
-from .series import tree_sum
+from .integrands import FactorIntegrand, mesh_sums
 
 _DEFAULT_MAX_NODES = 10_000_000
-_CHUNK = 16
 
 
 # A doubling change at or below this fraction of the node average of |f| is
@@ -124,31 +121,9 @@ class QuadratureResult:
     converged: bool
 
 
-def _reduce_array(arr: np.ndarray, n: int):
-    """Node averages, sums of the moduli and the cell shape; one entry per
-    cell in C order, each cell's nodes made contiguous and chunk-summed."""
-    N = arr.shape[0]
-    grid_last = np.moveaxis(arr, tuple(range(n)), tuple(range(-n, 0)))
-    flat = np.ascontiguousarray(grid_last).reshape(-1, N, N ** (n - 1))
-    chunks = [flat[:, i:i + _CHUNK] for i in range(0, N, _CHUNK)]
-    sums = tree_sum([np.sum(c, axis=(1, 2)) for c in chunks])
-    abs_sums = tree_sum([np.sum(np.abs(c), axis=(1, 2)) for c in chunks])
-    return ([complex(s) / N ** n for s in sums], abs_sums.tolist(),
-            arr.shape[n:])
-
-
-def _mesh_sums(arr: np.ndarray, n: int, subgrid: bool = False):
-    """_reduce_array of a mesh and, with subgrid, the node averages of its
-    even nodes arr[::2, ..., ::2] (the N/2 grid), cell axes kept."""
-    sums = _reduce_array(arr, n)
-    if not subgrid:
-        return sums
-    return *sums, _reduce_array(arr[(slice(None, None, 2),) * n], n)[0]
-
-
 def integrate_sums(sums, points, n: int, cfg: QuadratureConfig | None = None):
     """The doubling driver over a node-sums function: sums(N) -> (node
-    averages, |f| sums, cell shape), one entry per cell as _reduce_array
+    averages, |f| sums, cell shape), one entry per cell as mesh_sums
     gives them, and sums(N, True) -> the same and the node averages of the
     even subgrid (the N/2 grid); points(N) counts what sums(N) evaluates or
     holds.
@@ -197,25 +172,19 @@ def integrate_sums(sums, points, n: int, cfg: QuadratureConfig | None = None):
 
 
 def integrate_mesh_fn(mesh_fn, n: int, cfg: QuadratureConfig | None = None):
-    """integrate_sums over a mesh builder, mesh_fn(N) -> array (N,)*n + cells,
-    reduced by _reduce_array; the budget counts the N^n grid nodes."""
+    """integrate_sums over a mesh builder, mesh_fn(N) -> array (M,)*n + cells
+    (M = N, or N/2 + 1 folded by the builder), reduced by mesh_sums; the
+    budget counts the N^n grid nodes."""
     return integrate_sums(
-        lambda N, subgrid=False: _mesh_sums(np.asarray(mesh_fn(N)), n, subgrid),
+        lambda N, subgrid=False: mesh_sums(np.asarray(mesh_fn(N)), N, n, subgrid),
         lambda N: N ** n, n, cfg)
 
 
 def integrate_factors(ig: FactorIntegrand,
                       cfg: QuadratureConfig | None = None) -> QuadratureResult:
-    """Integrate a factor integrand on the node-sum path it selects: its
-    node_sums, or an unfolded mesh (no proven sign symmetry, or an odd N)
-    reduced by _reduce_array as integrate_mesh_fn would."""
-
-    def sums(N, subgrid=False):
-        if ig.path == "mesh" and not ig.folded(N):
-            return _mesh_sums(ig.mesh_eval(N), ig.n, subgrid)
-        return ig.node_sums(N, subgrid=subgrid)
-
-    return integrate_sums(sums, ig.points, ig.n, cfg)
+    """Integrate a factor integrand through its node_sums, on the path it
+    selects."""
+    return integrate_sums(ig.node_sums, ig.points, ig.n, cfg)
 
 
 def torus_integral(f, n: int, cfg: QuadratureConfig | None = None) -> QuadratureResult:

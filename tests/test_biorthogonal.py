@@ -29,6 +29,7 @@ from ehv.biorthogonal import (
     shifted_beta_sides,
     twelveV_integral_rep_sides,
 )
+from ehv.integrands import FactorIntegrand, mesh_sums
 from ehv.quadrature import QuadratureConfig
 
 
@@ -403,6 +404,75 @@ class TestWeightShiftGram:
                         list(t) + [t[0] * q ** m * p ** n, last])
                     seen.add(((m, n), chk.admissible))
         assert ((1, 1), False) in seen and ((0, 0), True) in seen
+
+
+def _gram_meshes(check, seed):
+    """The mesh builders the Gram integrals of one check call hand the
+    driver, in order."""
+    import ehv.biorthogonal as bo
+    from ehv.registry import CheckOptions, run_check
+
+    meshes = []
+    driver = bo.integrate_mesh_fn
+
+    def recording(mesh, n, cfg=None):
+        meshes.append(mesh)
+        return driver(mesh, n, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bo, "integrate_mesh_fn", recording)
+        run_check(check, CheckOptions(seed=seed))
+    return meshes
+
+
+def _unfolded(mesh, N):
+    """The full N-node mesh of a Gram builder, as it is when the weight does
+    not fold."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FactorIntegrand, "folded", lambda self, N: False)
+        return mesh(N)
+
+
+class TestGramFold:
+    """At an even N a Gram mesh holds the nodes k in [0, N/2] with the
+    weights 1, 2, ..., 2, 1: its tables are products over c z^{+-1} pairs
+    and the E weight is sign-symmetric (see biorthogonal._gram)."""
+
+    @pytest.mark.parametrize("seed", [0, 1009])
+    @pytest.mark.parametrize("check", ["biorth", "biorth2", "intrep",
+                                       "shifted_beta"])
+    def test_folded_sums_equal_the_unfolded(self, check, seed):
+        meshes = _gram_meshes(check, seed)
+        assert len(meshes) == (1 if check == "biorth" else 2)
+        for mesh in meshes:
+            for N in (1024, 2048):
+                folded, full = mesh(N), _unfolded(mesh, N)
+                assert (folded.shape[0], full.shape[0]) == (N // 2 + 1, N)
+                values, _, cells = mesh_sums(folded, N, 1)
+                full_values, abs_sums, full_cells = mesh_sums(full, N, 1)
+                assert cells == full_cells
+                for v, u, s in zip(values, full_values, abs_sums):
+                    assert abs(v - u) <= 1e-14 * s / N
+
+    # biorth's own set is left to the sums above: the rounding of its
+    # cancelling R_3 and T_3 rows makes its mesh symmetric only to 1.3e-14
+    # of a cell's largest |f| (seed 1009, N = 2048)
+    @pytest.mark.parametrize("seed", [0, 1009])
+    @pytest.mark.parametrize("check", ["biorth2", "intrep", "shifted_beta"])
+    def test_full_mesh_is_symmetric(self, check, seed):
+        for mesh in _gram_meshes(check, seed):
+            for N in (1024, 2048):
+                full = _unfolded(mesh, N)
+                mirror = full[-np.arange(N) % N]
+                assert np.all(np.abs(full - mirror).max(axis=0)
+                              <= 1e-14 * np.abs(full).max(axis=0))
+
+    def test_odd_n_stays_unfolded(self):
+        for mesh in _gram_meshes("shifted_beta", 0):
+            for N in (1023, 2047):
+                vals = mesh(N)
+                assert vals.shape[0] == N
+                assert np.array_equal(vals, _unfolded(mesh, N))
 
 
 class TestOnePassTables:

@@ -1,5 +1,7 @@
 """Torus quadrature: exactness, convergence, determinism, budgets."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,12 @@ from ehv.integrands import (
     Kind,
     ParamSet,
     make_integrand,
+    mesh_sums,
     orbit_count,
     rhs_closed_form,
 )
 from ehv.quadrature import (
     QuadratureConfig,
-    _mesh_sums,
-    _reduce_array,
     default_config,
     integrate_factors,
     integrate_mesh_fn,
@@ -180,6 +181,27 @@ class TestCellAxis:
             assert both.value[i] == one.value
 
 
+class TestReduction:
+    """mesh_sums sums each cell's nodes as one C-contiguous row, so a cell
+    summed among others gets the bits it gets alone.  That rests on numpy's
+    pairwise summation of a contiguous reduction axis, which numpy does not
+    document as a contract: this test pins it for the numpy in use."""
+
+    @pytest.mark.parametrize("grid,cells", [
+        ((1024,), (16,)), ((2048,), (5,)), ((192,), (192,)),
+        ((96, 96), (3,)), ((513,), (4,))])
+    def test_cells_summed_together_equal_each_alone(self, grid, cells):
+        gen = np.random.default_rng(20240817)
+        arr = (gen.standard_normal(grid + cells)
+               + 1j * gen.standard_normal(grid + cells))
+        N, n = grid[0], len(grid)
+        values, abs_sums, shape, even = mesh_sums(arr, N, n, True)
+        assert shape == cells and len(values) == math.prod(cells)
+        for i, idx in enumerate(np.ndindex(cells)):
+            alone = mesh_sums(arr[(...,) + idx], N, n, True)
+            assert alone == ([values[i]], [abs_sums[i]], (), [even[i]])
+
+
 def _hand_spec(rng, arg, family, n=3):
     """A spec of ``family`` at rank n built by hand: the rank >= 3 samplers
     reject most draws (CN_III's every draw), and the node sums need no
@@ -199,9 +221,9 @@ def _hand_spec(rng, arg, family, n=3):
 
 
 def _sums_equal_the_mesh(ig, N):
-    """node_sums(N) against the chunk-tree sums of the full grid."""
+    """node_sums(N) against the mesh_sums reduction of the full grid."""
     (value,), (abs_sum,), cells = ig.node_sums(N)
-    (mesh_value,), (mesh_abs,), _ = _reduce_array(ig.mesh_eval(N), ig.n)
+    (mesh_value,), (mesh_abs,), _ = mesh_sums(ig.mesh_eval(N), N, ig.n)
     assert cells == ()
     assert abs(value - mesh_value) <= 1e-14 * abs(mesh_value)
     assert abs(abs_sum - mesh_abs) <= 1e-14 * mesh_abs
@@ -214,7 +236,7 @@ _RANK3_PATHS = {Family.CN_I: "pairwise", Family.CN_II: "pairwise",
 
 class TestNodeSumPaths:
     """The pairwise contraction (C_n) and the Weyl-orbit sum (A_n) against
-    the chunk-tree sum of the full rank-3 grid."""
+    the mesh_sums reduction of the full rank-3 grid."""
 
     @pytest.mark.parametrize("family", list(_RANK3_PATHS))
     def test_rank3_sums_equal_the_mesh(self, rng, arg, family):
@@ -234,7 +256,7 @@ class TestNodeSumPaths:
         assert ig.path == "pairwise"
         for N in (8, 12):
             (value,), (abs_sum,), _ = ig.node_sums(N)
-            (mesh_value,), (mesh_abs,), _ = _reduce_array(ig.mesh_eval(N), 4)
+            (mesh_value,), (mesh_abs,), _ = mesh_sums(ig.mesh_eval(N), N, 4)
             assert abs(value - mesh_value) <= 1e-14 * abs(mesh_value)
             assert abs(abs_sum - mesh_abs) <= 1e-14 * mesh_abs
 
@@ -378,14 +400,6 @@ class TestFold:
                 integrate_mesh_fn(ig.mesh_eval, 2, cfg)
 
 
-def _factor_sums(ig, N, subgrid=False):
-    """The node sums integrate_factors takes at N: an unfolded mesh reduced
-    by _reduce_array, else node_sums."""
-    if ig.path == "mesh" and not ig.folded(N):
-        return _mesh_sums(ig.mesh_eval(N), ig.n, subgrid)
-    return ig.node_sums(N, subgrid=subgrid)
-
-
 # (family, rank, path, folded at an even N) of one list per node-sum path
 _NESTED = [(Family.CN_III, 2, "mesh", False), (Family.E, 1, "mesh", True),
            (Family.CN_I, 1, "mesh", True), (Family.CN_I, 2, "mesh", True),
@@ -405,9 +419,9 @@ class TestNestedGrid:
         ig = make_integrand(_hand_spec(rng, arg, family, n))
         assert (ig.path, ig.folded(32)) == (path, folded)
         for N0 in (16, 9):           # 9 -> 18: the odd subgrid of a fold
-            *fine, (even,) = _factor_sums(ig, 2 * N0, True)
-            assert fine == list(_factor_sums(ig, 2 * N0))
-            (coarse,), _, _ = _factor_sums(ig, N0)
+            *fine, (even,) = ig.node_sums(2 * N0, True)
+            assert fine == list(ig.node_sums(2 * N0))
+            (coarse,), _, _ = ig.node_sums(N0)
             assert abs(even - coarse) <= 1e-14 * abs(coarse)
 
     def test_two_cell_mesh(self, e_spec):
@@ -421,9 +435,9 @@ class TestNestedGrid:
                             axis=-1)
 
         for N0 in (16, 9):
-            *fine, even = _mesh_sums(cells(2 * N0), 1, True)
-            assert fine == list(_reduce_array(cells(2 * N0), 1))
-            coarse, _, shape = _reduce_array(cells(N0), 1)
+            *fine, even = mesh_sums(cells(2 * N0), 2 * N0, 1, True)
+            assert fine == list(mesh_sums(cells(2 * N0), 2 * N0, 1))
+            coarse, _, shape = mesh_sums(cells(N0), N0, 1)
             assert shape == (2,) and len(even) == 2
             for a, b in zip(even, coarse):
                 assert abs(a - b) <= 1e-14 * abs(b)
@@ -448,7 +462,7 @@ class TestNestedGrid:
 
         def sums(N, subgrid=False):
             calls.append((N, subgrid))
-            return _factor_sums(ig, N, subgrid)
+            return ig.node_sums(N, subgrid)
 
         return sums, calls, tables
 
@@ -478,7 +492,7 @@ class TestNestedGrid:
         res = integrate_sums(sums, ig.points, 1, cfg)
         assert calls == [(32, True), (64, False)] and tables == [32, 64]
         assert not res.converged and res.nodes_used == 64
-        assert res.est_error == abs(res.value - _factor_sums(ig, 32)[0][0])
+        assert res.est_error == abs(res.value - ig.node_sums(32)[0][0])
 
     @pytest.mark.parametrize("doublings,budget", [(0, ""), (4, "100")])
     def test_start_grid_alone(self, e_spec, monkeypatch, doublings, budget):
