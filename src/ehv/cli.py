@@ -12,7 +12,8 @@ Each subcommand takes only the flags it reads, and each check of ``verify``
 only the options it reads (see ``registry.run_check``); any other exits 2.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 invalid input or a
-gated precondition (unknown name, domain violation, inadmissible contour).
+gated precondition (unknown name, domain violation, inadmissible contour,
+a value beyond the float range).
 Errors are reported as one-line JSON objects on stderr.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import _backend
@@ -134,6 +136,8 @@ def cmd_eval(args) -> int:
         _fail(2, str(exc), function=args.name)
     except (ValueError, KeyError, OSError) as exc:
         _fail(2, f"invalid parameters: {exc}", function=args.name)
+    except OverflowError as exc:
+        _fail(2, f"overflow: {exc}", function=args.name)
     print(_fmt_complex(complex(value)))
     return 0
 
@@ -154,6 +158,8 @@ def cmd_verify(args) -> int:
         _fail(2, str(exc), identity=args.name)
     except (ValueError, KeyError, OSError) as exc:
         _fail(2, f"invalid parameters: {exc}", identity=args.name)
+    except OverflowError as exc:
+        _fail(2, f"overflow: {exc}", identity=args.name)
     for rep in reports:
         print(rep.to_json_line() if args.json else rep.to_text_line())
     if rejection_count():
@@ -169,6 +175,8 @@ def _parse_grid(text: str):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError("empty grid")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError("endpoints must be finite")
         if geom and (start <= 0 or stop <= 0):
             raise ValueError("geometric grid needs positive endpoints")
     except (ValueError, IndexError) as exc:
@@ -233,6 +241,8 @@ def cmd_sweep(args) -> int:
         _fail(2, str(exc), identity=args.name)
     except (ValueError, KeyError, OSError) as exc:
         _fail(2, f"invalid sweep input: {exc}", identity=args.name)
+    except OverflowError as exc:
+        _fail(2, f"overflow: {exc}", identity=args.name)
     lines = [rep.to_json_line() for rep in reports]
     npass = sum(1 for rep in reports if rep.passed)
     summary = json.dumps({"summary": args.name, "grid": args.grid,

@@ -34,15 +34,10 @@ value is never served to the other mode.  Only floats and complex
 numbers without a zero part are memoized, so two equal keys always have
 the same bits (no signed zero can hide behind ``==``); mpmath numbers,
 whose arithmetic depends on ``mp.dps``, bypass it.  Exceptions are never
-memoized.
-``registry.run_check`` calls ``clear_memo()`` first, so the memo's scope
-is one check call.  The 16 powers p^(+-k), k <= 8, of theta's exact-zero
-test are built once per base.  ``clear_memo`` also empties every
-``TableMemo``, the bounded memos other modules keep node tables in.  Unlike
-theta's values, a ``TableMemo`` entry keeps the bits of the call that built
-it (the integrands module's c = 1 row), so outside a check call the
-results that read it depend on earlier calls in the process until
-``clear_memo()`` runs; inside one, only on the calls of that check.
+memoized.  The 16 powers p^(+-k), k <= 8, of theta's exact-zero test are
+kept per such base p in an LRU memo of their own.  Both memos are bounded
+and keyed on everything their values depend on, so no value depends on the
+calls before it and no memo needs emptying.
 """
 
 from __future__ import annotations
@@ -155,9 +150,9 @@ class Moduli:
     p: complex
 
     def __post_init__(self):
-        if abs(self.q) >= 1.0:
+        if not abs(self.q) < 1.0:       # NaN fails this test too
             raise ValueError(f"|q| must be < 1, got {abs(self.q)}")
-        if abs(self.p) >= 1.0:
+        if not abs(self.p) < 1.0:
             raise ValueError(f"|p| must be < 1, got {abs(self.p)}")
 
     def swapped(self) -> "Moduli":
@@ -224,32 +219,6 @@ def _memoizable(x) -> bool:
     follows the working precision."""
     t = type(x)
     return t is float or (t is complex and x.real != 0 and x.imag != 0)
-
-
-class TableMemo(dict):
-    """A memo of at most maxsize entries (the oldest goes first) that
-    clear_memo empties."""
-
-    def __init__(self, maxsize: int):
-        super().__init__()
-        self.maxsize = maxsize
-        _TABLE_MEMOS.append(self)
-
-    def __setitem__(self, key, value):
-        if key not in self and len(self) >= self.maxsize:
-            del self[next(iter(self))]
-        super().__setitem__(key, value)
-
-
-_TABLE_MEMOS: list = []
-
-
-def clear_memo() -> None:
-    """Empty theta's memo, the per-base zero lattices and every TableMemo."""
-    _theta_memo.cache_clear()
-    _zero_lattice.cache_clear()
-    for table in _TABLE_MEMOS:
-        table.clear()
 
 
 def theta(z, p):

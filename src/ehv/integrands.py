@@ -70,10 +70,10 @@ A_n families at rank 1 (where S_2 is the sign flip).  C_n type III at rank
 is symmetric in value but not as a multiset, and no exemption is made.
 
 The c = 1 reciprocal row 1/Gamma(w^k) of the Weyl denominators (C_n's
-1/Gamma(z_j^{+-2}), A_n's 1/Gamma(z_i/z_j)) depends on (N, q, p) alone: the
-first stack that needs it builds it, and later tables at the same (N, q, p)
-read it, as first built, from a memo that core.clear_memo empties.  The
-quadrature driver's first grid is 2 N0 (its N0 sums are the even nodes of
+1/Gamma(z_j^{+-2}), A_n's 1/Gamma(z_i/z_j)) depends on (N, q, p) alone: it
+is built in a gamma_vec call of its own (_unit_row), kept in an LRU memo
+keyed on (N, q, p) and their types, and read by every table that needs it.
+The quadrature driver's first grid is 2 N0 (its N0 sums are the even nodes of
 that grid), so an integral first builds the row at 2 N0, never at N0.
 
 Determinism: the mesh multiplies in a fixed order, and every mesh, folded
@@ -81,14 +81,8 @@ or not, with or without cell axes, is reduced by mesh_sums, one row sum per
 cell; the contraction's einsum path depends only on the shapes, so its bits
 repeat for a given numpy and BLAS at a given thread count; the orbit sum
 visits fixed blocks in a fixed order.  The paths, folded or not, agree with
-each other to rounding, not bit for bit.  The tables' bits repeat only with
-the memo in the same state: gamma_vec takes its base, scale and term count
-from the whole stack, so the c = 1 row, and the rows stacked with it or
-without it, carry in their last bits which list first built it at that
-(N, q, p).  registry.run_check empties the memo first, so a check's rows do
-not depend on what ran before it; elsewhere (integrate_factors, node_sums,
-closed_form_values called directly) call core.clear_memo() first where the
-bits must not depend on earlier calls in the process.
+each other to rounding, not bit for bit.  A table's bits depend on its
+factor list, N and the moduli alone, never on the calls before it.
 """
 
 from __future__ import annotations
@@ -103,7 +97,7 @@ from enum import Enum
 import numpy as np
 
 from ._backend import EXTENDED, cpow, get_precision
-from .core import Moduli, TableMemo, qpochhammer, theta
+from .core import Moduli, _memoizable, qpochhammer, theta
 from .errors import UnsupportedFamily
 from .gamma import elliptic_gamma, elliptic_gamma_reciprocal, pole_guard
 from .vec import gamma_vec, theta_vec
@@ -623,33 +617,34 @@ def _gamma_keys(factors) -> list:
                               if f.kind in (Kind.GAMMA, Kind.IGAMMA)))
 
 
-# (N, q, p) -> the c = 1 reciprocal row 1/Gamma(w^k; q, p), k < N, of the
-# Weyl denominators 1/Gamma(z_j^{+-2}) and 1/Gamma(z_i/z_j), as first built;
-# a check uses a few grid sizes on one or two moduli
-_UNIT_ROWS = TableMemo(16)
+@functools.lru_cache(maxsize=16, typed=True)
+def _unit_row(N: int, q, p) -> np.ndarray:
+    """The c = 1 reciprocal row 1/Gamma(w^k; q, p), k < N, of the Weyl
+    denominators 1/Gamma(z_j^{+-2}) and 1/Gamma(z_i/z_j), read-only: a
+    gamma_vec call of its own, so its bits depend on (N, q, p) alone.  A
+    check uses a few grid sizes on one or two moduli."""
+    row = gamma_vec(_ONE, N, q, p, inverse=True)
+    row.setflags(write=False)
+    return row
 
 
 def _atoms(factors, N: int, m: Moduli):
     """factor -> the table of its atom g(c w^k), k < N, on the N roots of
     unity: one gamma_vec call for all distinct (constant, inverse) pairs of
-    factors but the c = 1 reciprocal row once _UNIT_ROWS holds it, one
-    theta table per distinct constant.  The row depends on (N, q, p) alone:
-    it is built in the first stack that needs it since the memo was last
-    emptied (registry.run_check empties it) and read-only from then on, so
-    the bits depend on that first stack (module docstring)."""
+    factors but the c = 1 reciprocal row, which _unit_row memoizes (like
+    theta's memo, only for moduli whose equal values have equal bits), one
+    theta table per distinct constant."""
     z1d = np.exp(2j * np.pi * np.arange(N) / N)
-    unit, held = (_ONE, True), (N, m.q, m.p)
+    unit = (_ONE, True)
     keys = _gamma_keys(factors)
-    stack = [key for key in keys if key != unit or held not in _UNIT_ROWS]
+    stack = [key for key in keys if key != unit]
     gamma = dict(zip(stack, gamma_vec([c for c, _ in stack], N, m.q, m.p,
                                       inverse=[i for _, i in stack])
                      if stack else ()))
-    if unit in gamma:
-        gamma[unit] = gamma[unit].copy()
-        gamma[unit].setflags(write=False)
-        _UNIT_ROWS[held] = gamma[unit]
-    elif unit in keys:
-        gamma[unit] = _UNIT_ROWS[held]
+    if unit in keys:
+        memo = _memoizable(m.q) and _memoizable(m.p)
+        gamma[unit] = (_unit_row if memo else _unit_row.__wrapped__)(
+            N, m.q, m.p)
     theta_cache: dict = {}
 
     def table(f: Factor) -> np.ndarray:

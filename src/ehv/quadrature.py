@@ -49,10 +49,7 @@ The contraction is one np.einsum whose path depends only on the shapes, so
 its bits repeat for a given numpy and BLAS at a given thread count.  The
 orbit sum adds fixed blocks of representatives in a fixed order.  The
 paths, folded or not, agree to rounding (within 1e-14 relative on the
-tested integrands), not bit for bit.  The node tables of a FactorIntegrand
-carry one exception: outside registry.run_check, the bits of a grid depend
-on which list first built the c = 1 reciprocal row at its (N, q, p) (see
-the integrands module); call core.clear_memo() first where they must repeat.
+tested integrands), not bit for bit.
 """
 
 from __future__ import annotations

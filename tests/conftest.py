@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ehv import _backend
-from ehv.core import Moduli, clear_memo
+from ehv.core import Moduli
 
 # The command-line tests run ``python -m ehv.cli`` in subprocesses, which
 # import ehv from this checkout's src/ as the tests themselves do through
@@ -14,14 +14,6 @@ from ehv.core import Moduli, clear_memo
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
-
-
-@pytest.fixture(autouse=True)
-def _empty_memos():
-    """Every test starts with the memos empty, as a check call does: a node
-    table memo keeps the bits of the list that first built its row, so a
-    test's results must not depend on the tests that ran before it."""
-    clear_memo()
 
 
 @pytest.fixture

@@ -56,6 +56,20 @@ class TestEval:
         assert out.returncode == 2
         assert "not terminating" in json.loads(out.stderr)["error"]
 
+    @pytest.mark.parametrize("args", [
+        ("theta", "--z", "1e-300", "--p", "0.5"),
+        ("qpochhammer", "--z", "1e300", "--b", "0.5"),
+        ("gamma", "--z", "1e300", "--q", "0.3", "--p", "0.2"),
+        ("S", "--u", "1e5", "--w1", "1+1j", "--w2", "1"),
+        ("theta_factorial", "--z", "0.5", "--p", "0.3", "--q", "1e-200",
+         "--N", "-5"),
+    ])
+    def test_overflow_exit_2(self, args):
+        out = run("eval", *args)
+        assert out.returncode == 2
+        [line] = out.stderr.splitlines()
+        assert json.loads(line)["error"].startswith("overflow: ")
+
 
 class TestVerify:
     def test_ft_sum_passes(self):
@@ -201,6 +215,14 @@ class TestSweep:
     def test_empty_grid_exit_2(self):
         out = run("sweep", "theorem1", "--grid", "t0=0.1:0.9:0")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("grid", ["q=0.3:nan:2", "t0=nan:0.5:2",
+                                      "q=0.3:inf:2"])
+    def test_non_finite_endpoint_exit_2(self, grid):
+        out = run("sweep", "theorem1", "--grid", grid)
+        assert out.returncode == 2
+        [line] = out.stderr.splitlines()
+        assert json.loads(line)["error"].startswith("malformed grid spec")
 
     def test_geometric_grid_and_output_file(self, tmp_path):
         f = tmp_path / "base.json"

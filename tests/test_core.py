@@ -12,10 +12,8 @@ from ehv.core import (
     DEFAULT_POLICY,
     THETA_MEMO_SIZE,
     Moduli,
-    TableMemo,
     _theta_memo,
     _theta_product,
-    clear_memo,
     qpochhammer,
     theta,
     theta1,
@@ -142,7 +140,6 @@ class TestThetaMemo:
         cases = list(self.grid(rng, arg))
         assert any(abs(z) > 1e3 and DEFAULT_POLICY.cutoff(abs(z), abs(p)) > 64
                    for z, p in cases)
-        clear_memo()
         for z, p in cases:
             want = repr(_theta_product(z, p, DEFAULT_POLICY))
             assert repr(theta(z, p)) == want, (z, p)
@@ -161,23 +158,11 @@ class TestThetaMemo:
                 theta(0.4 + 0.1j, 0.993)
 
     def test_stays_within_bound(self, rng, arg):
-        clear_memo()
         for _ in range(3 * THETA_MEMO_SIZE):
             theta(arg(rng, 0.1, 3.0), 0.3 + 0.1j)
         info = _theta_memo.cache_info()
         assert info.maxsize == THETA_MEMO_SIZE
         assert info.currsize == THETA_MEMO_SIZE
-        clear_memo()
-        assert _theta_memo.cache_info().currsize == 0
-
-    def test_table_memo_is_bounded_and_cleared(self):
-        tables = TableMemo(2)
-        for key in range(3):
-            tables[key] = np.full(4, key)
-        tables[1] = np.zeros(4)          # a held key takes no new slot
-        assert list(tables) == [1, 2]
-        clear_memo()
-        assert not tables
 
 
 class TestThetaVecBases:
@@ -330,6 +315,11 @@ class TestModuli:
             Moduli(1.0, 0.2)
         with pytest.raises(ValueError):
             Moduli(0.2, -1.5)
+        for nan in (float("nan"), complex(0.2, float("nan"))):
+            with pytest.raises(ValueError):
+                Moduli(nan, 0.2)
+            with pytest.raises(ValueError):
+                Moduli(0.2, nan)
 
     def test_degenerations_allowed(self):
         m = Moduli(0.0, 0.3)

@@ -246,31 +246,35 @@ class TestStackedGammaTable:
 
     def test_tables_make_one_call_per_grid(self, monkeypatch):
         """FactorIntegrand._tables(N) builds all its Gamma and 1/Gamma rows
-        in one gamma_vec call; the c = 1 reciprocal row only while the memo
-        does not hold it for (N, q, p)."""
+        but the c = 1 reciprocal one in one gamma_vec call; that row is a
+        call of its own, made once per (N, q, p) in a process."""
         from ehv import integrands
-        from ehv.core import clear_memo
         from ehv.registry import Sampler, _draw_spec
 
-        calls = []
+        stacks, rows = [], []
 
-        def counted(c, *args, **kwargs):
-            calls.append(len(c))
-            return gamma_vec(c, *args, **kwargs)
+        def counted(c, N, q, p, *, inverse=False):
+            if np.ndim(c):
+                stacks.append(set(zip(c, inverse)))
+            else:
+                rows.append((c, inverse, N, q, p))
+            return gamma_vec(c, N, q, p, inverse=inverse)
 
         monkeypatch.setattr(integrands, "gamma_vec", counted)
+        integrands._unit_row.cache_clear()     # rows earlier tests built
         for family, n in ((integrands.Family.CN_II, 2),
                           (integrands.Family.AN_I, 2),
                           (integrands.Family.CN_III, 1)):
             ig = integrands.make_integrand(_draw_spec(Sampler(3), family, n))
-            keys = {(f.c, f.kind) for f in ig.factors
+            keys = {(f.c, f.kind is integrands.Kind.IGAMMA) for f in ig.factors
                     if f.kind in (integrands.Kind.GAMMA, integrands.Kind.IGAMMA)}
-            clear_memo()
-            calls.clear()
-            ig._tables(48)
-            assert calls == [len(keys)]
-            ig._tables(48)
-            assert calls == [len(keys), len(keys) - 1]
+            assert (1, True) in keys
+            for _ in range(2):
+                stacks.clear()
+                ig._tables(48)
+                assert stacks == [keys - {(1, True)}]
+        m = ig.moduli
+        assert rows == [(1, True, 48, m.q, m.p)]
 
 
 class TestGammaMulti:

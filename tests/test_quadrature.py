@@ -1,5 +1,6 @@
 """Torus quadrature: exactness, convergence, determinism, budgets."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from ehv.integrands import (
     IntegrandSpec,
     Kind,
     ParamSet,
+    _unit_row,
     make_integrand,
     mesh_sums,
     orbit_count,
@@ -27,6 +29,7 @@ from ehv.quadrature import (
     integrate_sums,
     torus_integral,
 )
+from ehv.registry import Sampler, _draw_spec, biorth2_param_sets
 
 
 class TestExactness:
@@ -137,6 +140,32 @@ class TestDeterminism:
         b = integrate_mesh_fn(ig.mesh_eval, 2, cfg)
         assert a.nodes_used == b.nodes_used == 32 ** 2
         assert a.value == pytest.approx(b.value, rel=1e-13)
+
+    def test_integral_does_not_depend_on_earlier_integrands(self):
+        # biorth2's beta weight at seed 9081, alone, then after the weight of
+        # seed 0 has built the c = 1 reciprocal rows at the same moduli: the
+        # integral moved while that row was built in the first stack that
+        # needed it, which set the term count of the other rows
+        ig, other = (make_integrand(biorth2_param_sets(seed)[0].weight_spec())
+                     for seed in (9081, 0))
+        _unit_row.cache_clear()
+        before = repr(integrate_factors(ig))
+        _unit_row.cache_clear()
+        integrate_factors(other)
+        assert repr(integrate_factors(ig)) == before
+
+    def test_float_and_complex_moduli_share_no_unit_row(self):
+        # 0.31 and 0.31+0j are equal keys of other types; a complex with a
+        # zero part (0j == -0j) is not memoized at all
+        _unit_row.cache_clear()
+        row = _unit_row(48, 0.31, 0.23)
+        assert _unit_row(48, 0.31 + 0j, 0.23) is not row
+        assert _unit_row.cache_info().currsize == 2
+        spec = _draw_spec(Sampler(3), Family.CN_I, 1)
+        for m in (Moduli(0.31 + 0j, 0.23), Moduli(0.31, 0.23 - 0j)):
+            ig = make_integrand(dataclasses.replace(spec, moduli=m))
+            ig._tables(48)
+            assert _unit_row.cache_info().currsize == 2
 
 
 class TestCellAxis:

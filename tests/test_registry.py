@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ehv
@@ -135,22 +136,46 @@ def test_family_report_validates_a_draw_once(monkeypatch):
     assert row.passed and calls == [spec]
 
 
-def test_unit_row_is_built_once_per_grid_and_check(monkeypatch):
+def test_table_rows_do_not_depend_on_earlier_calls():
+    # family and Gram checks with the unit row memo empty, then again after
+    # they and other checks have built the rows of the same (N, q, p); two
+    # biorth2 rows at seed 1009 moved while the row was built in the first
+    # stack that needed it
+    from ehv import integrands
+
+    calls = [("cn1", CheckOptions(seed=0)), ("an1", CheckOptions(seed=0, n=2)),
+             ("biorth", CheckOptions(seed=0)),
+             ("biorth2", CheckOptions(seed=1009))]
+
+    def rows():
+        return [repr(dataclasses.replace(r, runtime_ms=0.0))
+                for name, opts in calls for r in run_check(name, opts)]
+
+    integrands._unit_row.cache_clear()
+    before = rows()
+    for name in ("an1", "cn2", "cn3", "an2_odd", "intrep", "theorem1"):
+        run_check(name, CheckOptions(seed=0))
+    assert rows() == before
+
+
+def test_a_second_check_call_builds_no_unit_row(monkeypatch):
     # theorem1 integrates 20 draws from 256 nodes, whose sums are the even
     # nodes of the first grid evaluated, 512: the c = 1 reciprocal row is
-    # built in the first stack at 512, then read; no 256 table is built
+    # built at 512 once in a process, then read; no 256 table is built
     from ehv import integrands
 
     built = []
     kernel = integrands.gamma_vec
 
     def recording(c, N, q, p, *, inverse=False):
-        if (1, True) in zip(c, inverse):
+        cs = [c] if np.ndim(c) == 0 else c
+        if (1, True) in zip(cs, np.broadcast_to(inverse, len(cs))):
             built.append(N)
         return kernel(c, N, q, p, inverse=inverse)
 
     monkeypatch.setattr(integrands, "gamma_vec", recording)
-    for _ in range(2):                   # run_check empties the memo first
+    integrands._unit_row.cache_clear()
+    for want in ([512], []):
         built.clear()
         assert all(r.passed for r in run_check("theorem1", CheckOptions()))
-        assert built == [512]
+        assert built == want
