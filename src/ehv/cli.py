@@ -11,15 +11,18 @@
 Each subcommand takes only the flags it reads, and each check of ``verify``
 only the options it reads (see ``registry.run_check``); any other exits 2.
 
-Exit codes: 0 all checks pass, 1 at least one failure, 2 invalid input or a
+Exit codes: 0 success, 1 a ``verify`` row failed, 2 invalid input or a
 gated precondition (unknown name, domain violation, inadmissible contour,
-a value beyond the float range).
+a value beyond the float range, a non-finite number).  Exit 1 belongs to
+``verify`` alone: a ``sweep`` whose rows print exits 0 and reports failing
+points in its rows and its ``pass_fraction``.
 Errors are reported as one-line JSON objects on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -56,17 +59,22 @@ def _fail(code: int, message: str, **extra):
     sys.exit(code)
 
 
-def _parse_complex(text: str):
+def _parse_complex(text: str, flag: str):
+    """The number ``--flag text`` gives; EHVError unless both parts are
+    finite."""
     try:
         if "," in text:
             re_s, im_s = text.split(",", 1)
             val = complex(float(re_s), float(im_s))
-        elif "j" in text or "i" in text:
-            val = complex(text.replace("i", "j"))
         else:
-            val = complex(float(text), 0.0)
+            try:
+                val = complex(float(text), 0.0)
+            except ValueError:
+                val = complex(text.replace("i", "j"))
     except ValueError:
-        raise EHVError(f"cannot parse complex number {text!r}")
+        raise EHVError(f"--{flag}: cannot parse complex number {text!r}")
+    if not cmath.isfinite(val):
+        raise EHVError(f"--{flag} must be finite; got {text!r}")
     return _backend.coerce(val)
 
 
@@ -89,7 +97,7 @@ def _eval_function(args) -> complex:
         val = getattr(args, flag)
         if val is None:
             raise EHVError(f"missing argument --{flag} for {name}")
-        return _parse_complex(val)
+        return _parse_complex(val, flag)
 
     functions = {
         "theta": lambda: theta(need("z"), need("p")),

@@ -191,27 +191,38 @@ class IntegrandSpec:
 
     @property
     def product_A(self):
-        ps, m, n = self.params, self.moduli, self.n
-        fam = self.family
-        if fam in (Family.E, Family.CN_I, Family.AN_I):
-            return _prod(ps.t)
-        if fam is Family.CN_III:
-            return ps.extras["t"] * _prod(ps.t) * cpow(m.q, n - 1)
-        if fam is Family.AN_III:
-            return cpow(ps.extras["t"], n + 2) * _prod(ps.t)
-        raise UnsupportedFamily(f"no product A for {fam.value}")
+        ps = self.params
+        return _product_A(self.family, self.n, ps.t, ps.extras, self.moduli)
 
     @property
     def product_B(self):
-        ps, n = self.params, self.n
-        fam = self.family
-        if fam is Family.CN_II:
-            return cpow(ps.extras["t"], 2 * n - 2) * _prod(ps.t)
-        if fam is Family.AN_I:
-            return _prod(ps.f)
-        if fam is Family.AN_II:
-            return cpow(ps.extras["t"] * ps.extras["s"], n - 1) * _prod(ps.t)
-        raise UnsupportedFamily(f"no product B for {fam.value}")
+        ps = self.params
+        return _product_B(self.family, self.n, ps.t, ps.f, ps.extras)
+
+
+# The products and the domain table below take the raw fields of a spec and
+# use only abs, * and integer powers, so they run on Python or mpmath numbers
+# and on numpy arrays of candidates alike (registry's screened sampler).
+
+
+def _product_A(family: Family, n: int, t, extras, m: Moduli):
+    if family in (Family.E, Family.CN_I, Family.AN_I):
+        return _prod(t)
+    if family is Family.CN_III:
+        return extras["t"] * _prod(t) * cpow(m.q, n - 1)
+    if family is Family.AN_III:
+        return cpow(extras["t"], n + 2) * _prod(t)
+    raise UnsupportedFamily(f"no product A for {family.value}")
+
+
+def _product_B(family: Family, n: int, t, f, extras):
+    if family is Family.CN_II:
+        return cpow(extras["t"], 2 * n - 2) * _prod(t)
+    if family is Family.AN_I:
+        return _prod(f)
+    if family is Family.AN_II:
+        return cpow(extras["t"] * extras["s"], n - 1) * _prod(t)
+    raise UnsupportedFamily(f"no product B for {family.value}")
 
 
 def _prod(seq):
@@ -262,46 +273,54 @@ class ValidationResult:
         return [c.name for c in self.checks if not c.ok]
 
 
-def validate_domain(spec: IntegrandSpec) -> ValidationResult:
-    """Per-family inequality table; strict throughout."""
-    ps, m = spec.params, spec.moduli
+def domain_table(family: Family, n: int, t, f, x, extras, m: Moduli):
+    """Per-family inequality table, strict throughout: (name, lhs, rhs) rows,
+    each saying that the pole modulus lhs stays below rhs.  The fields may
+    be numbers or numpy arrays (one entry per candidate)."""
     pq = abs(m.p * m.q)
-    checks = []
+    rows = []
 
     def lt1(vals, label):
-        for i, v in enumerate(vals):
-            checks.append(InequalityCheck(f"|{label}_{i}| < 1", abs(v), 1.0))
+        rows.extend([(f"|{label}_{i}| < 1", abs(v), 1.0)
+                     for i, v in enumerate(vals)])
 
-    fam = spec.family
-    if fam in (Family.E, Family.CN_I):
-        lt1(ps.t, "t")
-        checks.append(InequalityCheck("|pq| < |A|", pq, abs(spec.product_A)))
-    elif fam is Family.CN_II:
-        lt1(ps.t, "t")
-        checks.append(InequalityCheck("|t| < 1", abs(ps.extras["t"]), 1.0))
-        checks.append(InequalityCheck("|pq| < |B|", pq, abs(spec.product_B)))
-    elif fam is Family.CN_III:
-        lt1(ps.x, "x")
-        lt1(ps.t, "t")
-        tmod = abs(ps.extras["t"])
-        for i, xv in enumerate(ps.x):
-            checks.append(InequalityCheck(f"|t| < |x_{i}|", tmod, abs(xv)))
-        checks.append(InequalityCheck("|pq| < |A|", pq, abs(spec.product_A)))
-    elif fam is Family.AN_I:
-        lt1(ps.t, "t")
-        lt1(ps.f, "f")
-        checks.append(InequalityCheck(
-            "|pq| < |AB|", pq, abs(spec.product_A * spec.product_B)))
-    elif fam is Family.AN_II:
-        lt1(ps.t, "t")
-        checks.append(InequalityCheck("|t| < 1", abs(ps.extras["t"]), 1.0))
-        checks.append(InequalityCheck("|s| < 1", abs(ps.extras["s"]), 1.0))
-        checks.append(InequalityCheck("|pq| < |B|", pq, abs(spec.product_B)))
-    elif fam is Family.AN_III:
-        lt1(ps.t, "t")
-        checks.append(InequalityCheck("|t| < 1", abs(ps.extras["t"]), 1.0))
-        checks.append(InequalityCheck("|pq| < |A|", pq, abs(spec.product_A)))
-    return ValidationResult(tuple(checks))
+    if family in (Family.E, Family.CN_I):
+        lt1(t, "t")
+        rows.append(("|pq| < |A|", pq, abs(_product_A(family, n, t, extras, m))))
+    elif family is Family.CN_II:
+        lt1(t, "t")
+        rows.append(("|t| < 1", abs(extras["t"]), 1.0))
+        rows.append(("|pq| < |B|", pq, abs(_product_B(family, n, t, f, extras))))
+    elif family is Family.CN_III:
+        lt1(x, "x")
+        lt1(t, "t")
+        tmod = abs(extras["t"])
+        rows.extend([(f"|t| < |x_{i}|", tmod, abs(xv)) for i, xv in enumerate(x)])
+        rows.append(("|pq| < |A|", pq, abs(_product_A(family, n, t, extras, m))))
+    elif family is Family.AN_I:
+        lt1(t, "t")
+        lt1(f, "f")
+        rows.append(("|pq| < |AB|", pq,
+                     abs(_product_A(family, n, t, extras, m)
+                         * _product_B(family, n, t, f, extras))))
+    elif family is Family.AN_II:
+        lt1(t, "t")
+        rows.append(("|t| < 1", abs(extras["t"]), 1.0))
+        rows.append(("|s| < 1", abs(extras["s"]), 1.0))
+        rows.append(("|pq| < |B|", pq, abs(_product_B(family, n, t, f, extras))))
+    elif family is Family.AN_III:
+        lt1(t, "t")
+        rows.append(("|t| < 1", abs(extras["t"]), 1.0))
+        rows.append(("|pq| < |A|", pq, abs(_product_A(family, n, t, extras, m))))
+    return rows
+
+
+def validate_domain(spec: IntegrandSpec) -> ValidationResult:
+    """The domain table at the spec's values."""
+    ps = spec.params
+    rows = domain_table(spec.family, spec.n, ps.t, ps.f, ps.x, ps.extras,
+                        spec.moduli)
+    return ValidationResult(tuple([InequalityCheck(*row) for row in rows]))
 
 
 # -- atomic factor engine -----------------------------------------------------

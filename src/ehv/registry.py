@@ -19,6 +19,7 @@ import functools
 import itertools
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ from .integrands import (
     IntegrandSpec,
     ParamSet,
     an_trans_domain_check,
+    domain_table,
     make_integrand,
     rhs_closed_form,
     validate_domain,
@@ -123,8 +125,36 @@ def _reset_rejections() -> None:
     _REJECTION_COUNT = 0
 
 
+_TRIES = 5000        # candidates before a sampler gives up
+_ALONE = 8           # candidates tried one at a time before the screen
+_FIRST_BLOCK = 64    # screened blocks double from this ...
+_LAST_BLOCK = 1024   # ... up to this
+
+
+@dataclass(frozen=True)
+class Screen:
+    """A cheap array pre-test of a sampler's candidates.  One candidate is
+    ``width`` consecutive doubles of the sampler's stream, and ``keep`` maps
+    a (count, width) array of them to a mask that is False only where the
+    exact gate cannot accept."""
+
+    width: int
+    keep: Callable[[np.ndarray], np.ndarray]
+
+
 class Sampler:
-    """Seeded rejection sampler for admissible parameter draws."""
+    """Seeded rejection sampler for admissible parameter draws.
+
+    ``accept`` returns the first candidate that ``ok`` admits, of at most
+    _TRIES, and counts the others as rejections.  With a ``Screen`` the
+    candidates after the first _ALONE are screened in blocks of 64 doubling
+    to 1024: the block's doubles are read from the stream, the screen drops
+    candidates in one array pass, the stream is rewound and the exact
+    ``draw()`` and ``ok()`` run on each survivor in order, the stream skipped
+    to it.  The screen never drops a candidate that ``ok`` admits, so every
+    accepted draw, rejection count and final stream state is the one the
+    plain loop gives.
+    """
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
@@ -137,15 +167,52 @@ class Sampler:
     def args(self, k: int, lo: float, hi: float):
         return tuple(self.arg(lo, hi) for _ in range(k))
 
-    def accept(self, draw, ok):
-        global _REJECTION_COUNT
-        for _ in range(5000):
-            cand = draw()
-            if ok(cand):
+    def accept(self, draw, ok, screen: Screen | None = None):
+        tried, block = 0, _FIRST_BLOCK
+        while tried < _TRIES:
+            if screen is None or tried < _ALONE:
+                cand = draw()
+                if ok(cand):
+                    return cand
+                self._reject(1)
+                tried += 1
+                continue
+            count = min(block, _TRIES - tried)
+            block = min(2 * block, _LAST_BLOCK)
+            found, cand = self._screened(draw, ok, screen, count)
+            if found:
                 return cand
-            self.rejections += 1
-            _REJECTION_COUNT += 1
+            tried += count
         raise EHVError("rejection sampling exhausted; no admissible draw")
+
+    def _screened(self, draw, ok, screen: Screen, count: int):
+        """(True, the first admitted candidate) of the next ``count``, the
+        stream left just after it, else (False, None) past all of them."""
+        rng, rnd = self.rng, self.rng.random
+        start = rng.getstate()
+        size = count * screen.width
+        u = np.fromiter((rnd() for _ in range(size)), float, size)
+        survivors = np.flatnonzero(screen.keep(u.reshape(count, screen.width)))
+        if survivors.size:
+            end = rng.getstate()
+            rng.setstate(start)
+            at = 0
+            for i in survivors.tolist():
+                for _ in range((i - at) * screen.width):
+                    rnd()
+                cand = draw()
+                if ok(cand):
+                    self._reject(i)
+                    return True, cand
+                at = i + 1
+            rng.setstate(end)
+        self._reject(count)
+        return False, None
+
+    def _reject(self, k: int) -> None:
+        global _REJECTION_COUNT
+        self.rejections += k
+        _REJECTION_COUNT += k
 
 
 def timed_rows(rows):
@@ -201,62 +268,97 @@ def _family_report(name, spec, tol, nodes) -> VerificationReport:
 # -- seeded spec draws per family ------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _boxes(family: Family, n: int) -> tuple:
+    """The arguments of a ``family`` draw at rank n in stream order:
+    (field, count, lo, hi), count arguments of modulus in [lo, hi) for the
+    sequence "t", "f" or "x", or one for the scalar extra "extras.<key>"."""
+    one = n == 1
+    return tuple({
+        Family.E: [("t", 5, 0.3, 0.85)],
+        Family.CN_I: [("t", 2 * n + 3, 0.62 if one else 0.72, 0.85)],
+        Family.CN_II: [("extras.t", 1, 0.2, 0.5) if one
+                       else ("extras.t", 1, 0.6, 0.8), ("t", 5, 0.6, 0.85)],
+        Family.CN_III: [("x", 1, 0.55, 0.8), ("t", 3, 0.5, 0.8),
+                        ("extras.t", 1, 0.15, 0.45)] if one else
+                       [("x", n, 0.65, 0.85), ("t", 3, 0.8, 0.92),
+                        ("extras.t", 1, 0.45, 0.6)],
+        Family.AN_I: [("t", n + 1, 0.45 if one else 0.55, 0.8),
+                      ("f", n + 2, 0.45 if one else 0.55, 0.8)],
+        Family.AN_II: [("t", 5, 0.5 if one else 0.7, 0.88),
+                       ("extras.t", 1, 0.3 if one else 0.55, 0.75),
+                       ("extras.s", 1, 0.3 if one else 0.55, 0.75)],
+        Family.AN_III: [("t", n + 4, 0.75, 0.92),
+                        ("extras.t", 1, 0.7 if one else 0.8, 0.93)],
+    }[family])
+
+
+def _fields(boxes, arg) -> dict:
+    """ParamSet's fields from the boxes, each argument drawn by arg(lo, hi)."""
+    out = {"t": (), "f": (), "x": (), "extras": {}}
+    for field, count, lo, hi in boxes:
+        if field.startswith("extras."):
+            out["extras"][field[len("extras."):]] = arg(lo, hi)
+        else:
+            out[field] = tuple(arg(lo, hi) for _ in range(count))
+    return out
+
+
+def _columns(u: np.ndarray):
+    """arg(lo, hi) for _fields on the (count, width) doubles of a screened
+    block: each argument's modulus lo + (hi - lo)·u and phase from the next
+    column, as Sampler.arg computes them one double at a time."""
+    phases = np.exp(2j * np.pi * u[:, 1::2])
+    cols = iter(range(phases.shape[1]))
+
+    def arg(lo, hi):
+        i = next(cols)
+        return (lo + (hi - lo) * u[:, 2 * i]) * phases[:, i]
+
+    return arg
+
+
+# a screened candidate is dropped only if it misses the radius cap by more
+# than this, relative: far above the few-ulp gap between numpy's and
+# CPython's complex arithmetic
+_SCREEN_SLACK = 1 + 1e-12
+
+
 def _draw_spec(smp: Sampler, family: Family, n: int,
                moduli: Moduli = DEFAULT_MODULI) -> IntegrandSpec:
-    def build():
-        if family is Family.E:
-            return IntegrandSpec(family, n, ParamSet(t=smp.args(5, 0.3, 0.85)),
-                                 moduli)
-        if family is Family.CN_I:
-            lo = 0.62 if n == 1 else 0.72
-            return IntegrandSpec(family, n,
-                                 ParamSet(t=smp.args(2 * n + 3, lo, 0.85)),
-                                 moduli)
-        if family is Family.CN_II:
-            tc = smp.arg(0.2, 0.5) if n == 1 else smp.arg(0.6, 0.8)
-            return IntegrandSpec(family, n,
-                                 ParamSet(t=smp.args(5, 0.6, 0.85),
-                                          extras={"t": tc}), moduli)
-        if family is Family.CN_III:
-            if n == 1:
-                x = smp.args(1, 0.55, 0.8)
-                t3 = smp.args(3, 0.5, 0.8)
-                tc = smp.arg(0.15, 0.45)
-            else:
-                x = smp.args(n, 0.65, 0.85)
-                t3 = smp.args(3, 0.8, 0.92)
-                tc = smp.arg(0.45, 0.6)
-            return IntegrandSpec(family, n, ParamSet(t=t3, x=x,
-                                                     extras={"t": tc}), moduli)
-        if family is Family.AN_I:
-            lo = 0.45 if n == 1 else 0.55
-            return IntegrandSpec(family, n,
-                                 ParamSet(t=smp.args(n + 1, lo, 0.8),
-                                          f=smp.args(n + 2, lo, 0.8)), moduli)
-        if family is Family.AN_II:
-            lo = 0.5 if n == 1 else 0.7
-            sc_lo = 0.3 if n == 1 else 0.55
-            return IntegrandSpec(
-                family, n, ParamSet(t=smp.args(5, lo, 0.88),
-                                    extras={"t": smp.arg(sc_lo, 0.75),
-                                            "s": smp.arg(sc_lo, 0.75)}), moduli)
-        if family is Family.AN_III:
-            lo = 0.75
-            return IntegrandSpec(
-                family, n, ParamSet(t=smp.args(n + 4, lo, 0.92),
-                                    extras={"t": smp.arg(0.7 if n == 1 else 0.8,
-                                                         0.93)}), moduli)
-        raise EHVError(f"no sampler for {family.value}")
+    """A spec of ``family`` at rank n drawn from its boxes (_boxes) whose
+    domain table holds with a pole radius within the node budget's cap.
 
+    The exact gate (validate_domain) decides every candidate that the
+    screen lets through.  The screen evaluates the same domain_table on
+    numpy arrays of candidates built from the same stream doubles, and keeps
+    whatever comes within _SCREEN_SLACK of passing, so no outcome of
+    Sampler.accept depends on it.
+    """
+    boxes = _boxes(family, n)
     # the n=1 runs get at most 512 nodes, n>=2 runs at most 384 per dim;
     # keep the geometric convergence rate inside those budgets
     radius_cap = 0.88 if n == 1 else 0.925
+
+    def build():
+        return IntegrandSpec(family, n, ParamSet(**_fields(boxes, smp.arg)),
+                             moduli)
 
     def ok(spec):
         vd = validate_domain(spec)
         return vd.ok and vd.radius <= radius_cap
 
-    return smp.accept(build, ok)
+    def keep(u):
+        # the cap is below 1, so ok() holds iff every lhs <= radius_cap * rhs
+        limit = radius_cap * _SCREEN_SLACK
+        mask = np.ones(len(u), dtype=bool)
+        for _, lhs, rhs in domain_table(family, n, m=moduli,
+                                        **_fields(boxes, _columns(u))):
+            mask &= lhs <= limit * rhs
+        return mask
+
+    width = 2 * sum(count for _, count, _, _ in boxes)
+    return smp.accept(build, ok, Screen(width, keep))
 
 
 def file_spec(params: dict, family: Family, n: int | None) -> IntegrandSpec:

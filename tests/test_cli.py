@@ -70,6 +70,13 @@ class TestEval:
         [line] = out.stderr.splitlines()
         assert json.loads(line)["error"].startswith("overflow: ")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1,nan", "nanj"])
+    def test_non_finite_argument_exit_2(self, value):
+        out = run("eval", "theta", "--z", value, "--p", "0.5")
+        assert out.returncode == 2
+        [line] = out.stderr.splitlines()
+        assert json.loads(line)["error"] == f"--z must be finite; got {value!r}"
+
 
 class TestVerify:
     def test_ft_sum_passes(self):

@@ -596,7 +596,7 @@ class TestPoleTable:
         from ehv.registry import Sampler, _draw_spec
 
         class Recorder(Sampler):
-            def accept(self, draw, ok):
+            def accept(self, draw, ok, screen=None):
                 self.drawn = [draw() for _ in range(count)]
                 return self.drawn[0]
 

@@ -1,9 +1,12 @@
 """run_check: the registry's row timing, its independence of history and
 the options each check reads."""
 
+import cmath
 import dataclasses
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,6 +18,7 @@ import pytest
 import ehv
 from ehv import _backend, registry
 from ehv.errors import EHVError
+from ehv.integrands import Family
 from ehv.registry import REGISTRY, CheckOptions, run_check
 
 
@@ -179,3 +183,136 @@ def test_a_second_check_call_builds_no_unit_row(monkeypatch):
         built.clear()
         assert all(r.passed for r in run_check("theorem1", CheckOptions()))
         assert built == want
+
+
+# -- the screened family sampler ---------------------------------------------
+
+
+class _Unscreened(registry.Sampler):
+    """The plain rejection loop: the oracle for the screened one."""
+
+    def accept(self, draw, ok, screen=None):
+        return super().accept(draw, ok)
+
+
+class _Capture(registry.Sampler):
+    """Keeps _draw_spec's draw, exact gate and screen, and builds one
+    candidate from the stream doubles given to ``replay``."""
+
+    def accept(self, draw, ok, screen=None):
+        self.draw, self.ok, self.screen = draw, ok, screen
+        return draw()
+
+    def replay(self, doubles):
+        self.rng = _Replay(doubles)
+        return self.draw()
+
+
+class _Replay(random.Random):
+    def __init__(self, doubles):
+        super().__init__(0)
+        self.doubles = iter(doubles)
+
+    def random(self):
+        return next(self.doubles)
+
+
+_SAMPLED = [(Family.E, 1)] + [(fam, n) for fam in list(Family)[1:]
+                              for n in (1, 2, 3, 4)]
+
+# the ranks at which the plain loop exhausts at many seeds, each exhaustion
+# costing it about 0.2 s: these take two seeds
+_EXHAUSTING = {(Family.CN_III, 3), (Family.CN_III, 4), (Family.AN_I, 3),
+               (Family.AN_I, 4), (Family.AN_II, 4)}
+
+
+def _two_draws(smp, family, n):
+    out = []
+    for _ in range(2):
+        try:
+            out.append(repr(registry._draw_spec(smp, family, n)))
+        except EHVError as exc:
+            out.append(str(exc))
+        out.append((smp.rejections, smp.rng.getstate()[1]))
+    return out
+
+
+@pytest.mark.parametrize("family,n", _SAMPLED)
+def test_screened_sampler_equals_the_plain_loop(family, n):
+    seeds = (0, 1009) if (family, n) in _EXHAUSTING else range(40)
+    for seed in seeds:
+        got = _two_draws(registry.Sampler(seed), family, n)
+        assert got == _two_draws(_Unscreened(seed), family, n), seed
+        assert all(type(x[0]) is int for x in got[1::2])
+
+
+def _doubles(family, n, spec, scale):
+    """The stream doubles from which Sampler.arg draws spec's parameters,
+    their moduli times ``scale``, in the order of the family's boxes."""
+    ps = spec.params
+    out = []
+    for field, count, lo, hi in registry._boxes(family, n):
+        values = ((ps.extras[field[len("extras."):]],)
+                  if field.startswith("extras.") else getattr(ps, field))
+        for v in values:
+            out += [(scale * abs(v) - lo) / (hi - lo),
+                    cmath.phase(v) / (2 * cmath.pi) % 1.0]
+    return out
+
+
+@pytest.mark.parametrize("family,n", _SAMPLED)
+def test_screen_keeps_every_candidate_the_gate_admits(family, n):
+    # TestPoleTable's candidates, their moduli scaled so that one row of the
+    # domain table sits on the radius cap, then within 1e-15 of it on both
+    # sides: every candidate that the exact gate admits passes the screen
+    from ehv.integrands import validate_domain
+    from test_integrands import TestPoleTable
+
+    cap = 0.88 if n == 1 else 0.925
+    smp = _Capture(0)
+    registry._draw_spec(smp, family, n)
+    cands = []
+    for spec in TestPoleTable._candidates(family, n, 0, count=20):
+        checks = [validate_domain(smp.replay(_doubles(family, n, spec, c))).checks
+                  for c in (1.0, 2.0)]
+        for at1, at2 in zip(*checks):
+            # the row's ratio lhs/rhs goes as scale**k
+            k = round(math.log2((at2.lhs / at2.rhs) / (at1.lhs / at1.rhs)))
+            if k:
+                on_cap = (cap / (at1.lhs / at1.rhs)) ** (1 / k)
+                cands += [_doubles(family, n, spec, on_cap * (1 + i * 2e-16))
+                          for i in range(-5, 6)]
+    kept = smp.screen.keep(np.array(cands))
+    admitted = [smp.ok(smp.replay(u)) for u in cands]
+    assert all(kept[admitted])
+    radii = [validate_domain(smp.replay(u)).radius
+             for u, ok in zip(cands, admitted) if ok]
+    assert not all(admitted)                    # the boundary is crossed
+    if family is Family.CN_III and n >= 3:
+        assert not radii    # |A| < |pq| under the cap (ROADMAP item 5)
+    else:
+        assert max(radii) > cap * (1 - 1e-15)   # and reached
+
+
+def test_an_exhausted_screened_sampler_builds_eight_candidates():
+    # cn3 --n 3 can never draw (ROADMAP item 5): the screen drops every
+    # candidate after the first eight, which the exact gate tried alone
+    class Counting(registry.Sampler):
+        built = 0
+
+        def accept(self, draw, ok, screen=None):
+            def counted():
+                self.built += 1
+                return draw()
+
+            return super().accept(counted, ok, screen)
+
+    smp = Counting(3)
+    with pytest.raises(EHVError, match="exhausted"):
+        registry._draw_spec(smp, Family.CN_III, 3)
+    assert smp.built == 8
+    assert type(smp.rejections) is int and smp.rejections == 5000
+    with pytest.raises(EHVError, match="exhausted"):
+        run_check("cn3", CheckOptions(seed=0, n=3))
+    assert type(registry.rejection_count()) is int
+    assert registry.rejection_count() == 5000
