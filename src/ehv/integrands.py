@@ -53,8 +53,10 @@ with no index array:
     orbit     n >= 2 with the factor multiset proven invariant under
               S_{n+1} acting on (k_1, ..., k_n, -sum k) (A_n): the sum over
               the sorted (n+1)-tuples with sum = 0 mod N, each weighted by
-              its orbit size (n+1)!/prod mult!, enumerated directly; about
-              N^n/(n+1)! points.
+              its orbit size (n+1)!/prod mult!, enumerated directly as runs
+              of k_{n-1} under sorted prefixes k_0..k_{n-2}; about
+              N^n/(n+1)! points.  The factors fixed along a run and the
+              prefix's part of the orbit size are taken once per prefix.
 
 The fold: where negating any one coordinate of every exponent vector maps
 the multiset of (kind, c, exponent vector) to itself (sign_symmetric), the
@@ -80,9 +82,11 @@ Determinism: the mesh multiplies in a fixed order, and every mesh, folded
 or not, with or without cell axes, is reduced by mesh_sums, one row sum per
 cell; the contraction's einsum path depends only on the shapes, so its bits
 repeat for a given numpy and BLAS at a given thread count; the orbit sum
-visits fixed blocks in a fixed order.  The paths, folded or not, agree with
-each other to rounding, not bit for bit.  A table's bits depend on its
-factor list, N and the moduli alone, never on the calls before it.
+visits fixed blocks in a fixed order.  The contraction's time, like its
+bits, depends on the BLAS thread count: its threads wait on a busy core.
+The paths, folded or not, agree with each other to rounding, not bit for
+bit.  A table's bits depend on its factor list, N and the moduli alone,
+never on the calls before it.
 """
 
 from __future__ import annotations
@@ -514,13 +518,20 @@ class FactorIntegrand:
 
     def _orbit_sums(self, N: int, subgrid: bool = False):
         """sum over the sorted (n+1)-tuples with sum = 0 mod N of the orbit
-        size times f, block by block.  Each exponent vector is lifted to its
-        sparsest form v on the n+1 coordinates (e . k = v . k on the nodes),
-        signed so that its first entry is positive, and the tables of equal
-        lifts are multiplied into one: one gather per lift and node.  With
-        subgrid, also the sum over the representatives whose coordinates are
-        all even: k = 2j, with j sorted and sum j = 0 mod N/2, are exactly
-        the orbits of the N/2 grid, with the same orbit sizes."""
+        size times f, block by block as _orbit_runs gives them.  Each
+        exponent vector is lifted to its sparsest form v on the n+1
+        coordinates (e . k = v . k on the nodes), signed so that its first
+        entry is positive, and the tables of equal lifts are multiplied into
+        one, read as tab[v . k mod N].  Along a prefix's range, k_0 ..
+        k_{n-2} are fixed and k_n = top - c, so a lift with v_{n-1} = v_n
+        has one value per prefix: the constant and these lifts (at rank 3,
+        AN_I's g(k_0), g(k_1) and H(k_0 - k_1) of its ten) are multiplied
+        once per prefix and spread over the range, and every other lift is
+        gathered once per representative, into buffers of _orbit_span(n, N)
+        entries taken once per call.  With subgrid, also the sum over the
+        representatives whose coordinates are all even: k = 2j, with j
+        sorted and sum j = 0 mod N/2, are exactly the orbits of the N/2
+        grid, with the same orbit sizes."""
         k = np.arange(N)
         const = 1.0 + 0.0j
         lifts: dict = {}
@@ -535,22 +546,46 @@ class FactorIntegrand:
                 terms = tuple((j, -v) for j, v in terms)
                 tab = tab[np.mod(-k, N)]
             lifts[terms] = lifts[terms] * tab if terms in lifts else tab
-        # v . k lies in (-sN, sN), s = sum |v|: a table tiled s times is read
-        # there without a mod, a negative index counting from its end
-        tiled = [(terms, np.tile(tab, sum(abs(v) for _, v in terms)))
-                 for terms, tab in lifts.items()]
+        n = self.n
+        heads, runs = [], []
+        for terms, tab in lifts.items():
+            v = dict(terms)
+            if v.get(n - 1, 0) == v.get(n, 0):
+                # v_{n-1} c + v_n (top - c) = v_n top
+                heads.append(([(j, w) for j, w in terms if j != n - 1], tab))
+            else:
+                runs.append((terms, tab))
+        span = _orbit_span(n, N)
+        # one work array per dtype, not one per buffer: freeing a large
+        # mapped array raises glibc's heap trim threshold, so the arrays of
+        # later calls keep their pages instead of faulting them in again
+        *coord_bufs, idx_buf = np.empty((n + 1, span), np.int64)
+        vals_buf, tmp_buf = np.empty((2, span), complex)
         parts, abs_parts, even_parts = [], [], []
-        for reps, weights in _orbit_blocks(self.n, N):
-            vals = np.full(len(weights), const)
-            for ((j, v), *rest), tab in tiled:
-                idx = reps[j] if v == 1 else v * reps[j]
-                for j, v in rest:
-                    idx = idx + v * reps[j]
-                vals *= tab[idx]
-            parts.append(np.sum(weights * vals))
-            abs_parts.append(np.sum(weights * np.abs(vals)))
+        for prefix, top, pid, c, weights in _orbit_runs(n, N):
+            L = len(c)
+            head = np.full(len(top), const)
+            coords = prefix + [None, top]
+            for terms, tab in heads:
+                head *= tab.take(_index(terms, coords), mode="wrap")
+            # k_0 .. k_{n-2}, c, k_n = top - c per representative (mode="clip":
+            # see _orbit_runs)
+            reps = [p.take(pid, out=buf[:L], mode="clip")
+                    for p, buf in zip(prefix + [top], coord_bufs)]
+            reps.insert(n - 1, c)
+            np.subtract(reps[n], c, out=reps[n])
+            vals = head.take(pid, out=vals_buf[:L], mode="clip")
+            tmp = tmp_buf[:L]
+            for terms, tab in runs:
+                idx = _index(terms, reps, idx_buf[:L])
+                vals *= tab.take(idx, out=tmp, mode="wrap")
+            parts.append(np.sum(np.multiply(weights, vals, out=tmp)))
+            # |vals| into the memory of tmp, free after the sum above
+            mod = np.abs(vals, out=tmp_buf.view(float)[:L])
+            abs_parts.append(np.sum(np.multiply(weights, mod, out=mod)))
             if subgrid:
-                even = (np.bitwise_or.reduce(reps) & 1) == 0
+                even = (np.bitwise_or.reduce(prefix + [top]) & 1) == 0
+                even = even.take(pid) & ((c & 1) == 0)
                 even_parts.append(np.sum(weights[even] * vals[even]))
         sums = np.sum(parts), np.sum(abs_parts)
         return (*sums, np.sum(even_parts)) if subgrid else sums
@@ -713,6 +748,21 @@ def orbit_count(n: int, N: int) -> int:
     return total // N
 
 
+def _index(terms, coords, out=None):
+    """sum v * coords[j] over the (j, v) of terms, written into out if given
+    (a single term with v = 1 is coords[j] itself)."""
+    (j, v), *rest = terms
+    idx = coords[j] if v == 1 else np.multiply(coords[j], v, out=out)
+    for j, v in rest:
+        if v == 1:
+            idx = np.add(idx, coords[j], out=out)
+        elif v == -1:
+            idx = np.subtract(idx, coords[j], out=out)
+        else:
+            idx = np.add(idx, v * coords[j], out=out)
+    return idx
+
+
 def _ranges(lo: np.ndarray, hi: np.ndarray):
     """Every integer of every range [lo_r, hi_r], range by range in
     increasing order, and the count of each range (np.repeat spreads a
@@ -722,36 +772,83 @@ def _ranges(lo: np.ndarray, hi: np.ndarray):
     return np.arange(counts.sum()) - np.repeat(offset, counts), counts
 
 
-def _orbit_blocks(n: int, N: int):
-    """Yield (reps, weights): reps[j] is coordinate j of sorted (n+1)-tuples
-    k_0 <= ... <= k_n over Z_N with sum = 0 mod N, and weights their orbit
-    sizes (n+1)!/prod mult!; over all blocks every orbit appears once, so
-    the weights add up to N^n.  The first n-1 coordinates run over sorted
-    prefixes; with r = -(prefix sum) mod N, k_{n-1} = c then runs over
-    [last, r/2] with k_n = r - c, and over [max(last, r+1), (r+N)/2] with
-    k_n = r - c + N, which are the c with c <= k_n."""
+def _orbit_runs(n: int, N: int):
+    """Yield (prefix, top, pid, c, weights), block by block and, within a
+    block, branch by branch.  prefix[j] is coordinate j of sorted prefixes
+    k_0 <= ... <= k_{n-2} over Z_N, and top is per prefix; entry i of pid,
+    c and weights stands for the sorted (n+1)-tuple (prefix[.][pid[i]],
+    c[i], top[pid[i]] - c[i]).  Each prefix's entries are one contiguous
+    range of c (pid is nondecreasing, and c runs up by one within a
+    prefix), with k_n = top - c >= c.  Over all blocks every sorted
+    (n+1)-tuple with sum = 0 mod N appears once, and weights holds its orbit
+    size (n+1)!/prod mult!, so the weights add up to N^n.  With last =
+    k_{n-2} and r = -(prefix sum) mod N, the two branches are c in
+    [last, r/2] with top = r and c in [max(last, r+1), (r+N)/2] with
+    top = r + N.
+
+    prod mult! is the product of the run counters (1, 2, ... along each run
+    of equal coordinates).  The prefix's product is taken once per prefix,
+    and a range's entries share it but at the ends: c equals last only at a
+    range's first entry, and k_n equals c only at its last, where 2c = top.
+    So a block's weights are three per prefix and branch, spread over the
+    range and written at its two ends.
+
+    pid, c and weights are views of buffers of _orbit_span(n, N) entries
+    that the next yield overwrites: a block's work allocates nothing of its
+    size."""
     prefix = [np.arange(N)]
+    run = np.ones(N, dtype=np.int64)    # counter of the prefix's last run
+    mults = run                         # product of the prefix's counters
     for _ in range(n - 2):
         val, counts = _ranges(prefix[-1], np.full(len(prefix[-1]), N - 1))
         prefix = [np.repeat(p, counts) for p in prefix] + [val]
+        run = np.where(val == prefix[-2], np.repeat(run, counts) + 1, 1)
+        mults = np.repeat(mults, counts) * run
     last = prefix[-1]
     r = np.mod(-sum(prefix), N)
-    branches = ((last, r // 2, r), (np.maximum(last, r + 1), (r + N) // 2, r + N))
-    counts = sum(np.maximum(hi - lo + 1, 0) for lo, hi, _ in branches)
+
+    def branches(last, r):
+        return [(lo, top // 2, top)
+                for lo, top in ((last, r), (np.maximum(last, r + 1), r + N))]
+
+    counts = sum(np.maximum(hi - lo + 1, 0) for lo, hi, _ in branches(last, r))
     block = (np.cumsum(counts) - counts) // _ORBIT_BLOCK
     starts = list(np.flatnonzero(np.diff(block, prepend=-1))) + [len(last)]
     fact = math.factorial(n + 1)
+    # take(out=...) writes unbuffered outside its default mode; pid is in
+    # range, so mode="clip" changes nothing else
+    span = _orbit_span(n, N)
+    step = np.arange(span)
+    bufs = *np.empty((2, span), np.int64), np.empty(span)
     for a, b in zip(starts, starts[1:]):
-        for lo, hi, top in branches:
-            c, counts = _ranges(lo[a:b], hi[a:b])
-            reps = [np.repeat(p[a:b], counts) for p in prefix]
-            reps += [c, np.repeat(top[a:b], counts) - c]
-            run = np.ones(len(c), dtype=np.int64)
-            mults = run
-            for j in range(1, n + 1):
-                run = np.where(reps[j] == reps[j - 1], run + 1, 1)
-                mults = mults * run
-            yield reps, fact / mults
+        part = slice(a, b)
+        last_b, run_b, mults_b = last[part], run[part], mults[part]
+        for lo, hi, top in branches(last_b, r[part]):
+            counts = np.maximum(hi - lo + 1, 0)
+            end = np.cumsum(counts)
+            first = end - counts
+            some = np.flatnonzero(counts)
+            pid, c, weights = (buf[:end[-1]] for buf in bufs)
+            # pid steps from one nonempty prefix to the next at its first entry
+            pid[:] = 0
+            pid[first[some]] = np.diff(some, prepend=0)
+            np.cumsum(pid, out=pid)
+            (first - lo).take(pid, out=c, mode="clip")
+            np.subtract(step[:len(c)], c, out=c)
+            # the run counters of c at lo, of c at hi and of k_n at hi
+            c_lo = np.where(lo == last_b, run_b + 1, 1)
+            c_hi = np.where(hi == lo, c_lo, 1)
+            kn_hi = np.where(2 * hi == top, c_hi + 1, 1)
+            (fact / mults_b).take(pid, out=weights, mode="clip")
+            weights[first[some]] = fact / (mults_b * c_lo)[some]
+            weights[end[some] - 1] = fact / (mults_b * c_hi * kn_hi)[some]
+            yield [p[part] for p in prefix], top, pid, c, weights
+
+
+def _orbit_span(n: int, N: int) -> int:
+    """The most entries one yield of _orbit_runs holds: a block starts its
+    last prefix below _ORBIT_BLOCK entries, and a prefix has at most N."""
+    return min(orbit_count(n, N), _ORBIT_BLOCK + N)
 
 
 # -- family factor lists ------------------------------------------------------

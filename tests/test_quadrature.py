@@ -297,13 +297,20 @@ class TestNodeSumPaths:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_orbit_weights_add_up_to_the_grid(self, n):
         import itertools
+        from collections import Counter
 
-        from ehv.integrands import _orbit_blocks
+        from ehv.integrands import _orbit_runs
 
         for N in (1, 2, 5, *range(8, 14), 16):
-            blocks = list(_orbit_blocks(n, N))
-            reps = np.concatenate([np.array(r) for r, _ in blocks], axis=1)
-            weights = np.concatenate([w for _, w in blocks])
+            reps, weights = [], []
+            for prefix, top, pid, c, w in _orbit_runs(n, N):
+                # pid, c and w are views the next block overwrites
+                assert np.all(np.diff(pid) >= 0)
+                reps.append([p[pid] for p in prefix] + [c.copy(), top[pid] - c])
+                weights.append(w.copy())
+            reps = np.concatenate([np.array(r).reshape(n + 1, -1)
+                                   for r in reps], axis=1)
+            weights = np.concatenate(weights)
             assert weights.sum() == N ** n
             assert np.all(np.diff(reps, axis=0) >= 0)
             assert np.all(reps.sum(axis=0) % N == 0)
@@ -311,6 +318,31 @@ class TestNodeSumPaths:
                 range(N), n + 1) if sum(t) % N == 0}
             assert set(map(tuple, reps.T.tolist())) == sorted_tuples
             assert len(weights) == len(sorted_tuples) == orbit_count(n, N)
+            fact = math.factorial(n + 1)
+            for rep, w in zip(reps.T.tolist(), weights.tolist()):
+                mults = Counter(rep).values()
+                assert w == fact / math.prod(map(math.factorial, mults))
+
+    @pytest.mark.parametrize("family", [Family.AN_I, Family.AN_II,
+                                        Family.AN_III])
+    @pytest.mark.parametrize("n,N", [(3, 24), (4, 12)])
+    def test_orbit_sums_over_many_blocks(self, rng, arg, monkeypatch,
+                                         family, n, N):
+        """Blocks of 64 representatives, so each sum spans many blocks (the
+        other tests' sums, at N <= 27, hold at most 576 representatives:
+        one block of the default size): the sums against the full mesh, the
+        subgrid call's first entries against the plain call bit for bit,
+        and its even entry against the N/2 grid."""
+        from ehv import integrands
+
+        monkeypatch.setattr(integrands, "_ORBIT_BLOCK", 64)
+        ig = make_integrand(_hand_spec(rng, arg, family, n))
+        assert ig.path == "orbit" and orbit_count(n, N) > 64
+        _sums_equal_the_mesh(ig, N)
+        *fine, (even,) = ig.node_sums(N, True)
+        assert fine == list(ig.node_sums(N))
+        (coarse,), _, _ = ig.node_sums(N // 2)
+        assert abs(even - coarse) <= 1e-14 * abs(coarse)
 
     def test_asymmetric_an_list_falls_back_to_the_mesh(self, rng, arg):
         ig = make_integrand(_hand_spec(rng, arg, Family.AN_I))
