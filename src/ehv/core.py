@@ -42,13 +42,14 @@ calls before it and no memo needs emptying.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import EXTENDED, cexp, clog, get_precision
+from ._backend import EXTENDED, cexp, clog, get_precision, is_mp
 from .errors import DomainError, NonConvergent, PoleHit, TruncationFailure
 
 _TWO_PI = 2.0 * math.pi
@@ -76,13 +77,15 @@ DENOMINATOR_EPS = 1e-280
 THETA_MEMO_SIZE = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncationPolicy:
     """Tail-bound control for all infinite products; one per precision mode.
 
     A product is cut at the first index K where the geometric tail bound
     |z| |b|^K / (1 - |b|) drops below eps; exceeding max_terms first is a
-    TruncationFailure.
+    TruncationFailure.  Policies compare and hash by identity: the two
+    modes' instances are the only ones the package makes, and theta's memo
+    key hashes one on every call.
     """
 
     eps: float
@@ -246,12 +249,13 @@ def _theta_product(z, p, policy: TruncationPolicy):
     w1 = z
     w2 = p * zi
     if use_logs:
+        log = clog if is_mp(w2) else cmath.log
         acc = 0.0
         for _ in range(kmax):
             f = (1.0 - w1) * (1.0 - w2)
             if f == 0:
                 return 0.0 * z
-            acc = acc + clog(f)
+            acc = acc + log(f)
             w1 = w1 * p
             w2 = w2 * p
         return cexp(acc)

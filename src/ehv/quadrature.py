@@ -8,16 +8,22 @@ periodic integrands the node average
 equals the contour integral over prod dz_j / (2 pi i z_j) up to an error
 decaying geometrically in N (Trefethen & Weideman, SIAM Rev. 2014).
 Convergence control is node doubling: the estimate's error is the magnitude
-of the last doubling change, with no extrapolation.
+of its change from a coarser grid, with no extrapolation.
 
 The grids nest: w_N^k = w_{2N}^{2k}, so the N-node average is the average
 over the even nodes of the 2N grid.  The first grid the driver evaluates is
 therefore 2 N0 (N0 = nodes_per_dim), and its first doubling change is
 against the average of its even subgrid, the N0 grid, taken from the arrays
 the 2 N0 sums already hold; no N0 tables are built.  Each later doubling
-compares with the previous grid's value.  With max_doublings = 0, or when
-2 N0 is over the node budget, the driver evaluates N0 alone and reports
-est_error = inf and converged = False.
+compares with the previous grid's value.  A grid N whose doubling change
+misses the stop rule is compared with the grid N' = 2 floor(3N/8) (144
+at N = 192) before the driver doubles or gives up, and kept if that change
+meets the rule.  The change estimates the error of N'; with the error
+falling as r^N for a pole radius r, N's error is r^(N/4) of it, about 2% at
+N = 192 under the samplers' cap r <= 0.925, where the doubling change
+gives r^(N/2).  N' < N, so N' fits wherever N does.  With max_doublings = 0,
+or when 2 N0 is over the node budget, the driver evaluates N0 alone and
+reports est_error = inf and converged = False.
 
 There is one doubling loop, integrate_sums, over a node-sums function
 sums(N) -> (node averages, |f| sums, cell shape), which with subgrid=True
@@ -67,7 +73,7 @@ from .integrands import FactorIntegrand, mesh_sums
 _DEFAULT_MAX_NODES = 10_000_000
 
 
-# A doubling change at or below this fraction of the node average of |f| is
+# A change at or below this fraction of the node average of |f| is
 # float64 rounding in the node sum (a few ulps of the summed magnitudes):
 # further doubling cannot shrink it, and an integral whose value is 0 never
 # meets the relative stop rule.
@@ -130,11 +136,14 @@ def integrate_sums(sums, points, n: int, cfg: QuadratureConfig | None = None):
     later change is against the previous grid.  With max_doublings = 0, or
     when points(2 N0) exceeds the node budget, N0 alone is evaluated, with
     est_error = inf and converged = False.  Returns the node average at the
-    finest grid with the last doubling change as error estimate, per cell.
-    A cell has converged when its change is within rel_tol of its value, or
-    at the rounding floor of its node sum (the only way an integral whose
-    value is 0 can converge); the grid doubles until every cell has.  Stops
-    early once points(N) would exceed the node budget (an initial grid over
+    finest grid, per cell, with the largest cell's change as error
+    estimate.  A cell has converged when its change is within rel_tol of
+    its value, or at the rounding floor of its node sum (the only way an
+    integral whose value is 0 can converge).  When a doubling change leaves
+    a cell unconverged, the grid N is compared with N' = 2 floor(3N/8), and
+    kept, that change its estimate, if every cell converges on it; else the
+    grid doubles, and the estimate stays the doubling change.  Stops early
+    once points(N) would exceed the node budget (an initial grid over
     budget raises ResourceLimit).  nodes_used is N^n whatever the path.
     """
     if cfg is None:
@@ -150,18 +159,26 @@ def integrate_sums(sums, points, n: int, cfg: QuadratureConfig | None = None):
     else:
         N = 2 * N
         value, abs_total, cells, coarse = sums(N, True)
+
+        def change_from(other):
+            """(largest change, whether every cell meets the stop rule)."""
+            change = [abs(b - a) for a, b in zip(other, value)]
+            return max(change), all(
+                d <= cfg.rel_tol * abs(v) or d <= _ROUNDING_FLOOR * s / (N ** n)
+                for d, v, s in zip(change, value, abs_total))
+
         for doubling in range(cfg.max_doublings):
             if doubling:
                 if points(2 * N) > budget:
                     break
                 N, coarse = 2 * N, value
                 value, abs_total, _ = sums(N)
-            change = [abs(b - a) for a, b in zip(coarse, value)]
-            est = max(change)
-            if all(d <= cfg.rel_tol * abs(v)
-                   or d <= _ROUNDING_FLOOR * s / (N ** n)
-                   for d, v, s in zip(change, value, abs_total)):
-                converged = True
+            est, converged = change_from(coarse)
+            if converged:
+                break
+            between, converged = change_from(sums(2 * (3 * N // 8))[0])
+            if converged:
+                est = between
                 break
     return QuadratureResult(
         value=np.array(value).reshape(cells) if cells else value[0],

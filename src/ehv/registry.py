@@ -153,7 +153,8 @@ class Sampler:
     ``draw()`` and ``ok()`` run on each survivor in order, the stream skipped
     to it.  The screen never drops a candidate that ``ok`` admits, so every
     accepted draw, rejection count and final stream state is the one the
-    plain loop gives.
+    plain loop gives.  The block is read, and the stream skipped, by
+    ``getrandbits`` (``_doubles``), one C call each.
     """
 
     def __init__(self, seed: int):
@@ -188,18 +189,16 @@ class Sampler:
     def _screened(self, draw, ok, screen: Screen, count: int):
         """(True, the first admitted candidate) of the next ``count``, the
         stream left just after it, else (False, None) past all of them."""
-        rng, rnd = self.rng, self.rng.random
+        rng = self.rng
         start = rng.getstate()
-        size = count * screen.width
-        u = np.fromiter((rnd() for _ in range(size)), float, size)
+        u = _doubles(rng, count * screen.width)
         survivors = np.flatnonzero(screen.keep(u.reshape(count, screen.width)))
         if survivors.size:
             end = rng.getstate()
             rng.setstate(start)
             at = 0
             for i in survivors.tolist():
-                for _ in range((i - at) * screen.width):
-                    rnd()
+                rng.getrandbits(64 * (i - at) * screen.width)
                 cand = draw()
                 if ok(cand):
                     self._reject(i)
@@ -213,6 +212,16 @@ class Sampler:
         global _REJECTION_COUNT
         self.rejections += k
         _REJECTION_COUNT += k
+
+
+def _doubles(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` doubles of ``rng.random()``, from one getrandbits
+    call: random() builds a double from two 32-bit words a, b as
+    ((a >> 5) 2^26 + (b >> 6)) / 2^53, and getrandbits(64 count) draws the
+    same words in the same order, the first in the lowest bits."""
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
+                          dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
 
 
 def timed_rows(rows):

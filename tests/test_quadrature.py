@@ -472,7 +472,9 @@ _NESTED = [(Family.CN_III, 2, "mesh", False), (Family.E, 1, "mesh", True),
 
 class TestNestedGrid:
     """The N0 grid is the even subgrid of the 2 N0 grid: the driver takes
-    its first coarse sum from there and builds no N0 tables."""
+    its first coarse sum from there and builds no N0 tables.  A grid N whose
+    doubling change misses the stop rule is compared with the grid
+    N' = 2 floor(3N/8) before the driver doubles or gives up."""
 
     @pytest.mark.parametrize("family,n,path,folded", _NESTED)
     def test_even_subgrid_equals_the_coarse_grid(self, rng, arg, family, n,
@@ -505,7 +507,8 @@ class TestNestedGrid:
             calls.clear()
             res = integrate_mesh_fn(cells, 1, QuadratureConfig(
                 nodes_per_dim=N0, max_doublings=1, rel_tol=1e-30))
-            assert calls == [2 * N0]
+            assert calls == [2 * N0, 2 * (6 * N0 // 8)] and N0 not in calls
+            assert not res.converged
             assert res.est_error == max(abs(v - a) for v, a in zip(fine[0], even))
 
     @staticmethod
@@ -534,7 +537,8 @@ class TestNestedGrid:
         sums, calls, tables = self._recorded(ig)
         res = integrate_sums(sums, ig.points, n, QuadratureConfig(
             nodes_per_dim=8, max_doublings=2, rel_tol=1e-30))
-        assert calls == [(16, True), (32, False)] and tables == [16, 32]
+        assert calls == [(16, True), (12, False), (32, False), (24, False)]
+        assert tables == [16, 12, 32, 24]
         assert res.nodes_used == 32 ** n
 
     def test_converged_at_the_first_grid_in_one_call(self, e_spec):
@@ -551,9 +555,29 @@ class TestNestedGrid:
         cfg = QuadratureConfig(nodes_per_dim=16, max_doublings=2,
                                rel_tol=1e-30)
         res = integrate_sums(sums, ig.points, 1, cfg)
-        assert calls == [(32, True), (64, False)] and tables == [32, 64]
+        assert calls == [(32, True), (24, False), (64, False), (48, False)]
+        assert tables == [32, 24, 64, 48]
         assert not res.converged and res.nodes_used == 64
         assert res.est_error == abs(res.value - ig.node_sums(32)[0][0])
+
+    @pytest.mark.parametrize("family,n,rel_tol", [(Family.E, 1, 1e-3),
+                                                  (Family.CN_I, 2, 5e-3)])
+    def test_stop_through_the_three_quarter_grid(self, rng, arg, family, n,
+                                                 rel_tol):
+        """At N0 = 32 the 64 -> 32 change misses rel_tol (2.0e-3 and 2.4e-2
+        relative) and the 64 -> 48 change meets it (1.2e-4 and 4.5e-4):
+        64 is kept, with the 48 change as its error estimate, which bounds
+        its error against the closed form (6.3e-6 and 7.4e-6)."""
+        spec = _hand_spec(rng, arg, family, n)
+        ig = make_integrand(spec)
+        sums, calls, tables = self._recorded(ig)
+        res = integrate_sums(sums, ig.points, n, QuadratureConfig(
+            nodes_per_dim=32, max_doublings=2, rel_tol=rel_tol))
+        assert calls == [(64, True), (48, False)] and tables == [64, 48]
+        assert res.converged and res.nodes_used == 64 ** n
+        assert res.est_error == abs(res.value - ig.node_sums(48)[0][0])
+        assert res.est_error <= rel_tol * abs(res.value)
+        assert abs(res.value - rhs_closed_form(spec)) <= res.est_error
 
     @pytest.mark.parametrize("doublings,budget", [(0, ""), (4, "100")])
     def test_start_grid_alone(self, e_spec, monkeypatch, doublings, budget):

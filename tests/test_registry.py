@@ -19,6 +19,7 @@ import ehv
 from ehv import _backend, registry
 from ehv.errors import EHVError
 from ehv.integrands import Family
+from ehv.quadrature import integrate_sums
 from ehv.registry import REGISTRY, CheckOptions, run_check
 
 
@@ -77,8 +78,9 @@ def test_operator_passes_at_seed_0():
 @pytest.mark.parametrize("name,seed", [("cn1", 0), ("cn1", 1009), ("cn2", 0),
                                        ("cn2", 1009), ("an1", 0)])
 def test_rank3_integrals_converge(name, seed, monkeypatch):
-    # at the default config: 96^3, then at most two doublings to 384^3,
-    # which the contraction and the orbit sum fit in the node budget
+    # at the default config: 192^3 against its even subgrid 96^3, then
+    # against 144^3, then at most one doubling to 384^3 (against 192^3, then
+    # 288^3), which the contraction and the orbit sum fit in the node budget
     results = []
     integrate = registry.integrate_factors
 
@@ -106,7 +108,9 @@ def test_cn2_rank3_passes_at_seed_7063():
                                        ("cn2", 1009)])
 def test_rank4_integrals_reach_384(name, seed, monkeypatch):
     # the folded contraction holds 2*6*193^2 + 193^3 = 7.6M points at 384^4,
-    # within the default node budget (unfolded it would hold 58.4M)
+    # within the default node budget (unfolded it would hold 58.4M): cn2's
+    # integrals reach it, and at each seed one of cn1's stops at 192^4,
+    # confirmed against 144^4
     monkeypatch.delenv("EHV_MAX_NODES", raising=False)
     results = []
     integrate = registry.integrate_factors
@@ -118,8 +122,64 @@ def test_rank4_integrals_reach_384(name, seed, monkeypatch):
     monkeypatch.setattr(registry, "integrate_factors", recording)
     rows = run_check(name, CheckOptions(seed=seed, n=4))
     assert len(results) == 2
-    assert all(res.nodes_used == 384 ** 4 for res in results)
-    assert all(r.passed and r.nodes == 384 ** 4 for r in rows)
+    assert all(res.converged for res in results)
+    assert [r.nodes for r in rows] == [res.nodes_used for res in results]
+    nodes = {res.nodes_used for res in results}
+    assert nodes == ({384 ** 4} if name == "cn2" else {192 ** 4, 384 ** 4})
+    assert all(r.passed for r in rows)
+
+
+def _recorded_stops(monkeypatch):
+    """The integrals the checks take through integrate_factors, each as
+    (result, whether it stopped on the comparison with the 3N/4 grid)."""
+    out = []
+
+    def recording(ig, cfg=None):
+        last = []
+
+        def sums(N, subgrid=False):
+            last[:] = [N]
+            return ig.node_sums(N, subgrid)
+
+        res = integrate_sums(sums, ig.points, ig.n, cfg)
+        out.append((res, res.converged and last[0] ** ig.n < res.nodes_used))
+        return res
+
+    monkeypatch.setattr(registry, "integrate_factors", recording)
+    return out
+
+
+def _errors_within_the_estimate(name, opts, monkeypatch) -> int:
+    """Checks that every row whose integral stopped on the 3N/4 grid errs
+    by at most its est_error (or 1e-13 relative, the rows' rounding);
+    returns how many did."""
+    stops = _recorded_stops(monkeypatch)
+    rows = [r for r in run_check(name, opts) if r.nodes]
+    assert len(rows) == len(stops)
+    for row, (res, through) in zip(rows, stops):
+        if through:
+            assert abs(row.lhs - row.rhs) <= max(res.est_error,
+                                                 1e-13 * abs(row.rhs)), row.name
+    return sum(through for _, through in stops)
+
+
+@pytest.mark.parametrize("name,seed", [("cn1", 0), ("cn1", 1009), ("cn2", 0),
+                                       ("cn2", 1009), ("an1", 0)])
+def test_rank3_stops_on_the_three_quarter_grid_within_its_estimate(
+        name, seed, monkeypatch):
+    # an1 --n 3 exhausts its sampler at seed 1009
+    assert _errors_within_the_estimate(
+        name, CheckOptions(seed=seed, n=3), monkeypatch) >= 1
+
+
+def test_family_stops_on_the_three_quarter_grid_within_their_estimate(
+        monkeypatch):
+    # ranks 1 and 2 at seed 0: eight rank-2 integrals stop so, cn1's two,
+    # cn2's and an2_even's one each on 192^2 against 144^2, and an1's and
+    # an3_even's two each on 384^2 against 288^2
+    assert sum(_errors_within_the_estimate(name, CheckOptions(seed=0),
+                                           monkeypatch)
+               for name in registry.FAMILY_CHECKS) >= 8
 
 
 def test_family_report_validates_a_draw_once(monkeypatch):
@@ -244,6 +304,18 @@ def test_screened_sampler_equals_the_plain_loop(family, n):
         got = _two_draws(registry.Sampler(seed), family, n)
         assert got == _two_draws(_Unscreened(seed), family, n), seed
         assert all(type(x[0]) is int for x in got[1::2])
+
+
+def test_block_doubles_are_the_stream_doubles():
+    # the screen's block read gives random()'s doubles one for one and
+    # leaves the stream where random() leaves it
+    block, plain = random.Random(7), random.Random(7)
+    block.random(), plain.random()
+    got = registry._doubles(block, 100_000)
+    assert got.tolist() == [plain.random() for _ in range(100_000)]
+    assert block.getstate() == plain.getstate()
+    assert registry._doubles(block, 0).size == 0
+    assert block.getstate() == plain.getstate()
 
 
 def _doubles(family, n, spec, scale):
