@@ -2,11 +2,14 @@
 difference-equation / transformation checks for the constrained-product
 multiple beta integral.
 
-Residual conventions: every *_residual operation returns LHS - RHS exactly
-as displayed, with no normalization; callers compare against the magnitude
-of the largest participating term (theta products span many orders of
-magnitude, so absolute thresholds are meaningless).  The *_scale functions
-give that magnitude.
+Residual conventions: each theta identity has one function that evaluates
+its terms (riemann_terms, id1_terms, partial_fraction_parts, id3_parts),
+and the *_residual and *_scale functions read that one evaluation, so a
+check computes every theta product once for both.  Every *_residual
+returns LHS - RHS exactly as displayed, with no normalization; callers
+compare against the magnitude of the largest participating term (theta
+products span many orders of magnitude, so absolute thresholds are
+meaningless).  The *_scale functions give that magnitude.
 
 The addition rule, id1 (with an_shift_coefficients) and id3 take stacked
 draws: each argument carries the draws on its leading axes (none for one
@@ -84,9 +87,13 @@ def _guard(what: str, p, z, th) -> None:
         raise DegenerateConfiguration(what)
 
 
-def _riemann_terms(x, y, z, w, p):
-    """The three products of the addition rule, each with its coefficient,
-    on a last axis."""
+def riemann_terms(x, y, z, w, p):
+    """The three products of the four-product addition rule
+
+    theta(xw, x/w, yz, y/z; p) - theta(xz, x/z, yw, y/w; p)
+        = (y/w) theta(xy, x/y, wz, w/z; p),
+
+    each with its coefficient, on a last axis, in that order."""
     x, y, z, w = (np.asarray(v) for v in (x, y, z, w))
     [th] = _thetas(p, np.stack([x * w, x / w, y * z, y / z, x * z, x / z,
                                 y * w, y / w, x * y, x / y, w * z, w / z],
@@ -96,21 +103,26 @@ def _riemann_terms(x, y, z, w, p):
     return terms
 
 
-def riemann_identity_residual(x, y, z, w, p):
-    """LHS - RHS of the four-product addition rule
-
-    theta(xw, x/w, yz, y/z; p) - theta(xz, x/z, yw, y/w; p)
-        = (y/w) theta(xy, x/y, wz, w/z; p).
-    """
-    first, second, rhs = np.moveaxis(_riemann_terms(x, y, z, w, p), -1, 0)
+def riemann_identity_residual(terms):
+    """LHS - RHS of the addition rule from its riemann_terms."""
+    first, second, rhs = np.moveaxis(terms, -1, 0)
     return (first - second) - rhs
 
 
-def riemann_identity_scale(x, y, z, w, p):
-    return np.max(np.abs(_riemann_terms(x, y, z, w, p)), axis=-1)
+def riemann_identity_scale(terms):
+    return np.max(np.abs(terms), axis=-1)
 
 
-def _partial_fraction_parts(a, b, t, p):
+def partial_fraction_parts(a, b, t, p):
+    """(LHS, the n terms of the RHS) of the generalized partial-fraction
+    expansion
+
+    prod_k theta(t/b_k)/theta(t/a_k)
+      = sum_r theta(t A/(a_r B)) / theta(t/a_r, A/B)
+              * prod_j theta(a_r/b_j) / prod_{j!=r} theta(a_r/a_j),
+
+    A = prod a, B = prod b; requires A != B and no a_r/a_j collision.
+    """
     a = tuple(a)
     b = tuple(b)
     n = len(a)
@@ -146,25 +158,23 @@ def _partial_fraction_parts(a, b, t, p):
     return lhs, terms
 
 
-def partial_fraction_residual(a, b, t, p):
-    """LHS - RHS of the generalized partial-fraction expansion
-
-    prod_k theta(t/b_k)/theta(t/a_k)
-      = sum_r theta(t A/(a_r B)) / theta(t/a_r, A/B)
-              * prod_j theta(a_r/b_j) / prod_{j!=r} theta(a_r/a_j),
-
-    A = prod a, B = prod b; requires A != B and no a_r/a_j collision.
-    """
-    lhs, terms = _partial_fraction_parts(a, b, t, p)
+def partial_fraction_residual(lhs, terms):
+    """LHS - RHS of the expansion from its partial_fraction_parts."""
     return lhs - tree_sum(terms)
 
 
-def partial_fraction_scale(a, b, t, p) -> float:
-    lhs, terms = _partial_fraction_parts(a, b, t, p)
+def partial_fraction_scale(lhs, terms) -> float:
     return max([abs(lhs)] + [abs(v) for v in terms])
 
 
-def _id1_terms(t, z, B, p):
+def id1_terms(t, z, B, p):
+    """The n+1 terms, on a last axis, of the constrained-variable expansion
+
+    sum_{r} theta(B t_r)/theta(A) prod_{j != r} theta(A B t_j)/theta(t_r/t_j)
+            prod_k theta(t_r / z_k) / theta(A B z_k)  =  1,
+
+    with prod z_k = 1 and A = prod t.
+    """
     t, z, B = np.asarray(t), np.asarray(z), np.asarray(B)
     if z.shape[-1] != t.shape[-1]:
         raise ValueError("need as many z entries as t entries")
@@ -176,22 +186,25 @@ def _id1_terms(t, z, B, p):
     return coeffs * np.prod(th_tz / th_abz[..., None, :], axis=-1)
 
 
-def id1_residual(t, z, B, p):
-    """(sum_r ...) - 1 for the constrained-variable expansion
+def id1_residual(terms):
+    """(sum_r ...) - 1 of the expansion from its id1_terms."""
+    return tree_sum(np.moveaxis(terms, -1, 0)) - 1.0
 
-    sum_{r} theta(B t_r)/theta(A) prod_{j != r} theta(A B t_j)/theta(t_r/t_j)
-            prod_k theta(t_r / z_k) / theta(A B z_k)  =  1,
 
-    with prod z_k = 1 and A = prod t.
+def id1_scale(terms):
+    return np.maximum(1.0, np.max(np.abs(terms), axis=-1))
+
+
+def id3_parts(t, f, p):
+    """(LHS, the n+1 terms of the RHS on a last axis) of the
+    parameter-product expansion
+
+    prod_j theta(A B / f_j) / prod_j theta(A B t_j)
+      = sum_r [prod_j theta(t_r f_j) / prod_{j != r} theta(t_r/t_j)]
+              / theta(A B t_r),
+
+    with A = prod t (n+1 entries) and B = prod f (n+2 entries).
     """
-    return tree_sum(np.moveaxis(_id1_terms(t, z, B, p), -1, 0)) - 1.0
-
-
-def id1_scale(t, z, B, p):
-    return np.maximum(1.0, np.max(np.abs(_id1_terms(t, z, B, p)), axis=-1))
-
-
-def _id3_parts(t, f, p):
     t, f = np.asarray(t), np.asarray(f)
     if f.shape[-1] != t.shape[-1] + 1:
         raise ValueError("need one more f entry than t entries")
@@ -207,21 +220,12 @@ def _id3_parts(t, f, p):
                  / (th_abt * np.prod(cross, axis=-1)))
 
 
-def id3_residual(t, f, p):
-    """LHS - RHS of the parameter-product expansion
-
-    prod_j theta(A B / f_j) / prod_j theta(A B t_j)
-      = sum_r [prod_j theta(t_r f_j) / prod_{j != r} theta(t_r/t_j)]
-              / theta(A B t_r),
-
-    with A = prod t (n+1 entries) and B = prod f (n+2 entries).
-    """
-    lhs, terms = _id3_parts(t, f, p)
+def id3_residual(lhs, terms):
+    """LHS - RHS of the expansion from its id3_parts."""
     return lhs - tree_sum(np.moveaxis(terms, -1, 0))
 
 
-def id3_scale(t, f, p):
-    lhs, terms = _id3_parts(t, f, p)
+def id3_scale(lhs, terms):
     return np.maximum(np.abs(lhs), np.max(np.abs(terms), axis=-1))
 
 

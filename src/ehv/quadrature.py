@@ -142,7 +142,8 @@ def integrate_sums(sums, points, n: int, cfg: QuadratureConfig | None = None):
     integral whose value is 0 can converge).  When a doubling change leaves
     a cell unconverged, the grid N is compared with N' = 2 floor(3N/8), and
     kept, that change its estimate, if every cell converges on it; else the
-    grid doubles, and the estimate stays the doubling change.  Stops early
+    grid doubles, and the estimate is the smaller of the doubling change and
+    the N' change (each the largest over the cells).  Stops early
     once points(N) would exceed the node budget (an initial grid over
     budget raises ResourceLimit).  nodes_used is N^n whatever the path.
     """
@@ -180,6 +181,7 @@ def integrate_sums(sums, points, n: int, cfg: QuadratureConfig | None = None):
             if converged:
                 est = between
                 break
+            est = min(est, between)
     return QuadratureResult(
         value=np.array(value).reshape(cells) if cells else value[0],
         est_error=est, nodes_used=N ** n, converged=converged)

@@ -34,14 +34,18 @@ from .identities import (
     an_transformation_sides,
     id1_residual,
     id1_scale,
+    id1_terms,
+    id3_parts,
     id3_residual,
     id3_scale,
     krattenthaler_condition,
     krattenthaler_det_sides,
+    partial_fraction_parts,
     partial_fraction_residual,
     partial_fraction_scale,
     riemann_identity_residual,
     riemann_identity_scale,
+    riemann_terms,
 )
 from .integrands import (
     Family,
@@ -76,8 +80,10 @@ from .series import (
     contiguous_relative_residuals,
     frenkel_turaev_rhs,
     gustafson_rakha_condition,
+    gustafson_rakha_parts,
     gustafson_rakha_sum_sides,
     milne_condition,
+    milne_parts,
     milne_sum_sides,
     sum_V_info,
 )
@@ -520,10 +526,13 @@ def draw_ft_instance(smp: Sampler, m: Moduli):
         try:
             info = sum_V_info(VSpec(t0=t0, t=(t1, t4, t5, t6, t7), x=1.0,
                                     moduli=m, N=N))
+            if not (abs(info.value) > 0
+                    and info.last_term / abs(info.value) <= _COND_CAP):
+                return False
             sides = (info.value, frenkel_turaev_rhs(t0, t1, t4, t5, N, m))
         except (PoleHit, EHVError):
             return False
-        return abs(info.value) > 0 and info.last_term / abs(info.value) <= _COND_CAP
+        return True
 
     draw = smp.accept(build, ok)
     return draw, sides
@@ -607,11 +616,11 @@ def check_milne(opts, tol):
         def ok(cand):
             nonlocal sides
             try:
-                sides = milne_sum_sides(*cand, m)
-                cond = milne_condition(*cand, m)
+                terms, rhs = milne_parts(*cand, m)
             except EHVError:
                 return False
-            return abs(sides[1]) > 1e-8 and cond <= 1e3
+            sides = milne_sum_sides(terms, rhs)
+            return abs(rhs) > 1e-8 and milne_condition(terms) <= 1e3
 
         tpars, b, c, d, Ns = smp.accept(build, ok)
         yield VerificationReport.from_sides(
@@ -638,12 +647,12 @@ def check_gustafson_rakha(opts, tol):
             def ok(cand):
                 nonlocal sides
                 try:
-                    sides = gustafson_rakha_sum_sides(*cand, N, m)
-                    cond = gustafson_rakha_condition(*cand, N, m)
+                    terms, rhs = gustafson_rakha_parts(*cand, N, m)
                 except EHVError:
                     return False
-                lhs, rhs = sides
-                return abs(rhs) > 1e-10 and abs(lhs) > 0 and cond <= 300.0
+                sides = gustafson_rakha_sum_sides(terms, rhs)
+                return (abs(rhs) > 1e-10 and abs(sides[0]) > 0
+                        and gustafson_rakha_condition(terms) <= 300.0)
 
             ts, textra, tg = smp.accept(build, ok)
             yield VerificationReport.from_sides(
@@ -752,8 +761,9 @@ def _id3_draw(smp):
 def check_ident(opts, tol):
     @_stacked
     def relative(x, y, z, w, p):
-        return np.abs(riemann_identity_residual(x, y, z, w, p)) \
-            / riemann_identity_scale(x, y, z, w, p)
+        terms = riemann_terms(x, y, z, w, p)
+        return np.abs(riemann_identity_residual(terms)) \
+            / riemann_identity_scale(terms)
 
     yield _identity_check(opts, tol, "ident", _ident_draw, relative)
 
@@ -762,7 +772,8 @@ def check_ident(opts, tol):
 def check_id1(opts, tol):
     @_stacked
     def relative(t, z, B, p):
-        return np.abs(id1_residual(t, z, B, p)) / id1_scale(t, z, B, p)
+        terms = id1_terms(t, z, B, p)
+        return np.abs(id1_residual(terms)) / id1_scale(terms)
 
     yield _identity_check(opts, tol, "id1", _id1_draw, relative)
 
@@ -770,8 +781,9 @@ def check_id1(opts, tol):
 @_check("id2", tol=1e-12)
 def check_id2(opts, tol):
     def relative(rows):     # one draw at a time
-        return [abs(partial_fraction_residual(*r))
-                / partial_fraction_scale(*r) for r in rows]
+        return [abs(partial_fraction_residual(*parts))
+                / partial_fraction_scale(*parts)
+                for parts in itertools.starmap(partial_fraction_parts, rows)]
 
     yield _identity_check(opts, tol, "id2", _id2_draw, relative)
 
@@ -780,7 +792,8 @@ def check_id2(opts, tol):
 def check_id3(opts, tol):
     @_stacked
     def relative(t, f, p):
-        return np.abs(id3_residual(t, f, p)) / id3_scale(t, f, p)
+        parts = id3_parts(t, f, p)
+        return np.abs(id3_residual(*parts)) / id3_scale(*parts)
 
     yield _identity_check(opts, tol, "id3", _id3_draw, relative)
 

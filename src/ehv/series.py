@@ -13,7 +13,9 @@ Terminating sums are evaluated term-recursively through the ratio of
 successive coefficients, so a sum of N+1 terms costs O(N) theta calls.
 Multi-index sums iterate the index box in lexicographic order and combine
 terms in a fixed pairwise tree, making results independent of any work
-partitioning.
+partitioning.  Each multi-sum identity has one function that evaluates its
+terms and its closed form (milne_parts, gustafson_rakha_parts); its sides
+and its cancellation condition number are read from that one evaluation.
 """
 
 from __future__ import annotations
@@ -290,7 +292,10 @@ def contiguous_relative_residuals(t, m: Moduli):
     return tuple(abs(r) / s for r, s in zip(rs, ss))
 
 
-def _milne_parts(tpars, b, c, d, Ns, m: Moduli):
+def milne_parts(tpars, b, c, d, Ns, m: Moduli):
+    """(terms of the multi-sum in lexicographic box order, closed form) of
+    the box-constrained multiple vwp summation, with e determined by
+    b c d e = q^(1 + |N|)."""
     tpars = tuple(tpars)
     Ns = tuple(int(N) for N in Ns)
     n = len(tpars)
@@ -343,19 +348,14 @@ def _milne_parts(tpars, b, c, d, Ns, m: Moduli):
     return terms, rhs
 
 
-def milne_sum_sides(tpars, b, c, d, Ns, m: Moduli):
-    """Both sides of the box-constrained multiple vwp summation.
-
-    e is determined by b c d e = q^(1 + |N|); returns (multi-sum, closed
-    form).
-    """
-    terms, rhs = _milne_parts(tpars, b, c, d, Ns, m)
+def milne_sum_sides(terms, rhs):
+    """(multi-sum, closed form) from milne_parts."""
     return (tree_sum(terms), rhs)
 
 
-def milne_condition(tpars, b, c, d, Ns, m: Moduli) -> float:
-    """Cancellation condition number max|term| / |sum| of the multi-sum."""
-    terms, _ = _milne_parts(tpars, b, c, d, Ns, m)
+def milne_condition(terms) -> float:
+    """Cancellation condition number max|term| / |sum| of the multi-sum,
+    from the terms of milne_parts."""
     total = tree_sum(terms)
     if total == 0:
         return math.inf
@@ -372,7 +372,14 @@ def _compositions(n, total):
             yield (head,) + rest
 
 
-def _gr_parts(t, t_extra, tglob, N: int, m: Moduli):
+def gustafson_rakha_parts(t, t_extra, tglob, N: int, m: Moduli):
+    """(terms of the sum, closed form) of the constrained-sum identity with
+    prod t_k = q^(-N).
+
+    The sum ranges over compositions lam_1 + ... + lam_n = N; negative
+    factorial indices follow theta(z)_(-k) = 1/theta(z q^(-k))_k.  The
+    closed form is the branch of the parity of n.
+    """
     t = tuple(t)
     t_extra = tuple(t_extra)
     if len(t_extra) != 3:
@@ -434,20 +441,14 @@ def _gr_parts(t, t_extra, tglob, N: int, m: Moduli):
     return terms, rhs
 
 
-def gustafson_rakha_sum_sides(t, t_extra, tglob, N: int, m: Moduli):
-    """Both sides of the constrained-sum identity with prod t_k = q^(-N).
-
-    The sum ranges over compositions lam_1 + ... + lam_n = N; negative
-    factorial indices follow theta(z)_(-k) = 1/theta(z q^(-k))_k.
-    Returns (constrained sum, parity-branch closed form).
-    """
-    terms, rhs = _gr_parts(t, t_extra, tglob, N, m)
+def gustafson_rakha_sum_sides(terms, rhs):
+    """(constrained sum, closed form) from gustafson_rakha_parts."""
     return (tree_sum(terms), rhs)
 
 
-def gustafson_rakha_condition(t, t_extra, tglob, N: int, m: Moduli) -> float:
-    """Cancellation condition number max|term| / |sum| of the LHS."""
-    terms, _ = _gr_parts(t, t_extra, tglob, N, m)
+def gustafson_rakha_condition(terms) -> float:
+    """Cancellation condition number max|term| / |sum| of the LHS, from
+    the terms of gustafson_rakha_parts."""
     total = tree_sum(terms)
     if total == 0:
         return math.inf

@@ -18,17 +18,29 @@ from ehv.identities import (
     an_transformation_sides,
     id1_residual,
     id1_scale,
+    id1_terms,
+    id3_parts,
     id3_residual,
     id3_scale,
     krattenthaler_condition,
     krattenthaler_det_sides,
+    partial_fraction_parts,
     partial_fraction_residual,
     partial_fraction_scale,
     riemann_identity_residual,
     riemann_identity_scale,
+    riemann_terms,
 )
 from ehv.quadrature import QuadratureConfig
-from ehv.series import tree_sum
+from ehv.series import (
+    gustafson_rakha_condition,
+    gustafson_rakha_parts,
+    gustafson_rakha_sum_sides,
+    milne_condition,
+    milne_parts,
+    milne_sum_sides,
+    tree_sum,
+)
 
 
 def prod(seq):
@@ -39,21 +51,24 @@ class TestRiemannIdentity:
     def test_collapses_at_w_equals_z(self, rng, arg):
         p = 0.3
         x, y, z = (arg(rng, 0.3, 1.5) for _ in range(3))
-        r = riemann_identity_residual(x, y, z, z, p)
-        assert abs(r) <= 1e-14 * riemann_identity_scale(x, y, z, z, p)
+        terms = riemann_terms(x, y, z, z, p)
+        r = riemann_identity_residual(terms)
+        assert abs(r) <= 1e-14 * riemann_identity_scale(terms)
 
     def test_p_zero_polynomial_identity(self, rng, arg):
         for _ in range(100):
             x, y, z, w = (arg(rng, 0.3, 1.5) for _ in range(4))
-            assert abs(riemann_identity_residual(x, y, z, w, 0.0)) <= 1e-13
+            terms = riemann_terms(x, y, z, w, 0.0)
+            assert abs(riemann_identity_residual(terms)) <= 1e-13
 
     def test_random_draws(self, rng, arg):
         worst = 0.0
         for _ in range(300):
             p = arg(rng, 0.05, 0.4)
             x, y, z, w = (arg(rng, 0.2, 2.0) for _ in range(4))
-            worst = max(worst, abs(riemann_identity_residual(x, y, z, w, p))
-                        / riemann_identity_scale(x, y, z, w, p))
+            terms = riemann_terms(x, y, z, w, p)
+            worst = max(worst, abs(riemann_identity_residual(terms))
+                        / riemann_identity_scale(terms))
         assert worst <= 1e-13
 
 
@@ -61,8 +76,9 @@ class TestPartialFraction:
     def test_n1_two_term(self, rng, arg):
         p = 0.35
         a, b, t = arg(rng, 0.3, 1.5), arg(rng, 0.3, 1.5), arg(rng, 0.3, 1.5)
-        r = partial_fraction_residual([a], [b], t, p)
-        assert abs(r) <= 1e-14 * partial_fraction_scale([a], [b], t, p)
+        parts = partial_fraction_parts([a], [b], t, p)
+        r = partial_fraction_residual(*parts)
+        assert abs(r) <= 1e-14 * partial_fraction_scale(*parts)
 
     def test_n3_random(self, rng, arg):
         p = 0.4
@@ -70,20 +86,22 @@ class TestPartialFraction:
             a = [arg(rng, 0.3, 1.6) for _ in range(3)]
             b = [arg(rng, 0.3, 1.6) for _ in range(3)]
             t = arg(rng, 0.3, 1.6)
-            r = partial_fraction_residual(a, b, t, p)
-            assert abs(r) <= 1e-12 * partial_fraction_scale(a, b, t, p)
+            parts = partial_fraction_parts(a, b, t, p)
+            r = partial_fraction_residual(*parts)
+            assert abs(r) <= 1e-12 * partial_fraction_scale(*parts)
 
     def test_perturbed_near_degenerate(self, rng, arg):
         p = 0.3
         a = [arg(rng, 0.4, 1.2) for _ in range(2)]
         b = [v * (1 + 1e-3) for v in a]
         t = arg(rng, 0.4, 1.2)
-        r = partial_fraction_residual(a, b, t, p)
-        assert abs(r) <= 1e-11 * partial_fraction_scale(a, b, t, p)
+        parts = partial_fraction_parts(a, b, t, p)
+        r = partial_fraction_residual(*parts)
+        assert abs(r) <= 1e-11 * partial_fraction_scale(*parts)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateConfiguration):
-            partial_fraction_residual([0.5, 0.6], [0.6, 0.5], 0.9, 0.3)
+            partial_fraction_parts([0.5, 0.6], [0.6, 0.5], 0.9, 0.3)
 
 
 class TestId1Id3:
@@ -94,8 +112,8 @@ class TestId1Id3:
         z = [arg(rng, 0.9, 1.1) for _ in range(n)]
         z.append(1.0 / prod(z))
         B = arg(rng, 0.3, 1.5)
-        r = id1_residual(t, z, B, p)
-        assert abs(r) <= 1e-12 * id1_scale(t, z, B, p)
+        terms = id1_terms(t, z, B, p)
+        assert abs(id1_residual(terms)) <= 1e-12 * id1_scale(terms)
 
     def test_id1_n1_equivalent_to_riemann_form(self, rng, arg):
         # both encode the same four-theta relation; check they agree on a draw
@@ -104,15 +122,16 @@ class TestId1Id3:
         z1 = arg(rng, 0.9, 1.1)
         z = [z1, 1.0 / z1]
         B = arg(rng, 0.4, 1.3)
-        assert abs(id1_residual(t, z, B, p)) <= 1e-12 * id1_scale(t, z, B, p)
+        terms = id1_terms(t, z, B, p)
+        assert abs(id1_residual(terms)) <= 1e-12 * id1_scale(terms)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_id3(self, rng, arg, n):
         p = 0.35
         t = [arg(rng, 0.4, 1.5) for _ in range(n + 1)]
         f = [arg(rng, 0.4, 1.5) for _ in range(n + 2)]
-        r = id3_residual(t, f, p)
-        assert abs(r) <= 1e-12 * id3_scale(t, f, p)
+        parts = id3_parts(t, f, p)
+        assert abs(id3_residual(*parts)) <= 1e-12 * id3_scale(*parts)
 
 
 # -- the per-draw scalar formulas, kept as the oracle of the stacked ones ------
@@ -192,20 +211,20 @@ def oracle_id3(t, f, p):
 
 
 def batched_ident(x, y, z, w, p):
-    return (identities._riemann_terms(x, y, z, w, p),
-            np.abs(riemann_identity_residual(x, y, z, w, p))
-            / riemann_identity_scale(x, y, z, w, p))
+    terms = riemann_terms(x, y, z, w, p)
+    return (terms, np.abs(riemann_identity_residual(terms))
+            / riemann_identity_scale(terms))
 
 
 def batched_id1(t, z, B, p):
-    return (identities._id1_terms(t, z, B, p),
-            np.abs(id1_residual(t, z, B, p)) / id1_scale(t, z, B, p))
+    terms = id1_terms(t, z, B, p)
+    return terms, np.abs(id1_residual(terms)) / id1_scale(terms)
 
 
 def batched_id3(t, f, p):
-    lhs, terms = identities._id3_parts(t, f, p)
+    lhs, terms = id3_parts(t, f, p)
     return (np.concatenate([np.expand_dims(lhs, -1), terms], axis=-1),
-            np.abs(id3_residual(t, f, p)) / id3_scale(t, f, p))
+            np.abs(id3_residual(lhs, terms)) / id3_scale(lhs, terms))
 
 
 CASES = {
@@ -251,7 +270,7 @@ class TestStackedIdentities:
         with pytest.raises(DegenerateConfiguration) as scalar:
             oracle_id3(*rows[3])
         with pytest.raises(DegenerateConfiguration) as batch:
-            id3_residual(*stack(rows))
+            id3_parts(*stack(rows))
         assert str(batch.value) == str(scalar.value) == "t_r/t_j collision"
 
     def test_id1_vanishing_theta_a_in_one_row(self):
@@ -261,7 +280,7 @@ class TestStackedIdentities:
         with pytest.raises(DegenerateConfiguration) as scalar:
             oracle_id1(*rows[2])
         with pytest.raises(DegenerateConfiguration) as batch:
-            id1_residual(*stack(rows))
+            id1_terms(*stack(rows))
         assert str(batch.value) == str(scalar.value) == "theta(A; p) = 0"
 
     def test_id1_broken_constraint_in_one_row(self):
@@ -271,7 +290,7 @@ class TestStackedIdentities:
         with pytest.raises(ValueError) as scalar:
             oracle_id1(*rows[4])
         with pytest.raises(ValueError) as batch:
-            id1_scale(*stack(rows))
+            id1_terms(*stack(rows))
         assert str(batch.value) == str(scalar.value)
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -313,7 +332,7 @@ class TestStackedIdentities:
             oracle_id1(*rows[1])
         for args in (rows[1], stack(rows)):
             with pytest.raises(DegenerateConfiguration) as batch:
-                id1_residual(*args)
+                id1_terms(*args)
             assert str(batch.value) == str(scalar.value) == "t_r/t_j collision"
 
     def test_id3_theta_abt_on_the_zero_lattice(self):
@@ -324,7 +343,7 @@ class TestStackedIdentities:
         t1 = cmath.sqrt(p ** 3 / (AB / t[1]))
         rows[0] = ((t[0], t1), f, p)
         with pytest.raises(DegenerateConfiguration) as batch:
-            id3_residual(*stack(rows))
+            id3_parts(*stack(rows))
         assert str(batch.value) == "theta(A B t_j; p) = 0"
 
     def test_check_sees_every_draw_once_in_rank_batches(self):
@@ -361,6 +380,73 @@ class TestStackedIdentities:
         monkeypatch.setattr(core, "theta", counting(core.theta))
         rows = registry.run_check(name, registry.CheckOptions(seed=0))
         assert rows[0].passed and calls == []
+
+    @pytest.mark.parametrize("name,builder,evaluations,theta_vec_calls", [
+        ("ident", "riemann_terms", 8, 8),
+        ("id1", "id1_terms", 9, 18),
+        ("id2", "partial_fraction_parts", 1000, 0),
+        ("id3", "id3_parts", 9, 9),
+    ])
+    def test_one_term_evaluation_per_batch(self, monkeypatch, name, builder,
+                                           evaluations, theta_vec_calls):
+        """At seed 0 the 1000 draws of ident, id1 and id3 come in 8, 9 and 9
+        rank batches, and id2 evaluates one draw at a time: each batch's
+        terms are evaluated once, for its residual and its scale alike (id1
+        takes its coefficients in a theta_vec call of their own)."""
+        counts = {builder: 0, "theta_vec": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(registry, builder,
+                            counting(builder, getattr(registry, builder)))
+        monkeypatch.setattr(identities, "theta_vec",
+                            counting("theta_vec", identities.theta_vec))
+        rows = registry.run_check(name, registry.CheckOptions(seed=0))
+        assert rows[0].passed
+        assert counts == {builder: evaluations, "theta_vec": theta_vec_calls}
+
+
+class TestReaders:
+    def test_readers_give_the_bits_of_their_formulas(self, moduli):
+        """Each reader of an identity's one evaluation gives, on one draw,
+        the bits of the residual, scale, sides or condition it reads."""
+        smp = registry.Sampler(0)
+        terms = riemann_terms(*registry._ident_draw(smp)[1])
+        first, second, rhs = terms
+        assert riemann_identity_residual(terms) == (first - second) - rhs
+        assert riemann_identity_scale(terms) == max(map(abs, terms))
+
+        terms = id1_terms(*registry._id1_draw(smp)[1])
+        assert id1_residual(terms) == tree_sum(list(terms)) - 1.0
+        assert id1_scale(terms) == max([1.0] + [abs(v) for v in terms])
+
+        for parts, residual, scale in (
+                (partial_fraction_parts(*registry._id2_draw(smp)[1]),
+                 partial_fraction_residual, partial_fraction_scale),
+                (id3_parts(*registry._id3_draw(smp)[1]),
+                 id3_residual, id3_scale)):
+            lhs, terms = parts
+            assert residual(lhs, terms) == lhs - tree_sum(list(terms))
+            assert scale(lhs, terms) == max([abs(lhs)]
+                                            + [abs(v) for v in terms])
+
+        q = moduli.q
+        t1, t2 = 0.6 + 0.2j, 0.5 - 0.3j
+        for parts, sides, condition in (
+                (milne_parts((0.55 + 0.1j, 0.6 - 0.2j), 0.6, 0.7j, 0.5,
+                             (1, 2), moduli),
+                 milne_sum_sides, milne_condition),
+                (gustafson_rakha_parts((t1, t2, q ** -3 / (t1 * t2)),
+                                       (0.6, 0.7j, 0.5), 0.55, 3, moduli),
+                 gustafson_rakha_sum_sides, gustafson_rakha_condition)):
+            terms, rhs = parts
+            total = tree_sum(terms)
+            assert sides(terms, rhs) == (total, rhs)
+            assert condition(terms) == max(map(abs, terms)) / abs(total)
 
 
 class TestKrattenthaler:

@@ -509,7 +509,10 @@ class TestNestedGrid:
                 nodes_per_dim=N0, max_doublings=1, rel_tol=1e-30))
             assert calls == [2 * N0, 2 * (6 * N0 // 8)] and N0 not in calls
             assert not res.converged
-            assert res.est_error == max(abs(v - a) for v, a in zip(fine[0], even))
+            between, _, _ = mesh_sums(cells(calls[1]), calls[1], 1)
+            assert res.est_error == min(
+                max(abs(v - a) for v, a in zip(fine[0], even)),
+                max(abs(v - a) for v, a in zip(fine[0], between)))
 
     @staticmethod
     def _recorded(ig):
@@ -558,7 +561,24 @@ class TestNestedGrid:
         assert calls == [(32, True), (24, False), (64, False), (48, False)]
         assert tables == [32, 24, 64, 48]
         assert not res.converged and res.nodes_used == 64
-        assert res.est_error == abs(res.value - ig.node_sums(32)[0][0])
+        assert res.est_error == min(abs(res.value - ig.node_sums(32)[0][0]),
+                                    abs(res.value - ig.node_sums(48)[0][0]))
+
+    @pytest.mark.parametrize("values,est", [
+        ({16: 1.0, 32: 1.5, 24: 1.25}, 0.25),      # the N' change is smaller
+        ({16: 1.0, 32: 1.5, 24: 2.5}, 0.5),        # the doubling change is
+    ])
+    def test_unconverged_estimate_is_the_smaller_change(self, values, est):
+        """Neither the 32 -> 16 nor the 32 -> 24 change meets the rule: the
+        estimate is the smaller of the two."""
+        def sums(N, subgrid=False):
+            out = ([values[N]], [1.0], ())
+            return out + ([values[N // 2]],) if subgrid else out
+
+        res = integrate_sums(sums, lambda N: N, 1, QuadratureConfig(
+            nodes_per_dim=16, max_doublings=1, rel_tol=1e-30))
+        assert (res.est_error, res.converged, res.nodes_used) == (
+            est, False, 32)
 
     @pytest.mark.parametrize("family,n,rel_tol", [(Family.E, 1, 1e-3),
                                                   (Family.CN_I, 2, 5e-3)])

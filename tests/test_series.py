@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from ehv import registry
 from ehv.core import Moduli, theta, theta_factorial
 from ehv.errors import BalancingViolation, NotTerminating
 from ehv.series import (
@@ -14,7 +15,9 @@ from ehv.series import (
     bailey_transform_check,
     contiguous_relative_residuals,
     frenkel_turaev_rhs,
+    gustafson_rakha_parts,
     gustafson_rakha_sum_sides,
+    milne_parts,
     milne_sum_sides,
     match_qpow,
     sum_V,
@@ -224,19 +227,22 @@ class TestContiguous:
 
 class TestMilne:
     def test_all_zero_box(self, rng, arg, moduli):
-        lhs, rhs = milne_sum_sides((0.5,), 0.6, 0.7, 0.8, (0,), moduli)
+        parts = milne_parts((0.5,), 0.6, 0.7, 0.8, (0,), moduli)
+        lhs, rhs = milne_sum_sides(*parts)
         assert lhs == 1.0 and rhs == pytest.approx(1.0)
 
     def test_n1_reduces_to_frenkel_turaev_shape(self, rng, arg, moduli):
         t1 = arg(rng, 0.45, 0.8)
         b, c, d = (arg(rng, 0.45, 0.8) for _ in range(3))
-        lhs, rhs = milne_sum_sides((t1,), b, c, d, (3,), moduli)
+        parts = milne_parts((t1,), b, c, d, (3,), moduli)
+        lhs, rhs = milne_sum_sides(*parts)
         assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
 
     def test_n2_box(self, rng, arg, moduli):
         tp = (arg(rng, 0.45, 0.8), arg(rng, 0.45, 0.8))
         b, c, d = (arg(rng, 0.45, 0.8) for _ in range(3))
-        lhs, rhs = milne_sum_sides(tp, b, c, d, (1, 1), moduli)
+        parts = milne_parts(tp, b, c, d, (1, 1), moduli)
+        lhs, rhs = milne_sum_sides(*parts)
         assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
 
     def test_n2_against_independent_transcription(self, rng, arg, moduli):
@@ -273,7 +279,8 @@ class TestMilne:
                             / (tf(tp[j] * q / b, lam[j])
                                * tf(tp[j] * q / c, lam[j])))
                 want += val
-        got, _ = milne_sum_sides(tp, b, c, d, Ns, moduli)
+        parts = milne_parts(tp, b, c, d, Ns, moduli)
+        got, _ = milne_sum_sides(*parts)
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -290,7 +297,8 @@ class TestGustafsonRakha:
 
     def test_single_composition(self, rng, arg, moduli):
         ts, textra, tg = self.draw(rng, arg, moduli, 2, 0)
-        lhs, rhs = gustafson_rakha_sum_sides(ts, textra, tg, 0, moduli)
+        parts = gustafson_rakha_parts(ts, textra, tg, 0, moduli)
+        lhs, rhs = gustafson_rakha_sum_sides(*parts)
         assert lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0)
 
     def test_n2_enumeration_oracle(self, rng, arg, moduli):
@@ -316,18 +324,55 @@ class TestGustafsonRakha:
             for j in range(2):
                 den *= tf(tg ** 3 / ts[j] * prod_all, -lam[j])
             want += num / den
-        got, _ = gustafson_rakha_sum_sides(ts, textra, tg, 1, moduli)
+        parts = gustafson_rakha_parts(ts, textra, tg, 1, moduli)
+        got, _ = gustafson_rakha_sum_sides(*parts)
         assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("n,N", [(2, 1), (2, 3), (3, 2), (3, 3)])
     def test_identity_both_parities(self, rng, arg, moduli, n, N):
         ts, textra, tg = self.draw(rng, arg, moduli, n, N)
-        lhs, rhs = gustafson_rakha_sum_sides(ts, textra, tg, N, moduli)
+        parts = gustafson_rakha_parts(ts, textra, tg, N, moduli)
+        lhs, rhs = gustafson_rakha_sum_sides(*parts)
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
     def test_constraint_gate(self, moduli):
         from ehv.errors import ConstraintViolation
 
         with pytest.raises(ConstraintViolation):
-            gustafson_rakha_sum_sides((0.5, 0.5), (0.6, 0.7, 0.8), 0.5, 2,
-                                      moduli)
+            gustafson_rakha_parts((0.5, 0.5), (0.6, 0.7, 0.8), 0.5, 2, moduli)
+
+
+@pytest.mark.parametrize("name,builder", [
+    ("milne", "milne_parts"), ("gustafson_rakha", "gustafson_rakha_parts")])
+def test_one_parts_call_per_candidate(monkeypatch, name, builder):
+    """A sampler candidate's sides and condition come from one evaluation:
+    the parts calls equal the candidates tried, the accepted draws (one a
+    row) and the rejected ones."""
+    calls = []
+    parts = getattr(registry, builder)
+
+    def counting(*args):
+        calls.append(args)
+        return parts(*args)
+
+    monkeypatch.setattr(registry, builder, counting)
+    rows = registry.run_check(name, registry.CheckOptions(seed=0))
+    assert all(r.passed for r in rows)
+    assert len(calls) == len(rows) + registry.rejection_count()
+
+
+def test_ft_closed_form_only_within_the_cap(monkeypatch):
+    """The ft_sum sampler evaluates the closed form only for a candidate
+    whose cancellation ratio is within _COND_CAP: at seed 0 once a row,
+    though candidates were rejected."""
+    calls = []
+    rhs = registry.frenkel_turaev_rhs
+
+    def counting(*args):
+        calls.append(args)
+        return rhs(*args)
+
+    monkeypatch.setattr(registry, "frenkel_turaev_rhs", counting)
+    rows = registry.run_check("ft_sum", registry.CheckOptions(seed=0))
+    assert registry.rejection_count() > 0
+    assert len(calls) == len(rows) == 50
