@@ -80,17 +80,21 @@ that grid), so an integral first builds the row at 2 N0, never at N0.
 
 Determinism: the mesh multiplies in a fixed order, and every mesh, folded
 or not, with or without cell axes, is reduced by mesh_sums, one row sum per
-cell; the contraction's einsum path depends only on the shapes, so its bits
-repeat for a given numpy and BLAS at a given thread count; the orbit sum
-visits fixed blocks in a fixed order.  The contraction's time, like its
-bits, depends on the BLAS thread count: its threads wait on a busy core.
-The paths, folded or not, agree with each other to rounding, not bit for
-bit.  A table's bits depend on its factor list, N and the moduli alone,
-never on the calls before it.
+cell; the contraction's einsum path depends only on the shapes, and it runs
+on one BLAS thread (_one_blas_thread), so its bits repeat for a given numpy
+and BLAS whatever the host's thread count, and no second thread waits on a
+busy core.  A numpy without the bundled OpenBLAS's thread-count symbols
+takes the fallback: the einsum runs on the BLAS's own threads, its bits
+repeat at a given thread count and its time depends on it.  The orbit sum
+visits fixed blocks in a fixed order.  The paths, folded or not, agree with
+each other to rounding, not bit for bit.  A table's bits depend on its
+factor list, N and the moduli alone, never on the calls before it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import itertools
 import math
@@ -509,11 +513,12 @@ class FactorIntegrand:
             args = [x for a, (_, sub) in zip(arrays, ops) for x in (a, sub)]
             return np.einsum(*args, [], optimize=("greedy", size ** (self.n - 1)))
 
-        sums = (contract([a for a, _ in ops]),
-                contract([np.abs(a) for a, _ in ops]))
-        if subgrid:
-            sums += (contract([a[(slice(None, None, 2),) * a.ndim]
-                               for a, _ in ops], (M + 1) // 2),)
+        with _one_blas_thread():
+            sums = (contract([a for a, _ in ops]),
+                    contract([np.abs(a) for a, _ in ops]))
+            if subgrid:
+                sums += (contract([a[(slice(None, None, 2),) * a.ndim]
+                                   for a, _ in ops], (M + 1) // 2),)
         return sums
 
     def _orbit_sums(self, N: int, subgrid: bool = False):
@@ -633,6 +638,46 @@ class FactorIntegrand:
         for view in multi:
             out *= view
         return out
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheels
+    bundle (scipy-openblas, 64-bit ints), found with ctypes among the
+    libraries numpy's core extension links; None for a numpy built without
+    those symbols (another BLAS, or an older wheel), whose contraction then
+    runs on the BLAS's own threads."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, put = (lib.scipy_openblas_get_num_threads64_,
+                    lib.scipy_openblas_set_num_threads64_)
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """One BLAS thread inside, the previous count restored after, a
+    setting of this process's library alone.  On a busy 2-vCPU host a
+    second thread waited on a core: a rank-3 contraction at M = 97 took
+    15.9 ms instead of 0.18 ms in half the fresh processes, and its bits
+    followed the thread count.  Without the symbols (_blas_threads is
+    None) it does nothing."""
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _fold_weights(N: int) -> np.ndarray:

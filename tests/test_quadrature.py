@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ehv import integrands
 from ehv.core import Moduli
 from ehv.errors import ResourceLimit
 from ehv.integrands import (
@@ -289,6 +290,43 @@ class TestNodeSumPaths:
             assert abs(value - mesh_value) <= 1e-14 * abs(mesh_value)
             assert abs(abs_sum - mesh_abs) <= 1e-14 * mesh_abs
 
+    def test_contraction_runs_on_one_blas_thread(self, rng, arg,
+                                                 monkeypatch):
+        """numpy's wheels bundle scipy-openblas, whose thread-count symbols
+        _blas_threads finds: every einsum of the contraction then runs on
+        one thread, and the count from before is restored after.  A numpy
+        on another BLAS lacks them and takes the fallback."""
+        blas = getattr(np.__config__, "CONFIG", {}).get(
+            "Build Dependencies", {}).get("blas", {}).get("name")
+        threads = integrands._blas_threads()
+        assert (threads is not None) == (blas == "scipy-openblas")
+        if threads is None:
+            pytest.skip(f"BLAS {blas!r}: the fallback, on the BLAS's threads")
+        get, put = threads
+        seen, einsum = [], np.einsum
+
+        def recording(*args, **kwargs):
+            seen.append(get())
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", recording)
+        ig = make_integrand(_hand_spec(rng, arg, Family.CN_I))
+        before = get()
+        put(2)
+        try:
+            ig.node_sums(16, True)
+            assert seen == [1, 1, 1] and get() == 2
+        finally:
+            put(before)
+
+    def test_contraction_without_thread_symbols(self, rng, arg, monkeypatch):
+        # the fallback: the einsum on the BLAS's own threads, same sums
+        ig = make_integrand(_hand_spec(rng, arg, Family.CN_I))
+        one = ig.node_sums(24, True)
+        monkeypatch.setattr(integrands, "_blas_threads", lambda: None)
+        for a, b in zip(ig.node_sums(24, True), one):
+            assert np.allclose(a, b, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("family", [Family.CN_I, Family.AN_III])
     def test_repeated_calls_give_identical_bits(self, rng, arg, family):
         ig = make_integrand(_hand_spec(rng, arg, family))
@@ -472,9 +510,10 @@ _NESTED = [(Family.CN_III, 2, "mesh", False), (Family.E, 1, "mesh", True),
 
 class TestNestedGrid:
     """The N0 grid is the even subgrid of the 2 N0 grid: the driver takes
-    its first coarse sum from there and builds no N0 tables.  A grid N whose
-    doubling change misses the stop rule is compared with the grid
-    N' = 2 floor(3N/8) before the driver doubles or gives up."""
+    its first coarse sum from there and builds no N0 tables.  If that change
+    misses the stop rule, 2 N0 is compared with the grid N' = 2 floor(3N/8)
+    before the driver climbs the ladder N0 * (3, 4, 6, 8, ...), each rung
+    compared with the one below it."""
 
     @pytest.mark.parametrize("family,n,path,folded", _NESTED)
     def test_even_subgrid_equals_the_coarse_grid(self, rng, arg, family, n,
@@ -540,8 +579,8 @@ class TestNestedGrid:
         sums, calls, tables = self._recorded(ig)
         res = integrate_sums(sums, ig.points, n, QuadratureConfig(
             nodes_per_dim=8, max_doublings=2, rel_tol=1e-30))
-        assert calls == [(16, True), (12, False), (32, False), (24, False)]
-        assert tables == [16, 12, 32, 24]
+        assert calls == [(16, True), (12, False), (24, False), (32, False)]
+        assert tables == [16, 12, 24, 32]
         assert res.nodes_used == 32 ** n
 
     def test_converged_at_the_first_grid_in_one_call(self, e_spec):
@@ -558,11 +597,10 @@ class TestNestedGrid:
         cfg = QuadratureConfig(nodes_per_dim=16, max_doublings=2,
                                rel_tol=1e-30)
         res = integrate_sums(sums, ig.points, 1, cfg)
-        assert calls == [(32, True), (24, False), (64, False), (48, False)]
-        assert tables == [32, 24, 64, 48]
+        assert calls == [(32, True), (24, False), (48, False), (64, False)]
+        assert tables == [32, 24, 48, 64]
         assert not res.converged and res.nodes_used == 64
-        assert res.est_error == min(abs(res.value - ig.node_sums(32)[0][0]),
-                                    abs(res.value - ig.node_sums(48)[0][0]))
+        assert res.est_error == abs(res.value - ig.node_sums(48)[0][0])
 
     @pytest.mark.parametrize("values,est", [
         ({16: 1.0, 32: 1.5, 24: 1.25}, 0.25),      # the N' change is smaller
@@ -579,6 +617,21 @@ class TestNestedGrid:
             nodes_per_dim=16, max_doublings=1, rel_tol=1e-30))
         assert (res.est_error, res.converged, res.nodes_used) == (
             est, False, 32)
+
+    def test_later_rung_estimate_is_its_own_change(self):
+        """Past the first rung the estimate is the last rung's change, 2.0
+        at 64 against 48, even where the first rung's changes were smaller
+        (0.25 against 24)."""
+        values = {16: 1.0, 32: 1.5, 24: 1.25, 48: 2.5, 64: 4.5}
+
+        def sums(N, subgrid=False):
+            out = ([values[N]], [1.0], ())
+            return out + ([values[N // 2]],) if subgrid else out
+
+        res = integrate_sums(sums, lambda N: N, 1, QuadratureConfig(
+            nodes_per_dim=16, max_doublings=2, rel_tol=1e-30))
+        assert (res.est_error, res.converged, res.nodes_used) == (
+            2.0, False, 64)
 
     @pytest.mark.parametrize("family,n,rel_tol", [(Family.E, 1, 1e-3),
                                                   (Family.CN_I, 2, 5e-3)])
@@ -598,6 +651,50 @@ class TestNestedGrid:
         assert res.est_error == abs(res.value - ig.node_sums(48)[0][0])
         assert res.est_error <= rel_tol * abs(res.value)
         assert abs(res.value - rhs_closed_form(spec)) <= res.est_error
+
+    @pytest.mark.parametrize("family,n,rel_tol", [(Family.E, 1, 1e-5),
+                                                  (Family.CN_I, 2, 5e-5)])
+    def test_stop_on_the_three_n0_rung(self, rng, arg, family, n, rel_tol):
+        """At N0 = 32 neither the 64 -> 32 change (2.0e-3 and 2.4e-2
+        relative) nor the 64 -> 48 change (1.2e-4 and 4.5e-4) meets rel_tol;
+        the 96 -> 64 change does (6.2e-6 and 7.4e-6): 96 is kept, with that
+        change as its error estimate, which bounds its error against the
+        closed form, and 128 is never evaluated."""
+        spec = _hand_spec(rng, arg, family, n)
+        ig = make_integrand(spec)
+        sums, calls, tables = self._recorded(ig)
+        res = integrate_sums(sums, ig.points, n, QuadratureConfig(
+            nodes_per_dim=32, max_doublings=2, rel_tol=rel_tol))
+        assert calls == [(64, True), (48, False), (96, False)]
+        assert tables == [64, 48, 96]
+        assert res.converged and res.nodes_used == 96 ** n
+        assert res.est_error == abs(res.value - ig.node_sums(64)[0][0])
+        assert res.est_error <= rel_tol * abs(res.value)
+        assert abs(res.value - rhs_closed_form(spec)) <= res.est_error
+
+    @pytest.mark.parametrize("family,n,path,folded", _NESTED)
+    def test_one_doubling_is_the_first_rung_alone(self, rng, arg, family, n,
+                                                  path, folded):
+        ig = make_integrand(_hand_spec(rng, arg, family, n))
+        sums, calls, tables = self._recorded(ig)
+        res = integrate_sums(sums, ig.points, n, QuadratureConfig(
+            nodes_per_dim=8, max_doublings=1, rel_tol=1e-30))
+        assert calls == [(16, True), (12, False)] and tables == [16, 12]
+        assert not res.converged and res.nodes_used == 16 ** n
+
+    def test_rung_over_budget_ends_the_ladder(self, e_spec, monkeypatch):
+        """The folded list holds 25 points at 48 nodes and 33 at 64: under a
+        budget of 30 the ladder 32, 48, 64, 96, 128 ends at 48, the 3 N0
+        rung, unconverged, its change from 32 the estimate."""
+        ig = make_integrand(e_spec)
+        assert (ig.points(48), ig.points(64)) == (25, 33)
+        monkeypatch.setenv("EHV_MAX_NODES", "30")
+        sums, calls, tables = self._recorded(ig)
+        res = integrate_sums(sums, ig.points, 1, QuadratureConfig(
+            nodes_per_dim=16, max_doublings=3, rel_tol=1e-30))
+        assert calls == [(32, True), (24, False), (48, False)]
+        assert (res.converged, res.nodes_used) == (False, 48)
+        assert res.est_error == abs(res.value - ig.node_sums(32)[0][0])
 
     @pytest.mark.parametrize("doublings,budget", [(0, ""), (4, "100")])
     def test_start_grid_alone(self, e_spec, monkeypatch, doublings, budget):
@@ -648,7 +745,7 @@ class TestBudget:
                                 QuadratureConfig(nodes_per_dim=128,
                                                  max_doublings=4,
                                                  rel_tol=1e-30))
-        assert res.nodes_used == 256      # one doubling fits, two do not
+        assert res.nodes_used == 256      # 2 N0 fits, 3 N0 = 384 does not
 
     @pytest.mark.parametrize("raw", ["1e6", "abc", "0", "-5"])
     def test_malformed_budget_rejected(self, e_spec, monkeypatch, raw):

@@ -79,8 +79,9 @@ def test_operator_passes_at_seed_0():
                                        ("cn2", 1009), ("an1", 0)])
 def test_rank3_integrals_converge(name, seed, monkeypatch):
     # at the default config: 192^3 against its even subgrid 96^3, then
-    # against 144^3, then at most one doubling to 384^3 (against 192^3, then
-    # 288^3), which the contraction and the orbit sum fit in the node budget
+    # against 144^3, then at most the rungs 288^3 (against 192^3) and 384^3
+    # (against 288^3), which the contraction and the orbit sum fit in the
+    # node budget
     results = []
     integrate = registry.integrate_factors
 
@@ -109,8 +110,9 @@ def test_cn2_rank3_passes_at_seed_7063():
 def test_rank4_integrals_reach_384(name, seed, monkeypatch):
     # the folded contraction holds 2*6*193^2 + 193^3 = 7.6M points at 384^4,
     # within the default node budget (unfolded it would hold 58.4M): cn2's
-    # integrals reach it, and at each seed one of cn1's stops at 192^4,
-    # confirmed against 144^4
+    # integrals reach it, confirmed against 288^4; at each seed one of cn1's
+    # stops at 192^4, confirmed against 144^4, and the other at 288^4,
+    # confirmed against 192^4
     monkeypatch.delenv("EHV_MAX_NODES", raising=False)
     results = []
     integrate = registry.integrate_factors
@@ -125,24 +127,27 @@ def test_rank4_integrals_reach_384(name, seed, monkeypatch):
     assert all(res.converged for res in results)
     assert [r.nodes for r in rows] == [res.nodes_used for res in results]
     nodes = {res.nodes_used for res in results}
-    assert nodes == ({384 ** 4} if name == "cn2" else {192 ** 4, 384 ** 4})
+    assert nodes == ({384 ** 4} if name == "cn2" else {192 ** 4, 288 ** 4})
     assert all(r.passed for r in rows)
 
 
 def _recorded_stops(monkeypatch):
     """The integrals the checks take through integrate_factors, each as
-    (result, whether it stopped on the comparison with the 3N/4 grid)."""
+    (result, whether it converged against a grid other than N/2).  Only
+    the first grid is compared with its N/2 subgrid, and that needs no
+    other sums: an integral that evaluated more than one grid and converged
+    stopped on the 3N/4 grid at 2 N0, or on the rung below a later rung."""
     out = []
 
     def recording(ig, cfg=None):
-        last = []
+        calls = []
 
         def sums(N, subgrid=False):
-            last[:] = [N]
+            calls.append(N)
             return ig.node_sums(N, subgrid)
 
         res = integrate_sums(sums, ig.points, ig.n, cfg)
-        out.append((res, res.converged and last[0] ** ig.n < res.nodes_used))
+        out.append((res, res.converged and len(calls) > 1))
         return res
 
     monkeypatch.setattr(registry, "integrate_factors", recording)
@@ -150,9 +155,9 @@ def _recorded_stops(monkeypatch):
 
 
 def _errors_within_the_estimate(name, opts, monkeypatch) -> int:
-    """Checks that every row whose integral stopped on the 3N/4 grid errs
-    by at most its est_error (or 1e-13 relative, the rows' rounding);
-    returns how many did."""
+    """Checks that every row whose integral converged against a grid other
+    than N/2 errs by at most its est_error (or 1e-13 relative, the rows'
+    rounding); returns how many did."""
     stops = _recorded_stops(monkeypatch)
     rows = [r for r in run_check(name, opts) if r.nodes]
     assert len(rows) == len(stops)
@@ -174,9 +179,10 @@ def test_rank3_stops_on_the_three_quarter_grid_within_its_estimate(
 
 def test_family_stops_on_the_three_quarter_grid_within_their_estimate(
         monkeypatch):
-    # ranks 1 and 2 at seed 0: eight rank-2 integrals stop so, cn1's two,
-    # cn2's and an2_even's one each on 192^2 against 144^2, and an1's and
-    # an3_even's two each on 384^2 against 288^2
+    # ranks 1 and 2 at seed 0: eleven rank-2 integrals stop so, cn1's two,
+    # cn2's one and an2_even's second on 192^2 against 144^2, cn3's two and
+    # an2_even's first on 288^2 against 192^2, and an1's and an3_even's two
+    # each on 384^2 against 288^2
     assert sum(_errors_within_the_estimate(name, CheckOptions(seed=0),
                                            monkeypatch)
                for name in registry.FAMILY_CHECKS) >= 8
